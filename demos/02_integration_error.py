@@ -23,7 +23,7 @@ from mfquad import (
     moment_matched_nodes,
     orthonormal_basis,
     preset,
-    sign_sequence,
+    reflected_nodes,
     trial_rng,
 )
 
@@ -55,9 +55,8 @@ def build(method, n, rng):
     if method == "blocked-simplex":
         raw = blocked_simplex_standard(d, 2, rng, n_groups=n // 3)
         return NodeSet(dist.mean + dist.std * raw.nodes, raw.weights)
-    steps = dist.std * sign_sequence(d, 0, n // 2)
-    nodes = np.concatenate([dist.mean + steps, dist.mean - steps])
-    return NodeSet(nodes, np.full(n, 1.0 / n))
+    _, nodes = reflected_nodes(dist.mean, dist.std, 0, n // 2)
+    return NodeSet(nodes.reshape(n, d), np.full(n, 1.0 / n))
 
 
 for label, func, truth in [

@@ -3,10 +3,8 @@ variational trainer built on them."""
 
 from .quadrature import (
     AntitheticPair,
-    BlockPartition,
     NodeSet,
     antithetic_pair,
-    blocked_quadrature,
     blocked_simplex_standard,
     count_exact_pairs,
     cross_polytope_signs,
@@ -14,7 +12,7 @@ from .quadrature import (
     mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
-    relative_parity,
+    reflected_nodes,
     sign_sequence,
     simplex_sigma_points,
     trial_rng,
@@ -25,8 +23,6 @@ from .meanfield import (
     OrthonormalBasis,
     SpikeSlabMeanField,
     basis_product_expectation,
-    integrate,
-    moments,
     orthonormal_basis,
     preset,
     spike_slab_moments,
@@ -44,9 +40,7 @@ from .models import (
     MlpModel,
     QuadraticOracleModel,
     gradient_check,
-    load_dataset_csv,
     read_idx,
-    save_dataset_csv,
     synth_sparse_logistic,
     write_idx,
 )

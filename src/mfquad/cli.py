@@ -54,10 +54,10 @@ from .quadrature import (
     mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
-    sign_sequence,
+    reflected_nodes,
     trial_rng,
 )
-from .trainer import TrainConfig, init_state, run_epoch, save_checkpoint
+from .trainer import TrainConfig, init_state, save_checkpoint, train
 
 __all__ = ["main", "ConfigError", "DataError"]
 
@@ -134,10 +134,10 @@ def _bench_nodes(method, dist, n, rng, block_size):
         n_pairs = n // 2
         n_windows = max(full_period(d) // n_pairs, 1)
         k_start = int(rng.integers(n_windows)) * n_pairs
-        signs = sign_sequence(d, k_start, n_pairs)
-        steps = dist.std * signs
-        nodes = np.concatenate([dist.mean + steps, dist.mean - steps])
-        return NodeSet(nodes, np.full(2 * n_pairs, 0.5 / n_pairs))
+        _, nodes = reflected_nodes(dist.mean, dist.std, k_start, n_pairs)
+        return NodeSet(
+            nodes.reshape(2 * n_pairs, d), np.full(2 * n_pairs, 0.5 / n_pairs)
+        )
     if method == "blocked-simplex":
         base = blocked_simplex_standard(
             d, block_size, rng, n_groups=n // (block_size + 1)
@@ -228,10 +228,12 @@ TRAIN_CONFIG_EXTRAS = {
     "hidden_units": 32,
     "max_cases": None,
 }
+_INTEGER_KEYS = ("n_epochs", "n_pairs_per_case", "seed", "hidden_units", "max_cases")
 
 
 def load_run_config(path) -> dict:
-    """JSON config: trainer hyperparameters plus run knobs; unknown keys rejected."""
+    """JSON config: trainer hyperparameters plus run knobs; unknown keys and
+    mistyped values rejected."""
     known = {f.name for f in fields(TrainConfig)} | set(TRAIN_CONFIG_EXTRAS)
     merged = {f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)}
     merged.update(TRAIN_CONFIG_EXTRAS)
@@ -246,9 +248,21 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    for key in doc:
+    # JSON booleans are neither integers nor numbers: type() is exact
+    for key, value in doc.items():
         if key not in known:
             raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key == "model":
+            ok = value is None or type(value) is str
+            want = "null or a string"
+        elif key in _INTEGER_KEYS:
+            ok = type(value) is int or (key == "max_cases" and value is None)
+            want = "an integer"
+        else:
+            ok = type(value) in (int, float) and math.isfinite(value)
+            want = "a finite number"
+        if not ok:
+            raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
     merged.update(doc)
     return merged
 
@@ -328,7 +342,7 @@ def _build_model(kind, train_data, val_data, config):
         return LogisticModel(train_data, h_prior=h_prior)
     if kind == "mlp":
         n_classes = int(max(train_data.labels.max(), val_data.labels.max())) + 1
-        layers = (train_data.n_features, int(config["hidden_units"]), n_classes)
+        layers = (train_data.n_features, config["hidden_units"], n_classes)
         return MlpModel(train_data, layer_sizes=layers, h_prior=h_prior)
     raise ConfigError(f"unknown model kind {kind!r}; use logistic or mlp")
 
@@ -353,7 +367,7 @@ def cmd_train(args) -> int:
         config["n_epochs"] = max(args.epochs, 1)
     train_data, val_data, default_model = _resolve_data(args.data, config)
     if config["max_cases"] is not None:
-        limit = int(config["max_cases"])
+        limit = config["max_cases"]
         if limit < 1:
             raise ConfigError(f"max_cases must be >= 1, got {limit}")
         train_data = train_data.subset(0, min(limit, train_data.n_cases))
@@ -372,28 +386,28 @@ def cmd_train(args) -> int:
     epoch_header = ["epoch", "J_train", "frac_zero_realizable", "frac_held",
                     "accuracy_val"]
     hist_header = ["epoch", "bin_low", "bin_high", "count", "log10_count"]
-
-    rng = np.random.Generator(np.random.Philox(int(config["seed"])))
-    state = init_state(model, train_data.n_cases, trainer_config, rng)
-
-    n_epochs = 0 if (args.epochs == 0) else trainer_config.n_epochs
     epoch_rows, hist_rows = [], []
-    for epoch in range(1, n_epochs + 1):
-        stats = run_epoch(
-            state, model, train_data.n_cases, trainer_config, epoch, rng
-        )
+
+    def record(state, stats):
         preds = model.predict(state.mu, val_data.features)
         accuracy = float(np.mean(preds == val_data.labels))
         epoch_rows.append(
             [
-                epoch,
+                stats.epoch,
                 _fmt(stats.epoch_loss),
                 _fmt(stats.frac_zero_realizable),
                 _fmt(stats.frac_held),
                 _fmt(accuracy),
             ]
         )
-        hist_rows.extend(_histogram_rows(epoch, state.p_nonzero))
+        hist_rows.extend(_histogram_rows(stats.epoch, state.p_nonzero))
+
+    n_cases = train_data.n_cases
+    if args.epochs == 0:
+        rng = np.random.Generator(np.random.Philox(config["seed"]))
+        state = init_state(model, n_cases, trainer_config, rng)
+    else:
+        state, _ = train(model, n_cases, trainer_config, config["seed"], callback=record)
 
     _write_csv(out_dir / "epochs.csv", epoch_header, epoch_rows)
     _write_csv(out_dir / "sieve_histogram.csv", hist_header, hist_rows)
@@ -456,22 +470,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except DataError as err:
+    except (DataError, IdxFormatError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except (EvaluationError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
-    except IdxFormatError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
+    except ValueError as err:  # ConfigError and invalid values from the library
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

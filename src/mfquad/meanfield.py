@@ -23,10 +23,8 @@ __all__ = [
     "SpikeSlabMeanField",
     "OrthonormalBasis",
     "spike_slab_moments",
-    "moments",
     "orthonormal_basis",
     "basis_product_expectation",
-    "integrate",
     "preset",
     "PRESET_NAMES",
 ]
@@ -201,11 +199,6 @@ class SpikeSlabMeanField:
         return out
 
 
-def moments(dist) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and standard deviation of a mean-field."""
-    return dist.mean, dist.std
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Per-coordinate orthonormal polynomials up to a fixed degree.
@@ -289,14 +282,6 @@ def basis_product_expectation(
     for coord, poly in by_coord.items():
         out *= float(poly @ m[coord, : poly.shape[0]])
     return out
-
-
-def integrate(node_set, f) -> float:
-    """Weighted sum of ``f`` over the node rows."""
-    total = 0.0
-    for w, row in zip(node_set.weights, node_set.nodes):
-        total += w * float(f(row))
-    return total
 
 
 PRESET_NAMES = ("gauss", "laplace", "spikeslab")

@@ -10,7 +10,6 @@ finite-difference checker validates them.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -26,8 +25,6 @@ __all__ = [
     "read_idx",
     "write_idx",
     "IdxFormatError",
-    "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 DEFAULT_H_PRIOR = 1.0 / 0.09  # precision of a slab with deviation cap 0.3
@@ -152,6 +149,8 @@ class MlpModel:
         h_prior: float = DEFAULT_H_PRIOR,
     ):
         n_in, n_hid, n_out = layer_sizes
+        if min(layer_sizes) < 1:
+            raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
         if dataset.n_features != n_in:
             raise ValueError(
                 f"dataset has {dataset.n_features} features, network expects {n_in}"
@@ -231,7 +230,7 @@ def synth_sparse_logistic(
         raise ValueError(f"invalid dataset: need n_cases >= 1, got {n_cases}")
     if not 0 <= k_true <= d:
         raise ValueError(f"k_true must lie in 0..{d}, got {k_true}")
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError(f"noise must be nonnegative, got {noise}")
     rng = np.random.Generator(np.random.Philox(seed))
     w = np.zeros(d)
@@ -340,33 +339,3 @@ def write_idx(path, array: np.ndarray) -> None:
             fh.write(data.tobytes())
         else:
             raise ValueError(f"expected 3-d images or 1-d labels, got shape {array.shape}")
-
-
-# ------------------------------------------------------------------ CSV i/o
-
-
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Header ``case_id,label,f_0..f_{d-1}``; floats at full precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["case_id", "label"] + [f"f_{j}" for j in range(dataset.n_features)]
-        )
-        for i in range(dataset.n_cases):
-            writer.writerow(
-                [i, int(dataset.labels[i])]
-                + [f"{v:.17g}" for v in dataset.features[i]]
-            )
-
-
-def load_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["case_id", "label"]:
-            raise ValueError(f"{path}: expected header starting case_id,label")
-        feats, labels = [], []
-        for row in reader:
-            labels.append(int(row[1]))
-            feats.append([float(v) for v in row[2:]])
-    return Dataset(np.asarray(feats), np.asarray(labels))

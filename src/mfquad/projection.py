@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cross_polytope_signs
+from .quadrature import reflected_nodes
 
 __all__ = ["QuadraticSummary", "EvaluationError", "quadratic_approx", "full_period"]
 
@@ -92,24 +92,17 @@ def quadratic_approx(
     """
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    if mu.shape != sigma.shape:
-        raise ValueError(f"mu has {mu.size} entries, sigma has {sigma.size}")
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be nonnegative")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    if k_start < 0:
-        raise ValueError(f"k_start must be nonnegative, got {k_start}")
     d = mu.shape[0]
 
+    signs, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
     loss_sum = 0.0
     grad_sum = np.zeros(d)
     curv_sum = np.zeros(d)
-    for k in range(k_start, k_start + n_pairs):
-        s = cross_polytope_signs(d, k)
-        step = sigma * s
-        loss_p, grad_p = _evaluate(model, mu + step, case)
-        loss_m, grad_m = _evaluate(model, mu - step, case)
+    for s, plus, minus in zip(signs, nodes[0], nodes[1]):
+        loss_p, grad_p = _evaluate(model, plus, case)
+        loss_m, grad_m = _evaluate(model, minus, case)
         loss_sum += loss_p + loss_m
         grad_sum += grad_p + grad_m
         curv_sum += (grad_p - grad_m) * s

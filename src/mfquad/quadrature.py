@@ -16,21 +16,19 @@ period ``2**nbit`` without any explicit reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NodeSet",
     "AntitheticPair",
-    "BlockPartition",
     "cross_polytope_signs",
     "sign_sequence",
-    "relative_parity",
     "exactness_period",
+    "reflected_nodes",
     "antithetic_pair",
     "simplex_sigma_points",
-    "blocked_quadrature",
     "blocked_simplex_standard",
     "mc_nodes",
     "mean_matched_nodes",
@@ -102,40 +100,6 @@ class AntitheticPair:
         return NodeSet(np.stack([self.plus, self.minus]), [self.weight, self.weight])
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Contiguous partition of ``d`` coordinates into blocks."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError(f"block sizes must be positive, got {self.sizes}")
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-
-    @classmethod
-    def even(cls, d: int, block_size: int) -> "BlockPartition":
-        """Blocks of ``block_size``, with one smaller tail block if needed."""
-        if d < 1 or block_size < 1:
-            raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
-        sizes = [block_size] * (d // block_size)
-        if d % block_size:
-            sizes.append(d % block_size)
-        return cls(tuple(sizes))
-
-    @property
-    def dim(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
-
 def _bit_parity(x: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each uint64 entry (0 or 1)."""
     x = x.astype(np.uint64, copy=True)
@@ -170,13 +134,6 @@ def cross_polytope_signs(d: int, k: int) -> np.ndarray:
     return sign_sequence(d, k, 1)[0]
 
 
-def relative_parity(i1: int, i2: int, k: int) -> int:
-    """1 when coordinates ``i1`` and ``i2`` take opposite signs at index ``k``."""
-    if min(i1, i2, k) < 0:
-        raise ValueError("indices must be nonnegative")
-    return int(_bit_parity(np.asarray([(i1 ^ i2) & k], dtype=np.uint64))[0])
-
-
 def exactness_period(i1: int, i2: int) -> int:
     """Window length (in pairs) over which coordinates ``i1``, ``i2`` average
     to the four-node tensor-product cubature.
@@ -194,6 +151,37 @@ def exactness_period(i1: int, i2: int) -> int:
     return 2 * (x & -x)
 
 
+def _reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``mu + sigma * signs`` stacked over ``mu - sigma * signs`` along axis 0.
+
+    ``signs`` is one sign vector or a block of them, one per row.  Raises
+    ValueError unless the lengths agree and ``sigma`` is nonnegative.
+    """
+    if not (mu.ndim == 1 and mu.shape == sigma.shape == signs.shape[-1:]):
+        raise ValueError(
+            f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}, signs {signs.shape}"
+        )
+    if np.any(sigma < 0):
+        raise ValueError("sigma must be nonnegative")
+    step = sigma * signs
+    return np.stack([mu + step, mu - step])
+
+
+def reflected_nodes(
+    mu: np.ndarray, sigma: np.ndarray, k_start: int, n_pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reflected pairs ``mu +- sigma * s_k`` for ``k = k_start .. k_start + n_pairs - 1``.
+
+    Returns ``(signs, nodes)``: ``signs`` is ``sign_sequence(d, k_start,
+    n_pairs)`` and ``nodes`` has shape ``(2, n_pairs, d)``, the plus nodes
+    ``mu + sigma * signs`` first and the minus nodes second.  ``mu`` and
+    ``sigma`` are float arrays of length ``d``; ``sigma`` must be
+    nonnegative.
+    """
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+    return signs, _reflect(mu, sigma, signs)
+
+
 def antithetic_pair(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> AntitheticPair:
     """Reflected node pair ``mu +- sigma * signs``, each with weight 1/2.
 
@@ -201,17 +189,8 @@ def antithetic_pair(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> Ant
     any product measure with mean ``mu`` and standard deviation ``sigma``;
     centered odd powers are exact as well when the marginals are symmetric.
     """
-    mu = np.asarray(mu, dtype=np.float64).ravel()
-    sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    signs = np.asarray(signs, dtype=np.float64).ravel()
-    if not (mu.shape == sigma.shape == signs.shape):
-        raise ValueError(
-            f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}, signs {signs.shape}"
-        )
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be nonnegative")
-    step = sigma * signs
-    return AntitheticPair(mu + step, mu - step)
+    arrays = (np.asarray(a, dtype=np.float64).ravel() for a in (mu, sigma, signs))
+    return AntitheticPair(*_reflect(*arrays))
 
 
 def simplex_sigma_points(n: int) -> NodeSet:
@@ -234,28 +213,6 @@ def simplex_sigma_points(n: int) -> NodeSet:
     return NodeSet(x.T, np.full(n + 1, 1.0 / (n + 1)))
 
 
-def blocked_quadrature(blocks: list[NodeSet], rng: np.random.Generator) -> NodeSet:
-    """Concatenate per-block node sets after shuffling each block's node order.
-
-    Every block must supply the same number of equal-weight nodes.  Each
-    block's within-block moments survive any shuffle, and the expectation of
-    the concatenated rule over independent uniform shuffles equals the full
-    tensor-product cubature across blocks.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    m = blocks[0].n_nodes
-    for b, ns in enumerate(blocks):
-        if ns.n_nodes != m:
-            raise ValueError(
-                f"incompatible blocks: block 0 has {m} nodes, block {b} has {ns.n_nodes}"
-            )
-        if np.any(np.abs(ns.weights - 1.0 / m) > _WEIGHT_TOL):
-            raise ValueError(f"block {b} weights are not uniform")
-    cols = [ns.nodes[rng.permutation(m), :] for ns in blocks]
-    return NodeSet(np.concatenate(cols, axis=1), np.full(m, 1.0 / m))
-
-
 def blocked_simplex_standard(
     d: int,
     block_size: int,
@@ -264,25 +221,30 @@ def blocked_simplex_standard(
 ) -> NodeSet:
     """Blocked simplex rule for a standardized ``d``-dimensional measure.
 
-    Partitions the coordinates into blocks of ``block_size`` and gives each
-    block the ``block_size + 1`` simplex sigma points, independently
-    shuffled.  A tail block of size ``r < block_size`` takes the first ``r``
-    rows of the full-size point set, which keeps zero mean and identity
-    second moment while matching the shared node count.  ``n_groups``
-    independent replicates are pooled with equal weights.
+    Partitions the coordinates into contiguous blocks of ``block_size`` and
+    gives each block the ``block_size + 1`` simplex sigma points, in an
+    independently shuffled order.  Each block's within-block moments
+    survive any shuffle, and the expectation over independent uniform
+    shuffles equals the full tensor-product cubature across blocks.  A tail
+    block of size ``r < block_size`` takes the first ``r`` columns of the
+    full-size point set, which keeps zero mean and identity second moment
+    while matching the shared node count.  ``n_groups`` independent
+    replicates are pooled with equal weights.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be positive, got {n_groups}")
-    part = BlockPartition.even(d, block_size)
-    full = simplex_sigma_points(block_size)
-    m = full.n_nodes
-    w = np.full(m, 1.0 / m)
-    base = []
-    for size in part.sizes:
-        base.append(NodeSet(full.nodes[:, :size], w))
-    groups = [blocked_quadrature(base, rng).nodes for _ in range(n_groups)]
+    if d < 1 or block_size < 1:
+        raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
+    full = simplex_sigma_points(block_size).nodes
+    m = full.shape[0]
     total = n_groups * m
-    return NodeSet(np.concatenate(groups, axis=0), np.full(total, 1.0 / total))
+    nodes = np.empty((total, d))
+    for g in range(n_groups):
+        group = nodes[g * m : (g + 1) * m]
+        for start in range(0, d, block_size):
+            size = min(block_size, d - start)
+            group[:, start : start + size] = full[rng.permutation(m), :size]
+    return NodeSet(nodes, np.full(total, 1.0 / total))
 
 
 def mc_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .meanfield import spike_slab_moments
 from .projection import quadratic_approx
 
 __all__ = [
@@ -90,30 +91,69 @@ class TrainConfig:
 
 
 @dataclass
-class TrainState:
-    """Mutable per-coordinate posterior and accumulator state."""
+class Accumulator:
+    """Running sum of quadratic snapshots: count, gradient, curvature, loss."""
 
-    mu: np.ndarray            # mean of the marginal used for quadrature
-    sigma: np.ndarray         # deviation of that marginal
+    n: int
+    grad: np.ndarray
+    hess: np.ndarray
+    loss: float
+
+    def add(self, loss: float, grad: np.ndarray, hess: np.ndarray, hess_floor: float) -> None:
+        """Fold in one snapshot; the summed curvature is floored at ``hess_floor``."""
+        self.n += 1
+        self.grad = self.grad + grad
+        self.loss += loss
+        self.hess = np.maximum(self.hess + hess, hess_floor)
+
+    def recenter(self, delta: np.ndarray) -> None:
+        """Re-express the summed quadratic around a mean moved by ``delta``.
+
+        The surrogate it represents is unchanged as a function.
+        """
+        self.loss += float(self.grad @ delta + 0.5 * (self.hess * delta) @ delta)
+        self.grad = self.grad + self.hess * delta
+
+    def reset(self) -> None:
+        """Empty the sum."""
+        self.n = 0
+        self.grad = np.zeros_like(self.grad)
+        self.hess = np.zeros_like(self.hess)
+        self.loss = 0.0
+
+
+@dataclass
+class TrainState:
+    """Mutable per-coordinate posterior and accumulator state.
+
+    The marginal used for quadrature, ``mu``/``sigma``, is derived from the
+    spike-and-slab parameters rather than stored.
+    """
+
     slab_mean: np.ndarray     # mean of the nonzero (slab) component
     slab_std: np.ndarray      # deviation of the slab component
     zero_logit: np.ndarray    # sieved log-odds that a coordinate is zero
     p_nonzero: np.ndarray     # probability a coordinate is nonzero
     realized_nonzero: np.ndarray  # frozen 0/1 decisions (final epoch)
-    n_prev: int               # snapshots in the completed pass
-    n_cur: int                # snapshots in the accumulating pass
-    grad_prev: np.ndarray
-    grad_cur: np.ndarray
-    hess_prev: np.ndarray
-    hess_cur: np.ndarray
-    loss_prev: float
-    loss_cur: float
+    prev: Accumulator         # snapshots of the completed pass
+    cur: Accumulator          # snapshots of the accumulating pass
     seq_index: int            # next sign-vector index to consume
     hess_min: float           # per-snapshot curvature floor scale
 
     @property
+    def mu(self) -> np.ndarray:
+        """Mean ``p_nonzero * slab_mean``, the first of ``spike_slab_moments``;
+        computed alone because each update reads it twice."""
+        return self.p_nonzero * self.slab_mean
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Standard deviation of the spike-and-slab marginal."""
+        return spike_slab_moments(self.p_nonzero, self.slab_mean, self.slab_std)[1]
+
+    @property
     def dim(self) -> int:
-        return self.mu.shape[0]
+        return self.slab_mean.shape[0]
 
 
 @dataclass(frozen=True)
@@ -248,26 +288,17 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
             f"{n_cases} cases over {config.n_epochs} epochs leaves the first "
             "epoch with an empty accumulator; reduce n_epochs or add cases"
         )
-    mu = np.asarray(model.init_params(rng), dtype=np.float64)
-    sigma = np.full(d, math.sqrt(config.lr_init))
+    slab_mean = np.asarray(model.init_params(rng), dtype=np.float64)
     n_q = config.n_pairs_per_case
     seq_index = int(math.floor(rng.random() * d / n_q)) * n_q
     return TrainState(
-        mu=mu,
-        sigma=sigma,
-        slab_mean=mu.copy(),
-        slab_std=sigma.copy(),
+        slab_mean=slab_mean,
+        slab_std=np.full(d, math.sqrt(config.lr_init)),
         zero_logit=np.zeros(d),
         p_nonzero=np.ones(d),
         realized_nonzero=np.ones(d),
-        n_prev=n_prev,
-        n_cur=0,
-        grad_prev=np.zeros(d),
-        grad_cur=np.zeros(d),
-        hess_prev=np.full(d, 1.0 / config.lr_init),
-        hess_cur=np.zeros(d),
-        loss_prev=0.0,
-        loss_cur=0.0,
+        prev=Accumulator(n_prev, np.zeros(d), np.full(d, 1.0 / config.lr_init), 0.0),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d), 0.0),
         seq_index=seq_index,
         hess_min=1.0 / (n_prev * config.lr_max),
     )
@@ -291,17 +322,16 @@ def variational_update(
     the accumulated gradients and losses at the moved marginal mean.
     """
     st, cf = state, config
-    st.n_cur += 1
-    st.grad_cur = st.grad_cur + grad
-    st.loss_cur += loss
-    st.hess_cur = np.maximum(st.hess_cur + hess, cf.slab_std_max**-2)
+    prev, cur = st.prev, st.cur
+    mu_old = st.mu
+    cur.add(loss, grad, hess, cf.slab_std_max**-2)
 
-    a0, a1 = hybrid_coeffs(st.n_prev, st.n_cur)
-    grad_hat = a0 * st.grad_prev + a1 * st.grad_cur
-    hess_hat = a0 * st.hess_prev + a1 * st.hess_cur
+    a0, a1 = hybrid_coeffs(prev.n, cur.n)
+    grad_hat = a0 * prev.grad + a1 * cur.grad
+    hess_hat = a0 * prev.hess + a1 * cur.hess
 
-    step_floor = max(st.n_prev, st.n_cur) * st.hess_min
-    slab_grad = grad_hat + hess_hat * (st.slab_mean - st.mu)
+    step_floor = max(prev.n, cur.n) * st.hess_min
+    slab_grad = grad_hat + hess_hat * (st.slab_mean - mu_old)
     st.slab_mean = st.slab_mean - slab_grad / np.maximum(hess_hat, step_floor)
     st.slab_std = hess_hat**-0.5
 
@@ -317,18 +347,9 @@ def variational_update(
         )
         st.p_nonzero = np.exp(-np.logaddexp(0.0, st.zero_logit))
 
-    p = st.p_nonzero
-    mu_new = p * st.slab_mean
-    delta = mu_new - st.mu
-    st.sigma = np.sqrt(p * (1.0 - p) * st.slab_mean**2 + p * st.slab_std**2)
-    st.mu = mu_new
-
-    # Re-center the stored quadratic accumulators at the new mean so the
-    # surrogates they represent are unchanged as functions.
-    st.loss_prev += float(st.grad_prev @ delta + 0.5 * (st.hess_prev * delta) @ delta)
-    st.loss_cur += float(st.grad_cur @ delta + 0.5 * (st.hess_cur * delta) @ delta)
-    st.grad_prev = st.grad_prev + st.hess_prev * delta
-    st.grad_cur = st.grad_cur + st.hess_cur * delta
+    delta = st.mu - mu_old
+    prev.recenter(delta)
+    cur.recenter(delta)
 
 
 def run_epoch(
@@ -347,10 +368,7 @@ def run_epoch(
     before any case is visited.
     """
     st, cf = state, config
-    st.n_cur = 0
-    st.grad_cur = np.zeros(st.dim)
-    st.hess_cur = np.zeros(st.dim)
-    st.loss_cur = 0.0
+    st.cur.reset()
     target = anneal_target(epoch, cf.n_epochs, n_cases)
     final = epoch == cf.n_epochs
     if final:
@@ -365,15 +383,9 @@ def run_epoch(
         epoch_loss += snap.loss
         t = (epoch - 1) + i / n_cases
         variational_update(st, cf, snap.loss, snap.grad, snap.hess, t, final)
-        if st.n_cur == target:
-            st.n_prev = st.n_cur
-            st.grad_prev = st.grad_cur.copy()
-            st.hess_prev = st.hess_cur.copy()
-            st.loss_prev = st.loss_cur
-            st.n_cur = 0
-            st.grad_cur = np.zeros(st.dim)
-            st.hess_cur = np.zeros(st.dim)
-            st.loss_cur = 0.0
+        if st.cur.n == target:
+            st.prev, st.cur = st.cur, st.prev
+            st.cur.reset()
 
     tol = 1e-12
     return EpochStats(
@@ -432,6 +444,22 @@ _SCALAR_FIELDS = (
     "hess_min",
 )
 
+# Allowed entry ranges; every other array only needs finite entries.
+_ARRAY_RANGES = {
+    "p_nonzero": (0.0, 1.0),
+    "realized_nonzero": (0.0, 1.0),
+    "slab_std": (0.0, math.inf),
+}
+
+
+def _checkpoint_value(state: TrainState, key: str):
+    """Value stored under checkpoint ``key``: ``<name>_prev`` and
+    ``<name>_cur`` are fields of that accumulator."""
+    name, _, acc = key.rpartition("_")
+    if acc in ("prev", "cur"):
+        return getattr(getattr(state, acc), name)
+    return getattr(state, key)
+
 
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
     """JSON checkpoint; floats at full round-trip precision."""
@@ -439,8 +467,8 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
         "format": CHECKPOINT_FORMAT,
         "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "state": {
-            **{name: getattr(state, name).tolist() for name in _ARRAY_FIELDS},
-            **{name: getattr(state, name) for name in _SCALAR_FIELDS},
+            **{k: _checkpoint_value(state, k).tolist() for k in _ARRAY_FIELDS},
+            **{k: _checkpoint_value(state, k) for k in _SCALAR_FIELDS},
         },
     }
     with open(path, "w") as fh:
@@ -448,18 +476,60 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
         fh.write("\n")
 
 
+def _checked_state(raw: dict) -> TrainState:
+    """TrainState from a checkpoint's ``state`` object.
+
+    Raises ValueError naming the first field that is missing, mistyped, of
+    the wrong length, non-finite or out of range, or, for ``mu`` and
+    ``sigma``, unequal to the moments the stored slab parameters imply.
+    """
+    arrays = {k: np.asarray(raw.get(k), dtype=np.float64) for k in _ARRAY_FIELDS}
+    d = arrays["slab_mean"].size
+    for key, a in arrays.items():
+        lo, hi = _ARRAY_RANGES.get(key, (-math.inf, math.inf))
+        if a.shape != (d,) or not np.all(np.isfinite(a) & (a >= lo) & (a <= hi)):
+            raise ValueError(
+                f"checkpoint field {key!r} must hold {d} finite values in [{lo}, {hi}]"
+            )
+    for key in _SCALAR_FIELDS:
+        v = raw.get(key)
+        if key in ("n_prev", "n_cur", "seq_index"):
+            ok, want = type(v) is int and v >= 0, "a nonnegative integer"
+        else:
+            ok, want = type(v) in (int, float) and math.isfinite(v), "a finite number"
+        if not ok:
+            raise ValueError(f"checkpoint field {key!r} must be {want}, got {v!r}")
+    state = TrainState(
+        slab_mean=arrays["slab_mean"],
+        slab_std=arrays["slab_std"],
+        zero_logit=arrays["zero_logit"],
+        p_nonzero=arrays["p_nonzero"],
+        realized_nonzero=arrays["realized_nonzero"],
+        prev=Accumulator(
+            raw["n_prev"], arrays["grad_prev"], arrays["hess_prev"], raw["loss_prev"]
+        ),
+        cur=Accumulator(raw["n_cur"], arrays["grad_cur"], arrays["hess_cur"], raw["loss_cur"]),
+        seq_index=raw["seq_index"],
+        hess_min=raw["hess_min"],
+    )
+    for key in ("mu", "sigma"):
+        if not np.array_equal(arrays[key], getattr(state, key)):
+            raise ValueError(
+                f"checkpoint field {key!r} differs from the moments of "
+                "p_nonzero, slab_mean and slab_std"
+            )
+    return state
+
+
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
+    """Read and validate a checkpoint written by ``save_checkpoint``."""
     with open(path) as fh:
         payload = json.load(fh)
     tag = payload.get("format")
     if tag != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format {tag!r}")
-    config = TrainConfig(**payload["config"])
-    raw = payload["state"]
-    kwargs = {name: np.asarray(raw[name], dtype=np.float64) for name in _ARRAY_FIELDS}
-    for name in _SCALAR_FIELDS:
-        kwargs[name] = raw[name]
-    kwargs["n_prev"] = int(kwargs["n_prev"])
-    kwargs["n_cur"] = int(kwargs["n_cur"])
-    kwargs["seq_index"] = int(kwargs["seq_index"])
-    return TrainState(**kwargs), config
+    try:
+        config = TrainConfig(**payload["config"])
+    except TypeError as err:  # unknown key or mistyped value
+        raise ValueError(f"{path}: bad checkpoint config ({err})") from err
+    return _checked_state(payload["state"]), config

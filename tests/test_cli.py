@@ -230,7 +230,7 @@ def test_train_epochs_zero_writes_init_only(tmp_path):
     ]
     state, _ = load_checkpoint(out_dir / "checkpoint.json")
     assert np.all(state.p_nonzero == 1.0)
-    assert state.n_cur == 0
+    assert state.cur.n == 0
 
 
 def test_train_deterministic_reruns(tmp_path):
@@ -243,7 +243,7 @@ def test_train_deterministic_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_train_config_errors(tmp_path):
+def test_train_config_errors(tmp_path, capsys):
     out = str(tmp_path / "run")
     data = "synth:d=4,k=1,n=32,nval=8"
     bad_key = tmp_path / "bad.json"
@@ -257,9 +257,28 @@ def test_train_config_errors(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.json"),
                  "--data", data, "--out", out]) == 3
     assert main(["train", "--data", "synth:bogus=1", "--out", out]) == 2
+    assert main(["train", "--data", data + ",noise=nan", "--out", out]) == 2
     assert main(["train", "--data", "webscale:hi", "--out", out]) == 2
     # too many epochs for the case count starves the first epoch
     assert main(["train", "--data", data, "--out", out, "--epochs", "10"]) == 2
+    # mistyped values: booleans are neither integers nor numbers
+    mistyped = tmp_path / "mistyped.json"
+    for doc in (
+        {"n_epochs": "3"},
+        {"n_epochs": 2.5},
+        {"n_epochs": True},
+        {"frac_zero_target": "0.5"},
+        {"lr_init": None},
+        {"lr_max": False},
+        {"max_cases": 1.5},
+        {"model": 3},
+    ):
+        mistyped.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", "--config", str(mistyped), "--data", data,
+                     "--out", out]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def make_idx_dir(root, n_train=24, n_val=8, side=7, n_classes=3, seed=0):
@@ -324,7 +343,7 @@ def test_train_max_cases_limits_training_set(tmp_path):
     assert code == 0
     state, _ = load_checkpoint(out_dir / "checkpoint.json")
     # first-epoch restart target = floor(32 * 2**-1) = 16 cases
-    assert state.n_prev in (16, 32)
+    assert state.prev.n in (16, 32)
 
 
 # ------------------------------------------------------------------ misc

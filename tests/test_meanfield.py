@@ -14,8 +14,6 @@ from mfquad.meanfield import (
     LaplaceMeanField,
     SpikeSlabMeanField,
     basis_product_expectation,
-    integrate,
-    moments,
     orthonormal_basis,
     preset,
     spike_slab_moments,
@@ -47,17 +45,16 @@ def test_laplace_moments_frozen():
 
 def test_spike_slab_moments_frozen():
     s = SpikeSlabMeanField([0.5], [2.0], [1.0])
-    mu, sd = moments(s)
-    np.testing.assert_allclose(mu, [1.0])
-    np.testing.assert_allclose(sd, [np.sqrt(1.5)])
+    np.testing.assert_allclose(s.mean, [1.0])
+    np.testing.assert_allclose(s.std, [np.sqrt(1.5)])
     np.testing.assert_allclose(s.raw_moments(4)[0], [1, 1, 2.5, 7, 21.5], atol=0)
     # degenerate corners of the mixture
     all_zero = SpikeSlabMeanField([1.0], [2.0], [1.0])
-    np.testing.assert_allclose(moments(all_zero)[0], [0.0])
-    np.testing.assert_allclose(moments(all_zero)[1], [0.0])
+    np.testing.assert_allclose(all_zero.mean, [0.0])
+    np.testing.assert_allclose(all_zero.std, [0.0])
     all_slab = SpikeSlabMeanField([0.0], [2.0], [1.0])
-    np.testing.assert_allclose(moments(all_slab)[0], [2.0])
-    np.testing.assert_allclose(moments(all_slab)[1], [1.0])
+    np.testing.assert_allclose(all_slab.mean, [2.0])
+    np.testing.assert_allclose(all_slab.std, [1.0])
 
 
 def test_spike_slab_moments_helper_matches_mixture_mc():
@@ -170,18 +167,6 @@ def test_basis_product_expectation():
     assert basis_product_expectation(dist, b, [(1, 3), (1, 3)]) == pytest.approx(1.0, rel=1e-10)
     assert basis_product_expectation(dist, b, [(1, 1), (1, 2)]) == pytest.approx(0.0, abs=1e-10)
     assert basis_product_expectation(dist, b, []) == 1.0
-
-
-# ---------------------------------------------------------------- integrate
-
-
-def test_integrate_weighted_sum():
-    from mfquad.quadrature import NodeSet
-
-    ns = NodeSet([[1.0, 2.0], [3.0, 4.0]], [0.25, 0.75])
-    assert integrate(ns, lambda row: row[0] + row[1]) == pytest.approx(
-        0.25 * 3 + 0.75 * 7
-    )
 
 
 @pytest.mark.parametrize("name", PRESETS)

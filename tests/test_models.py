@@ -13,9 +13,7 @@ from mfquad.models import (
     MlpModel,
     QuadraticOracleModel,
     gradient_check,
-    load_dataset_csv,
     read_idx,
-    save_dataset_csv,
     synth_sparse_logistic,
     write_idx,
 )
@@ -170,6 +168,8 @@ def test_mlp_validation():
         MlpModel(data, layer_sizes=(5, 3, 2))
     with pytest.raises(ValueError, match="labels"):
         MlpModel(Dataset(np.ones((2, 4)), np.array([0, 7])), layer_sizes=(4, 3, 2))
+    with pytest.raises(ValueError, match="layer sizes"):
+        MlpModel(data, layer_sizes=(4, 0, 2))
 
 
 def test_mlp_init_params_shapes():
@@ -223,6 +223,8 @@ def test_synth_validation():
         synth_sparse_logistic(d=4, k_true=2, n_cases=0, noise=1.0, seed=0)
     with pytest.raises(ValueError, match="noise"):
         synth_sparse_logistic(d=4, k_true=2, n_cases=3, noise=-1.0, seed=0)
+    with pytest.raises(ValueError, match="noise"):
+        synth_sparse_logistic(d=4, k_true=2, n_cases=3, noise=float("nan"), seed=0)
 
 
 # ------------------------------------------------------------------- idx
@@ -281,18 +283,7 @@ def test_idx_roundtrip(tmp_path):
     assert_array_equal(read_idx(tmp_path / "l.idx"), labels)
 
 
-# ----------------------------------------------------------- dataset csv
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    data, _ = synth_sparse_logistic(d=5, k_true=2, n_cases=8, noise=0.3, seed=4)
-    path = tmp_path / "data.csv"
-    save_dataset_csv(data, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "case_id,label,f_0,f_1,f_2,f_3,f_4"
-    back = load_dataset_csv(path)
-    assert_array_equal(back.features, data.features)  # %.17g is exact
-    assert_array_equal(back.labels, data.labels)
+# --------------------------------------------------------------- dataset
 
 
 def test_dataset_validation():

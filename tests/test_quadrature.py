@@ -13,11 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfquad.quadrature import (
-    AntitheticPair,
-    BlockPartition,
-    NodeSet,
     antithetic_pair,
-    blocked_quadrature,
     blocked_simplex_standard,
     count_exact_pairs,
     cross_polytope_signs,
@@ -25,7 +21,7 @@ from mfquad.quadrature import (
     mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
-    relative_parity,
+    reflected_nodes,
     sign_sequence,
     simplex_sigma_points,
     trial_rng,
@@ -84,27 +80,6 @@ def test_sign_balance_over_period(d):
     assert len({tuple(row) for row in block}) == period
 
 
-@given(
-    st.integers(min_value=0, max_value=1023),
-    st.integers(min_value=0, max_value=1023),
-    st.integers(min_value=0, max_value=10_000),
-)
-def test_relative_parity_matches_sign_product(i1, i2, k):
-    d = 1024
-    s = cross_polytope_signs(d, k)
-    assert relative_parity(i1, i2, k) == (0 if s[i1] == s[i2] else 1)
-
-
-def test_relative_parity_frozen():
-    # frozen: X = i1 xor i2 masked by k, then popcount parity
-    assert relative_parity(0, 1, 1) == 1
-    assert relative_parity(0, 1, 2) == 0
-    # by hand: 3 ^ 5 = 0b110; masked by k=6 -> 0b110, two set bits, parity 0
-    assert relative_parity(3, 5, 6) == 0
-    # masking by k=2 keeps one set bit
-    assert relative_parity(3, 5, 2) == 1
-
-
 def test_exactness_period_frozen():
     # frozen: 2**position of lowest differing bit (1-based)
     assert exactness_period(0, 1) == 2
@@ -139,6 +114,30 @@ def test_antithetic_pair_frozen_nodes():
     ns = pair.as_node_set()
     assert ns.n_nodes == 2 and ns.dim == 2
     np.testing.assert_array_equal(ns.weights, [0.5, 0.5])
+
+
+def test_reflected_nodes_match_antithetic_pairs():
+    # row r of each half is the pair built from sign vector k + r; zero
+    # deviations leave their coordinates on the mean
+    rng = np.random.default_rng(3)
+    for d, k, n in ((1, 0, 1), (5, 3, 4), (16, 7, 9), (33, 60, 8)):
+        mu = rng.normal(size=d)
+        sigma = rng.uniform(0.1, 2.0, size=d)
+        sigma[::3] = 0.0
+        signs, nodes = reflected_nodes(mu, sigma, k, n)
+        assert nodes.shape == (2, n, d)
+        np.testing.assert_array_equal(signs, sign_sequence(d, k, n))
+        np.testing.assert_array_equal(nodes[0], mu + sigma * signs)
+        np.testing.assert_array_equal(nodes[1], mu - sigma * signs)
+        for r in range(n):
+            pair = antithetic_pair(mu, sigma, cross_polytope_signs(d, k + r))
+            np.testing.assert_array_equal(nodes[0, r], pair.plus)
+            np.testing.assert_array_equal(nodes[1, r], pair.minus)
+        assert np.all(nodes[:, :, ::3] == mu[::3])
+    with pytest.raises(ValueError):
+        reflected_nodes(np.zeros(3), np.ones(2), 0, 1)
+    with pytest.raises(ValueError):
+        reflected_nodes(np.zeros(2), -np.ones(2), 0, 1)
 
 
 def test_pair_moment_exactness_random():
@@ -229,20 +228,26 @@ def test_simplex_standardized_moments(n):
 
 
 def test_blocked_partition():
-    part = BlockPartition.even(7, 3)
-    assert part.sizes == (3, 3, 1)
-    assert part.offsets == (0, 3, 6)
-    assert part.dim == 7
+    # blocks of 3, 3 and a tail of 1: within each block the node rows are a
+    # row permutation of the simplex points' leading columns
+    full = simplex_sigma_points(3).nodes
+    ns = blocked_simplex_standard(7, 3, trial_rng(4), n_groups=2)
+    assert ns.nodes.shape == (8, 7)
+    np.testing.assert_array_equal(ns.weights, np.full(8, 1 / 8))
+    for g in (0, 4):
+        for start, size in ((0, 3), (3, 3), (6, 1)):
+            block = ns.nodes[g : g + 4, start : start + size]
+            assert sorted(map(tuple, block)) == sorted(map(tuple, full[:, :size]))
     with pytest.raises(ValueError):
-        BlockPartition.even(0, 2)
+        blocked_simplex_standard(0, 2, trial_rng(0))
     with pytest.raises(ValueError):
-        BlockPartition((2, 0))
+        blocked_simplex_standard(4, 0, trial_rng(0))
+    with pytest.raises(ValueError):
+        blocked_simplex_standard(4, 2, trial_rng(0), n_groups=0)
 
 
-def test_blocked_quadrature_preserves_block_moments():
-    rng = trial_rng(11)
-    blocks = [simplex_sigma_points(2), simplex_sigma_points(2), simplex_sigma_points(2)]
-    ns = blocked_quadrature(blocks, rng)
+def test_blocked_simplex_preserves_block_moments():
+    ns = blocked_simplex_standard(6, 2, trial_rng(11))
     assert ns.nodes.shape == (3, 6)
     second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
     # within-block entries stay exact under any shuffle
@@ -253,15 +258,6 @@ def test_blocked_quadrature_preserves_block_moments():
     np.testing.assert_allclose(ns.weights @ ns.nodes, np.zeros(6), atol=1e-13)
 
 
-def test_blocked_quadrature_rejects_mismatched_blocks():
-    rng = trial_rng(0)
-    with pytest.raises(ValueError, match="incompatible"):
-        blocked_quadrature([simplex_sigma_points(2), simplex_sigma_points(3)], rng)
-    bad = NodeSet(np.zeros((3, 1)), [0.5, 0.25, 0.25])
-    with pytest.raises(ValueError, match="uniform"):
-        blocked_quadrature([simplex_sigma_points(2), bad], rng)
-
-
 def test_blocked_tail_block_standardized():
     rng = trial_rng(3)
     ns = blocked_simplex_standard(5, 3, rng)  # tail block of size 2
@@ -269,6 +265,8 @@ def test_blocked_tail_block_standardized():
     second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
     np.testing.assert_allclose(np.diag(second), np.ones(5), atol=1e-12)
     np.testing.assert_allclose(ns.weights @ ns.nodes, np.zeros(5), atol=1e-13)
+    # the tail block's own mixed moment is exact too
+    np.testing.assert_allclose(second[3:, 3:], np.eye(2), atol=1e-12)
 
 
 def test_blocked_expectation_over_shuffles():

@@ -1,5 +1,7 @@
 """Trainer oracles: blend identities, schedules, sieve, update invariants."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mfquad.meanfield import spike_slab_moments
 from mfquad.models import LogisticModel, QuadraticOracleModel, synth_sparse_logistic
 from mfquad.trainer import (
+    Accumulator,
     EpochStats,
     TrainConfig,
     TrainState,
@@ -247,10 +250,10 @@ def test_init_state_frozen():
     cf = TrainConfig(n_epochs=10)
     rng = np.random.Generator(np.random.Philox(3))
     state = init_state(model, 60000, cf, rng)
-    assert state.n_prev == 117
-    assert state.n_cur == 0
+    assert state.prev.n == 117
+    assert state.cur.n == 0
     assert_array_equal(state.sigma, np.full(6, 0.0031622776601683794))
-    assert_allclose(state.hess_prev, np.full(6, 1e5), rtol=1e-15)
+    assert_allclose(state.prev.hess, np.full(6, 1e5), rtol=1e-15)
     assert state.hess_min == pytest.approx(1.0 / (117 * 0.1))
     assert state.seq_index % cf.n_pairs_per_case == 0
     assert 0 <= state.seq_index < 6
@@ -271,21 +274,13 @@ def test_init_state_rejects_starved_first_epoch():
 def hand_state(d=1):
     """Single-coordinate state with round-number accumulators."""
     return TrainState(
-        mu=np.full(d, 0.5),
-        sigma=np.full(d, 0.1),
         slab_mean=np.full(d, 0.5),
         slab_std=np.full(d, 0.1),
         zero_logit=np.zeros(d),
         p_nonzero=np.ones(d),
         realized_nonzero=np.ones(d),
-        n_prev=4,
-        n_cur=0,
-        grad_prev=np.full(d, 2.0),
-        grad_cur=np.zeros(d),
-        hess_prev=np.full(d, 10.0),
-        hess_cur=np.zeros(d),
-        loss_prev=1.0,
-        loss_cur=0.0,
+        prev=Accumulator(4, np.full(d, 2.0), np.full(d, 10.0), 1.0),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d), 0.0),
         seq_index=0,
         hess_min=0.25,
     )
@@ -302,8 +297,8 @@ def test_variational_update_hand_computed():
     variational_update(
         state, cf, loss=3.0, grad=np.array([1.25]), hess=np.array([6.25]), t=1.0
     )
-    assert state.n_cur == 1
-    assert state.hess_cur[0] == 6.25  # above the 1/0.25 floor
+    assert state.cur.n == 1
+    assert state.cur.hess[0] == 6.25  # above the 1/0.25 floor
     assert state.slab_mean[0] == pytest.approx(0.3, abs=1e-15)
     assert state.slab_std[0] == pytest.approx(0.25, abs=1e-15)
     assert state.zero_logit[0] == pytest.approx(-LOG999, rel=1e-12)
@@ -318,7 +313,7 @@ def test_variational_update_curvature_floor():
     variational_update(
         state, cf, loss=0.0, grad=np.array([0.0]), hess=np.array([1e-9]), t=1.0
     )
-    assert state.hess_cur[0] == pytest.approx(4.0)
+    assert state.cur.hess[0] == pytest.approx(4.0)
     # slab deviation respects the cap thanks to the floor and a1 >= 1
     assert state.slab_std[0] <= 0.5 + 1e-12
 
@@ -328,8 +323,8 @@ def test_variational_update_step_floor_limits_step():
     # grad / (max(n_prev, n_cur) * hess_min).
     cf = TrainConfig(slab_std_max=1e3)  # effectively no curvature floor
     state = hand_state()
-    state.hess_prev[:] = 0.0
-    state.grad_prev[:] = 0.0
+    state.prev.hess[:] = 0.0
+    state.prev.grad[:] = 0.0
     variational_update(
         state, cf, loss=0.0, grad=np.array([1.0]), hess=np.array([1e-8]), t=1.0
     )
@@ -343,8 +338,8 @@ def test_variational_update_spike_slab_moments_match():
     cf = TrainConfig()
     state = hand_state(d=5)
     rng = np.random.Generator(np.random.Philox(8))
-    state.grad_prev = rng.standard_normal(5)
-    state.hess_prev = np.full(5, 10.0) + rng.random(5)
+    state.prev.grad = rng.standard_normal(5)
+    state.prev.hess = np.full(5, 10.0) + rng.random(5)
     variational_update(
         state,
         cf,
@@ -354,8 +349,8 @@ def test_variational_update_spike_slab_moments_match():
         t=5.5,
     )
     mean, std = spike_slab_moments(state.p_nonzero, state.slab_mean, state.slab_std)
-    assert_allclose(state.mu, mean, rtol=1e-14)
-    assert_allclose(state.sigma, std, rtol=1e-14)
+    assert_array_equal(state.mu, mean)
+    assert_array_equal(state.sigma, std)
 
 
 def test_variational_update_recentering_invariance():
@@ -364,16 +359,16 @@ def test_variational_update_recentering_invariance():
     cf = TrainConfig()
     state = hand_state(d=3)
     rng = np.random.Generator(np.random.Philox(4))
-    state.grad_prev = rng.standard_normal(3)
-    state.hess_prev = 5.0 + rng.random(3)
-    state.mu = rng.standard_normal(3)
-    state.slab_mean = state.mu.copy()
+    state.prev.grad = rng.standard_normal(3)
+    state.prev.hess = 5.0 + rng.random(3)
+    state.slab_mean = rng.standard_normal(3)  # p_nonzero = 1, so mu = slab_mean
 
     probes = [rng.standard_normal(3) for _ in range(3)]
 
     def prev_surrogate(at):
         z = at - state.mu
-        return state.loss_prev + state.grad_prev @ z + 0.5 * (state.hess_prev * z) @ z
+        prev = state.prev
+        return prev.loss + prev.grad @ z + 0.5 * (prev.hess * z) @ z
 
     before = [prev_surrogate(p) for p in probes]
     variational_update(
@@ -419,11 +414,11 @@ def test_run_epoch_restart_bookkeeping():
     cf = TrainConfig(n_epochs=2, n_pairs_per_case=2)
     rng = np.random.Generator(np.random.Philox(7))
     state = init_state(model, 4, cf, rng)
-    assert state.n_prev == 2  # floor(4 * 2**-1)
+    assert state.prev.n == 2  # floor(4 * 2**-1)
     stats = run_epoch(state, model, 4, cf, epoch=1, rng=rng)
     # two restarts of size 2 fit exactly into 4 cases
-    assert state.n_prev == 2
-    assert state.n_cur == 0
+    assert state.prev.n == 2
+    assert state.cur.n == 0
     assert isinstance(stats, EpochStats)
     assert np.isfinite(stats.epoch_loss)
     assert stats.epoch == 1
@@ -514,16 +509,13 @@ def test_checkpoint_roundtrip(tmp_path):
         "zero_logit",
         "p_nonzero",
         "realized_nonzero",
-        "grad_prev",
-        "grad_cur",
-        "hess_prev",
-        "hess_cur",
     ):
         assert_array_equal(getattr(loaded, name), getattr(state, name)), name
-    assert loaded.n_prev == state.n_prev
-    assert loaded.n_cur == state.n_cur
-    assert loaded.loss_prev == state.loss_prev
-    assert loaded.loss_cur == state.loss_cur
+    for acc in ("prev", "cur"):
+        a, b = getattr(loaded, acc), getattr(state, acc)
+        assert_array_equal(a.grad, b.grad)
+        assert_array_equal(a.hess, b.hess)
+        assert (a.n, a.loss) == (b.n, b.loss)
     assert loaded.seq_index == state.seq_index
     assert loaded.hess_min == state.hess_min
 
@@ -533,3 +525,49 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "mfvi-ckpt-9", "config": {}, "state": {}}')
     with pytest.raises(ValueError, match="mfvi-ckpt-9"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_invalid_state(tmp_path):
+    data, _ = synth_sparse_logistic(d=6, k_true=2, n_cases=16, noise=0.3, seed=1)
+    model = LogisticModel(data)
+    cf = TrainConfig(n_epochs=2, frac_zero_target=0.5, frac_held_target=0.125)
+    state, _ = train(model, 16, cf, seed=4)
+    good = tmp_path / "good.json"
+    save_checkpoint(good, state, cf)
+    payload = json.loads(good.read_text())
+
+    def edited(edit):
+        doc = copy.deepcopy(payload)
+        edit(doc["state"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def set_entry(key, i, value):
+        return lambda st: st[key].__setitem__(i, value)
+
+    cases = [
+        (lambda st: st.__setitem__("mu", st["mu"][:3]), "mu"),
+        (lambda st: st.__setitem__("grad_cur", st["grad_cur"] + [0.0]), "grad_cur"),
+        (lambda st: st.__setitem__("slab_mean", [st["slab_mean"]]), "slab_mean"),
+        (set_entry("hess_prev", 2, float("nan")), "hess_prev"),
+        (set_entry("zero_logit", 0, float("inf")), "zero_logit"),
+        (set_entry("p_nonzero", 0, 7.0), "p_nonzero"),
+        (set_entry("realized_nonzero", 1, -1.0), "realized_nonzero"),
+        (set_entry("slab_std", 3, -state.slab_std[3]), "slab_std"),
+        (lambda st: st.__setitem__("loss_cur", float("nan")), "loss_cur"),
+        (lambda st: st.__setitem__("n_prev", 2.5), "n_prev"),
+        (lambda st: st.pop("seq_index"), "seq_index"),
+        (set_entry("mu", 0, payload["state"]["mu"][0] + 1e-3), "mu"),
+        (set_entry("sigma", 5, payload["state"]["sigma"][5] + 1e-3), "sigma"),
+    ]
+    for edit, field in cases:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            load_checkpoint(edited(edit))
+    for bad_config in ({"bogus": 1}, {"n_epochs": "3"}):
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps({**payload, "config": {**payload["config"], **bad_config}}))
+        with pytest.raises(ValueError, match="config"):
+            load_checkpoint(path)
+    # the unedited file loads
+    load_checkpoint(edited(lambda st: None))
