@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,18 +104,13 @@ def parse_basis(spec: str, d: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _ladder(group: int, max_evals: int) -> list[int]:
-    """Evaluation budgets group, 2*group, 4*group, ... up to max_evals."""
+def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
+    """Budgets group, 2*group, 4*group, ... up to max_evals, where group is the
+    method's smallest: two reflected pairs, one blocked group, or two samples."""
+    group = {"cross-polytope": 4, "blocked-simplex": block_size + 1}.get(method, 2)
     if max_evals < group:
-        raise ConfigError(
-            f"max-evals {max_evals} below the smallest budget {group}"
-        )
-    out = []
-    n = group
-    while n <= max_evals:
-        out.append(n)
-        n *= 2
-    return out
+        raise ConfigError(f"max-evals {max_evals} below the smallest budget {group}")
+    return [group * 2**i for i in range((max_evals // group).bit_length())]
 
 
 # -------------------------------------------------------- integrate-bench
@@ -158,10 +153,7 @@ def cmd_integrate_bench(args) -> int:
     basis = orthonormal_basis(dist, max_degree=max_degree)
     truth = basis_product_expectation(dist, basis, terms)
 
-    group = 4 if args.method == "cross-polytope" else 2
-    if args.method == "blocked-simplex":
-        group = args.block_size + 1
-    budgets = _ladder(group, args.max_evals)
+    budgets = _ladder(args.method, args.block_size, args.max_evals)
 
     errors = np.empty((args.trials, len(budgets)))
     for trial in range(args.trials):
@@ -174,7 +166,7 @@ def cmd_integrate_bench(args) -> int:
             estimate = float(ns.weights @ vals)
             if not math.isfinite(estimate):
                 raise EvaluationError(
-                    f"non-finite estimate at n_evals={n}, trial {trial}"
+                    f"non-finite estimate at n_evals={n}, trial {trial}", ns.nodes
                 )
             errors[trial, j] = estimate - truth
 
@@ -201,9 +193,8 @@ def cmd_integrate_bench(args) -> int:
 def cmd_exactness_count(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    group = 4 if args.method == "cross-polytope" else args.block_size + 1
     rows = []
-    for n in _ladder(group, args.max_evals):
+    for n in _ladder(args.method, args.block_size, args.max_evals):
         mean_pairs = count_exact_pairs(
             args.d,
             args.method,
@@ -228,17 +219,19 @@ TRAIN_CONFIG_EXTRAS = {
     "hidden_units": 32,
     "max_cases": None,
 }
-_INTEGER_KEYS = ("n_epochs", "n_pairs_per_case", "seed", "hidden_units", "max_cases")
+_INTEGER_KEYS = ("seed", "hidden_units", "max_cases")
 
 
-def load_run_config(path) -> dict:
-    """JSON config: trainer hyperparameters plus run knobs; unknown keys and
-    mistyped values rejected."""
-    known = {f.name for f in fields(TrainConfig)} | set(TRAIN_CONFIG_EXTRAS)
-    merged = {f.name: getattr(TrainConfig(), f.name) for f in fields(TrainConfig)}
-    merged.update(TRAIN_CONFIG_EXTRAS)
+def load_run_config(path) -> tuple[TrainConfig, dict]:
+    """JSON config: trainer hyperparameters plus run knobs.
+
+    Returns ``(TrainConfig, run)``, where ``run`` holds the keys of
+    ``TRAIN_CONFIG_EXTRAS``.  Unknown keys, mistyped run knobs and
+    hyperparameters that ``TrainConfig`` rejects raise ConfigError.
+    """
+    run = dict(TRAIN_CONFIG_EXTRAS)
     if path is None:
-        return merged
+        return TrainConfig(), run
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -248,23 +241,29 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    # JSON booleans are neither integers nor numbers: type() is exact
+    trainer_keys = {f.name for f in fields(TrainConfig)}
+    hyper = {}
+    # JSON booleans are not integers: type() is exact
     for key, value in doc.items():
-        if key not in known:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key in trainer_keys:
+            hyper[key] = value
+            continue
         if key == "model":
-            ok = value is None or type(value) is str
-            want = "null or a string"
+            ok, want = value is None or type(value) is str, "null or a string"
         elif key in _INTEGER_KEYS:
             ok = type(value) is int or (key == "max_cases" and value is None)
             want = "an integer"
         else:
-            ok = type(value) in (int, float) and math.isfinite(value)
-            want = "a finite number"
+            raise ConfigError(f"{path}: unknown config key {key!r}")
         if not ok:
             raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
-    merged.update(doc)
-    return merged
+        run[key] = value
+    if run["max_cases"] is not None and run["max_cases"] < 1:
+        raise ConfigError(f"{path}: max_cases must be >= 1, got {run['max_cases']}")
+    try:
+        return TrainConfig(**hyper), run
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def _parse_synth_spec(spec: str) -> dict:
@@ -312,7 +311,7 @@ def _load_mnist_dir(directory) -> tuple[Dataset, Dataset]:
     return train, val
 
 
-def _resolve_data(data_arg: str, config: dict) -> tuple[Dataset, Dataset, str]:
+def _resolve_data(data_arg: str) -> tuple[Dataset, Dataset, str]:
     """Returns (train, validation, default model kind)."""
     kind, _, rest = data_arg.partition(":")
     if kind == "synth":
@@ -334,15 +333,15 @@ def _resolve_data(data_arg: str, config: dict) -> tuple[Dataset, Dataset, str]:
     raise ConfigError(f"unknown data source {data_arg!r}; use synth:SPEC or mnist:DIR")
 
 
-def _build_model(kind, train_data, val_data, config):
-    h_prior = 1.0 / config["slab_std_max"] ** 2
+def _build_model(kind, train_data, val_data, slab_std_max, hidden_units):
+    h_prior = 1.0 / slab_std_max**2
     if kind == "logistic":
         if train_data.labels.max() > 1:
             raise ConfigError("logistic model needs binary labels; use model=mlp")
         return LogisticModel(train_data, h_prior=h_prior)
     if kind == "mlp":
         n_classes = int(max(train_data.labels.max(), val_data.labels.max())) + 1
-        layers = (train_data.n_features, config["hidden_units"], n_classes)
+        layers = (train_data.n_features, hidden_units, n_classes)
         return MlpModel(train_data, layer_sizes=layers, h_prior=h_prior)
     raise ConfigError(f"unknown model kind {kind!r}; use logistic or mlp")
 
@@ -360,26 +359,18 @@ def _histogram_rows(epoch: int, p_nonzero: np.ndarray) -> list[list]:
 
 
 def cmd_train(args) -> int:
-    config = load_run_config(args.config)
+    config, run = load_run_config(args.config)
     if args.epochs is not None:
         if args.epochs < 0:
             raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
-        config["n_epochs"] = max(args.epochs, 1)
-    train_data, val_data, default_model = _resolve_data(args.data, config)
-    if config["max_cases"] is not None:
-        limit = config["max_cases"]
-        if limit < 1:
-            raise ConfigError(f"max_cases must be >= 1, got {limit}")
-        train_data = train_data.subset(0, min(limit, train_data.n_cases))
-    model_kind = config["model"] or default_model
-    model = _build_model(model_kind, train_data, val_data, config)
-
-    try:
-        trainer_config = TrainConfig(
-            **{f.name: config[f.name] for f in fields(TrainConfig)}
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad trainer hyperparameters: {err}") from err
+        config = replace(config, n_epochs=max(args.epochs, 1))
+    train_data, val_data, default_model = _resolve_data(args.data)
+    if run["max_cases"] is not None:
+        train_data = train_data.subset(0, min(run["max_cases"], train_data.n_cases))
+    model = _build_model(
+        run["model"] or default_model, train_data, val_data,
+        config.slab_std_max, run["hidden_units"],
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,14 +395,14 @@ def cmd_train(args) -> int:
 
     n_cases = train_data.n_cases
     if args.epochs == 0:
-        rng = np.random.Generator(np.random.Philox(config["seed"]))
-        state = init_state(model, n_cases, trainer_config, rng)
+        rng = np.random.Generator(np.random.Philox(run["seed"]))
+        state = init_state(model, n_cases, config, rng)
     else:
-        state, _ = train(model, n_cases, trainer_config, config["seed"], callback=record)
+        state, _ = train(model, n_cases, config, run["seed"], callback=record)
 
     _write_csv(out_dir / "epochs.csv", epoch_header, epoch_rows)
     _write_csv(out_dir / "sieve_histogram.csv", hist_header, hist_rows)
-    save_checkpoint(out_dir / "checkpoint.json", state, trainer_config)
+    save_checkpoint(out_dir / "checkpoint.json", state, config)
     return 0
 
 

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+_EXACT_TOL = 1e-10  # count_exact_pairs: a |mixed second moment| below this is exact
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -290,42 +291,38 @@ def count_exact_pairs(
     *,
     block_size: int = 2,
     n_trials: int = 1,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> float:
     """Mean number of coordinate pairs whose mixed second moment is exact.
 
     Builds the requested rule for a standardized measure (zero mean, unit
-    variance), forms the weighted second-moment matrix, and counts unordered
-    pairs ``i < j`` with ``|estimate| < tol`` (the exact value is 0).  For
-    ``method='blocked-simplex'`` the count is averaged over ``n_trials``
-    independent shuffles with per-trial seed ``seed + trial``; the
-    cross-polytope sequence is deterministic, so trials coincide.
+    variance) as a NodeSet, forms its weighted second-moment matrix, and
+    counts unordered pairs ``i < j`` with ``|estimate| < 1e-10`` (the exact
+    value is 0).  For ``method='blocked-simplex'`` the count is averaged
+    over ``n_trials`` independent shuffles with per-trial seed ``seed +
+    trial``; the deterministic cross-polytope rule is counted once.
 
     ``n_evals`` must be a multiple of the rule's natural group size: 2 for
     ``'cross-polytope'`` (one pair), ``block_size + 1`` per blocked group.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
+    group = {"cross-polytope": 2, "blocked-simplex": block_size + 1}.get(method)
+    if group is None:
+        raise ValueError(f"unknown method {method!r}")
+    if n_evals < group or n_evals % group:
+        raise ValueError(f"n_evals must be a positive multiple of {group}, got {n_evals}")
+
     counts = []
-    for trial in range(n_trials):
-        if method == "cross-polytope":
-            if n_evals < 2 or n_evals % 2:
-                raise ValueError(f"n_evals must be a positive multiple of 2, got {n_evals}")
-            s = sign_sequence(d, 0, n_evals // 2)
-            second = s.T @ s / (n_evals // 2)
-        elif method == "blocked-simplex":
-            group = block_size + 1
-            if n_evals < group or n_evals % group:
-                raise ValueError(
-                    f"n_evals must be a positive multiple of {group}, got {n_evals}"
-                )
+    for trial in range(n_trials if method == "blocked-simplex" else 1):
+        if method == "blocked-simplex":
             ns = blocked_simplex_standard(
                 d, block_size, trial_rng(seed, trial), n_evals // group
             )
-            second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            _, nodes = reflected_nodes(np.zeros(d), np.ones(d), 0, n_evals // 2)
+            ns = NodeSet(nodes.reshape(n_evals, d), np.full(n_evals, 1.0 / n_evals))
+        second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
         off = np.abs(second[np.triu_indices(d, k=1)])
-        counts.append(int(np.count_nonzero(off < tol)))
+        counts.append(int(np.count_nonzero(off < _EXACT_TOL)))
     return float(np.mean(counts))

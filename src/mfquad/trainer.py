@@ -62,6 +62,16 @@ class TrainConfig:
     p_sieve_one: float = 0.999
 
     def __post_init__(self):
+        # Types first, never coerced: bool is neither an integer nor a number.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                ok, want = isinstance(v, (int, np.integer)), "an integer"
+            else:
+                ok = isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+                want = "a finite number"
+            if isinstance(v, bool) or not ok:
+                raise ValueError(f"{f.name} must be {want}, got {v!r}")
         if self.n_epochs < 1:
             raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if self.n_pairs_per_case < 1:
@@ -282,7 +292,7 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
     first epoch's restart target.
     """
     d = model.n_params
-    n_prev = int(math.floor(n_cases * 2.0 ** (1 - config.n_epochs)))
+    n_prev = anneal_target(1, config.n_epochs, n_cases)
     if n_prev < 1:
         raise ValueError(
             f"{n_cases} cases over {config.n_epochs} epochs leaves the first "
@@ -530,6 +540,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
         raise ValueError(f"{path}: unsupported checkpoint format {tag!r}")
     try:
         config = TrainConfig(**payload["config"])
-    except TypeError as err:  # unknown key or mistyped value
+    except (TypeError, ValueError) as err:  # unknown key, bad type or range
         raise ValueError(f"{path}: bad checkpoint config ({err})") from err
     return _checked_state(payload["state"]), config

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mfquad.cli import main, parse_basis, load_run_config, ConfigError
-from mfquad.meanfield import orthonormal_basis, preset
+from mfquad.meanfield import OrthonormalBasis, orthonormal_basis, preset
 from mfquad.models import write_idx
-from mfquad.trainer import load_checkpoint
+from mfquad.trainer import TrainConfig, load_checkpoint
 
 
 def read_rows(path):
@@ -137,6 +137,21 @@ def test_bench_config_errors(tmp_path):
     # argparse rejects unknown choices with exit code 2
     assert main(["integrate-bench", "--dist", "gauss", "--method", "bogus",
                  "--basis", "phi1:0", "--out", out]) == 2
+
+
+def test_bench_non_finite_estimate_exits_4(tmp_path, monkeypatch, capsys):
+    def nan_evaluate(self, coord, degree, x):
+        return np.full(np.shape(x), np.nan)
+
+    monkeypatch.setattr(OrthonormalBasis, "evaluate", nan_evaluate)
+    code, _ = bench(
+        tmp_path,
+        "--dist", "gauss", "--method", "cross-polytope", "--d", "4",
+        "--basis", "phi1:0", "--trials", "2", "--max-evals", "8",
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1, err
 
 
 # -------------------------------------------------------- exactness-count
@@ -279,6 +294,13 @@ def test_train_config_errors(tmp_path, capsys):
                      "--out", out]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
+    # config errors are reported before any data is read
+    out_of_range = tmp_path / "out_of_range.json"
+    for doc in ({"lr_init": 0.5}, {"max_cases": 0}):
+        out_of_range.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(out_of_range),
+                     "--data", f"mnist:{tmp_path / 'no-such-dir'}",
+                     "--out", out]) == 2, doc
 
 
 def make_idx_dir(root, n_train=24, n_val=8, side=7, n_classes=3, seed=0):
@@ -358,14 +380,15 @@ def test_main_usage_errors():
 
 
 def test_run_config_defaults():
-    cfg = load_run_config(None)
-    assert cfg["n_epochs"] == 10
-    assert cfg["n_pairs_per_case"] == 2
-    assert cfg["lr_init"] == 1e-5
-    assert cfg["lr_max"] == 0.1
-    assert cfg["slab_std_max"] == 0.3
-    assert cfg["frac_zero_target"] == 0.97
-    assert cfg["frac_held_target"] == 0.01
-    assert cfg["p_sieve_zero"] == 0.001
-    assert cfg["p_sieve_one"] == 0.999
-    assert cfg["seed"] == 0
+    cfg, run = load_run_config(None)
+    assert cfg == TrainConfig()
+    assert cfg.n_epochs == 10
+    assert cfg.n_pairs_per_case == 2
+    assert cfg.lr_init == 1e-5
+    assert cfg.lr_max == 0.1
+    assert cfg.slab_std_max == 0.3
+    assert cfg.frac_zero_target == 0.97
+    assert cfg.frac_held_target == 0.01
+    assert cfg.p_sieve_zero == 0.001
+    assert cfg.p_sieve_one == 0.999
+    assert run == {"seed": 0, "model": None, "hidden_units": 32, "max_cases": None}

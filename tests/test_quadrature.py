@@ -344,6 +344,10 @@ def test_count_exact_pairs_census_d64():
     assert count_exact_pairs(64, "cross-polytope", 4) == 1024.0
     assert count_exact_pairs(64, "cross-polytope", 8) == 1536.0
     assert count_exact_pairs(64, "cross-polytope", 128) == 2016.0
+    # the deterministic rule gives the same count for any number of trials
+    assert count_exact_pairs(64, "cross-polytope", 8, n_trials=3) == count_exact_pairs(
+        64, "cross-polytope", 8, n_trials=1
+    )
 
 
 def test_count_exact_pairs_blocked_mean():

@@ -227,6 +227,16 @@ def test_sieve_exact_counts_distinct_values(seed, d, frac_zero, frac_held):
 # ----------------------------------------------------------- valid configs
 
 
+# Mistyped or non-finite hyperparameters: bool is not an integer.
+BAD_CONFIG_VALUES = (
+    ("slab_std_max", float("nan")),
+    ("lr_max", float("inf")),
+    ("n_epochs", 2.5),
+    ("n_epochs", True),
+    ("n_pairs_per_case", 1.5),
+)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="n_epochs"):
         TrainConfig(n_epochs=0)
@@ -240,6 +250,12 @@ def test_config_validation():
         TrainConfig(frac_zero_target=0.9, frac_held_target=0.2)
     with pytest.raises(ValueError, match="p_sieve"):
         TrainConfig(p_sieve_zero=0.7)
+    for field, value in BAD_CONFIG_VALUES:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+    # numpy scalars pass, and values are kept as given
+    cf = TrainConfig(n_epochs=np.int64(3), lr_init=np.float64(0.01), lr_max=1)
+    assert type(cf.lr_max) is int and cf.n_epochs == 3
 
 
 # ------------------------------------------------------------- init state
@@ -564,7 +580,9 @@ def test_checkpoint_rejects_invalid_state(tmp_path):
     for edit, field in cases:
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_checkpoint(edited(edit))
-    for bad_config in ({"bogus": 1}, {"n_epochs": "3"}):
+    bad_configs = [{"bogus": 1}, {"n_epochs": "3"}]
+    bad_configs += [{field: value} for field, value in BAD_CONFIG_VALUES]
+    for bad_config in bad_configs:
         path = tmp_path / "bad_config.json"
         path.write_text(json.dumps({**payload, "config": {**payload["config"], **bad_config}}))
         with pytest.raises(ValueError, match="config"):
