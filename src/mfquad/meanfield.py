@@ -67,8 +67,15 @@ def spike_slab_moments(
     m = np.asarray(slab_mean, dtype=np.float64)
     s = np.asarray(slab_std, dtype=np.float64)
     mu = p * m
-    var = p * (1.0 - p) * m**2 + p * s**2
-    return mu, np.sqrt(var)
+    # p * (1 - p) * m**2 + p * s**2, in place and in that order
+    var = np.subtract(1.0, p, out=np.empty_like(mu))
+    var *= p
+    term = np.square(m, out=np.empty_like(mu))
+    var *= term
+    np.square(s, out=term)
+    term *= p
+    var += term
+    return mu, np.sqrt(var, out=var)
 
 
 @dataclass(frozen=True)

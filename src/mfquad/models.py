@@ -174,13 +174,14 @@ class MlpModel:
         return np.concatenate([w1, np.zeros(n_hid), w2, np.zeros(n_out)])
 
     def _unpack(self, theta: np.ndarray):
+        """Views of the four parameter blocks of the flat vector ``theta``."""
         n_in, n_hid, n_out = self.layer_sizes
-        w1, b1, w2, b2 = np.split(theta, self._splits)
+        a, b, c = self._splits
         return (
-            w1.reshape(n_in, n_hid),
-            b1,
-            w2.reshape(n_hid, n_out),
-            b2,
+            theta[:a].reshape(n_in, n_hid),
+            theta[a:b],
+            theta[b:c].reshape(n_hid, n_out),
+            theta[c:],
         )
 
     def evaluate(self, theta: np.ndarray, case: int) -> tuple[float, np.ndarray]:
@@ -197,14 +198,16 @@ class MlpModel:
         p = np.exp(shifted - log_norm)
         dlogits = p
         dlogits[y] -= 1.0
-        dw2 = np.outer(hidden, dlogits)
-        db2 = dlogits
+        # the gradient blocks are written straight into their slots of grad
+        grad = np.empty(self.n_params)
+        dw1, db1, dw2, db2 = self._unpack(grad)
+        np.multiply.outer(hidden, dlogits, out=dw2)
+        db2[:] = dlogits
         dhidden = w2 @ dlogits
         dpre = (1.0 - hidden**2) * dhidden
-        dw1 = np.outer(x, dpre)
-        db1 = dpre
+        np.multiply.outer(x, dpre, out=dw1)
+        db1[:] = dpre
 
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
         n = self.dataset.n_cases
         loss += 0.5 * self.h_prior / n * float(theta @ theta)
         grad += (self.h_prior / n) * theta

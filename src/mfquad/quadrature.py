@@ -11,7 +11,7 @@ Sign-vector construction for sequence index ``k``: with ``nbit`` the number
 of bits needed to index ``d`` coordinates, coordinate ``i`` gets the parity
 of ``popcount(i AND k)``, mapped to {-1, +1}.  Bits of ``k`` above ``nbit``
 never meet a set bit of ``i``, so the sequence is periodic in ``k`` with
-period ``2**nbit`` without any explicit reduction.
+period ``2**nbit``.  Parities are read from a 16-bit lookup table.
 """
 
 from __future__ import annotations
@@ -101,12 +101,15 @@ class AntitheticPair:
         return NodeSet(np.stack([self.plus, self.minus]), [self.weight, self.weight])
 
 
-def _bit_parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each uint64 entry (0 or 1)."""
-    x = x.astype(np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> np.uint64(shift)
-    return (x & np.uint64(1)).astype(np.int64)
+def _parity_table(bits: int) -> np.ndarray:
+    """Parity (0 or 1) of the set bits of every integer below ``2**bits``."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        table = np.concatenate([table, table ^ 1])  # a new top bit flips the parity
+    return table
+
+
+_PARITY16 = _parity_table(16)
 
 
 def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
@@ -119,10 +122,21 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {d}")
     if k_start < 0 or n_vectors < 0:
         raise ValueError("sequence indices must be nonnegative")
-    i = np.arange(d, dtype=np.uint64)
-    k = (np.uint64(k_start) + np.arange(n_vectors, dtype=np.uint64))[:, None]
-    parity = _bit_parity(i[None, :] & k)
-    return (2.0 * parity - 1.0).astype(np.float64)
+    # Index bits above those of d - 1 never meet a set bit of i, so k is
+    # reduced to them and every i & k fits in ceil(nbit / 16) 16-bit chunks,
+    # whose table parities XOR together.
+    nbit = int(d - 1).bit_length()
+    mask = (1 << nbit) - 1
+    k = ((k_start & mask) + np.arange(n_vectors)) & mask
+    x = np.arange(d) & k[:, None]
+    parity = _PARITY16[x & 0xFFFF]
+    for _ in range(16, nbit, 16):
+        x >>= 16
+        parity ^= _PARITY16[x & 0xFFFF]
+    signs = parity.astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def cross_polytope_signs(d: int, k: int) -> np.ndarray:
@@ -164,8 +178,11 @@ def _reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray
         )
     if np.any(sigma < 0):
         raise ValueError("sigma must be nonnegative")
-    step = sigma * signs
-    return np.stack([mu + step, mu - step])
+    nodes = np.empty((2,) + signs.shape)
+    step = np.multiply(sigma, signs, out=nodes[1])
+    np.add(mu, step, out=nodes[0])
+    np.subtract(mu, step, out=nodes[1])
+    return nodes
 
 
 def reflected_nodes(

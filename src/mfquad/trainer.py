@@ -112,23 +112,28 @@ class Accumulator:
     def add(self, loss: float, grad: np.ndarray, hess: np.ndarray, hess_floor: float) -> None:
         """Fold in one snapshot; the summed curvature is floored at ``hess_floor``."""
         self.n += 1
-        self.grad = self.grad + grad
+        self.grad += grad
         self.loss += loss
-        self.hess = np.maximum(self.hess + hess, hess_floor)
+        self.hess += hess
+        np.maximum(self.hess, hess_floor, out=self.hess)
 
     def recenter(self, delta: np.ndarray) -> None:
         """Re-express the summed quadratic around a mean moved by ``delta``.
 
         The surrogate it represents is unchanged as a function.
         """
-        self.loss += float(self.grad @ delta + 0.5 * (self.hess * delta) @ delta)
-        self.grad = self.grad + self.hess * delta
+        # loss += grad @ delta + 0.5 * (hess * delta) @ delta; grad += hess * delta
+        step = self.hess * delta
+        step *= 0.5
+        self.loss += float(self.grad @ delta + step @ delta)
+        np.multiply(self.hess, delta, out=step)
+        self.grad += step
 
     def reset(self) -> None:
         """Empty the sum."""
         self.n = 0
-        self.grad = np.zeros_like(self.grad)
-        self.hess = np.zeros_like(self.hess)
+        self.grad.fill(0.0)
+        self.hess.fill(0.0)
         self.loss = 0.0
 
 
@@ -194,7 +199,9 @@ def anneal_target(epoch: int, n_epochs: int, n_cases: int) -> int:
 
     Reaches the full dataset size in the last epoch.
     """
-    return int(math.floor(n_cases * 2.0 ** (epoch - n_epochs)))
+    # ldexp is exact wherever n_cases * 2.0**(epoch - n_epochs) is finite, and
+    # underflows to 0.0 instead of overflowing for a huge n_epochs.
+    return math.floor(math.ldexp(n_cases, int(epoch - n_epochs)))
 
 
 def sparsity_schedule(
@@ -207,7 +214,7 @@ def sparsity_schedule(
     scheduled to vanish is added to the held fraction, so the two always
     sum to ``frac_zero_target + frac_held_target``.
     """
-    denom = 1.0 - 2.0 ** (2 - n_epochs)
+    denom = 1.0 - math.ldexp(1.0, int(2 - n_epochs))
     if denom <= 0.0:
         share = 1.0 if t >= n_epochs - 1 else 0.0
     else:
@@ -230,7 +237,13 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     mean = np.asarray(slab_mean, dtype=np.float64)
     if np.any(hess <= 0):
         raise ValueError("zero_logits needs strictly positive curvature")
-    return 0.5 * (np.log(hess * slab_std_max**2) - hess * mean**2)
+    out = hess * slab_std_max**2
+    np.log(out, out=out)
+    penalty = np.square(mean)
+    penalty *= hess
+    out -= penalty
+    out *= 0.5
+    return out
 
 
 def sieve_map(
@@ -264,24 +277,59 @@ def sieve_map(
 
     if n_zero == 0 and n_held == 0:
         return values.copy()
-    order = np.argsort(values, kind="stable")
+    if np.isnan(values).any():  # a NaN has no rank among the ties below
+        raise FloatingPointError("sieve_map needs zero-logits without NaN")
+    # Select the hinge ranks instead of sorting: partition at the zero hinge,
+    # then the part below it at the held hinge (one two-rank partition call
+    # is several times slower).
+    scratch = np.partition(values, d - n_zero if n_zero else n_held - 1)
+    if n_zero and n_held:
+        scratch[: d - n_zero].partition(n_held - 1)
+    # Each hinge is read back from values at the index the stable sort would
+    # rank there, which also keeps the sign of a zero hinge.
     if n_zero == 0:
-        return values - values[order[n_held - 1]] + target_held
+        _, ties, j = _rank_ties(values, scratch[n_held - 1], n_held - 1)
+        out = values - values[ties[j]]
+        out += target_held
+        return out
+    below, ties0, j0 = _rank_ties(values, scratch[d - n_zero], d - n_zero)
+    z0 = values[ties0[j0]]  # smallest value scheduled to zero
     if n_held == 0:
-        return values - values[order[d - n_zero]] + target_zero
+        out = values - z0
+        out += target_zero
+        return out
+    low, ties1, j1 = _rank_ties(values, scratch[n_held - 1], n_held - 1)
+    z1 = values[ties1[j1]]  # largest value scheduled to hold
+    low[ties1[: j1 + 1]] = True
+    top = np.logical_not(below, out=below)
+    top[ties0[:j0]] = False
 
-    z0 = values[order[d - n_zero]]  # smallest value scheduled to zero
-    z1 = values[order[n_held - 1]]  # largest value scheduled to hold
-    out = np.empty_like(values)
-    top, low, mid = order[d - n_zero :], order[:n_held], order[n_held : d - n_zero]
-    out[top] = values[top] - z0 + target_zero
-    out[low] = values[low] - z1 + target_held
+    out = values - z1
+    np.add(out, target_held, out=scratch)
     if z0 > z1:
         slope = (target_zero - target_held) / (z0 - z1)
-        out[mid] = target_held + (values[mid] - z1) * slope
+        out *= slope
+        out += target_held
     else:
-        out[mid] = 0.5 * (target_zero + target_held)
+        out.fill(0.5 * (target_zero + target_held))
+    np.copyto(out, scratch, where=low)
+    np.subtract(values, z0, out=scratch)
+    scratch += target_zero
+    np.copyto(out, scratch, where=top)
     return out
+
+
+def _rank_ties(values: np.ndarray, z: float, rank: int):
+    """Where ``z``, the value of ascending ``rank`` in a stable sort, sits.
+
+    Returns the mask of entries below ``z``, the indices of the entries
+    equal to ``z`` in increasing order, and the offset of ``rank`` among
+    those ties: the stable sort orders equal values by index, so the entry
+    of that rank is ``ties[offset]``.
+    """
+    below = values < z
+    ties = np.flatnonzero(values == z)
+    return below, ties, rank - int(np.count_nonzero(below))
 
 
 def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
@@ -298,7 +346,8 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
             f"{n_cases} cases over {config.n_epochs} epochs leaves the first "
             "epoch with an empty accumulator; reduce n_epochs or add cases"
         )
-    slab_mean = np.asarray(model.init_params(rng), dtype=np.float64)
+    # A copy: the state's arrays are updated in place.
+    slab_mean = np.array(model.init_params(rng), dtype=np.float64)
     n_q = config.n_pairs_per_case
     seq_index = int(math.floor(rng.random() * d / n_q)) * n_q
     return TrainState(
@@ -336,17 +385,31 @@ def variational_update(
     mu_old = st.mu
     cur.add(loss, grad, hess, cf.slab_std_max**-2)
 
+    # Every full-length result below lands in the state's own arrays or in
+    # the local vectors hess_hat, work and term, with the float operations
+    # of the formulas in the comments, in their order (operands of + and *
+    # may swap: that is exact).
     a0, a1 = hybrid_coeffs(prev.n, cur.n)
-    grad_hat = a0 * prev.grad + a1 * cur.grad
-    hess_hat = a0 * prev.hess + a1 * cur.hess
+    hess_hat = np.multiply(prev.hess, a0)  # a0 * prev.hess + a1 * cur.hess
+    term = np.multiply(cur.hess, a1)
+    hess_hat += term
+    work = np.multiply(prev.grad, a0)  # grad_hat = a0 * prev.grad + a1 * cur.grad
+    np.multiply(cur.grad, a1, out=term)
+    work += term
 
+    # slab_mean -= (grad_hat + hess_hat * (slab_mean - mu_old))
+    #              / max(hess_hat, step_floor)
     step_floor = max(prev.n, cur.n) * st.hess_min
-    slab_grad = grad_hat + hess_hat * (st.slab_mean - mu_old)
-    st.slab_mean = st.slab_mean - slab_grad / np.maximum(hess_hat, step_floor)
-    st.slab_std = hess_hat**-0.5
+    np.subtract(st.slab_mean, mu_old, out=term)
+    term *= hess_hat
+    work += term
+    np.maximum(hess_hat, step_floor, out=term)
+    work /= term
+    st.slab_mean -= work
+    np.power(hess_hat, -0.5, out=st.slab_std)
 
     if final_epoch:
-        st.p_nonzero = st.realized_nonzero.copy()
+        np.copyto(st.p_nonzero, st.realized_nonzero)
     else:
         raw = zero_logits(hess_hat, st.slab_mean, cf.slab_std_max)
         frac_zero, frac_held = sparsity_schedule(
@@ -355,9 +418,12 @@ def variational_update(
         st.zero_logit = sieve_map(
             raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one
         )
-        st.p_nonzero = np.exp(-np.logaddexp(0.0, st.zero_logit))
+        p = np.logaddexp(0.0, st.zero_logit, out=st.p_nonzero)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
 
-    delta = st.mu - mu_old
+    delta = np.multiply(st.p_nonzero, st.slab_mean, out=work)  # mu - mu_old
+    delta -= mu_old
     prev.recenter(delta)
     cur.recenter(delta)
 
@@ -471,11 +537,16 @@ def _checkpoint_value(state: TrainState, key: str):
     return getattr(state, key)
 
 
+def _plain(value):
+    """A numpy scalar as the Python number JSON can write."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
     """JSON checkpoint; floats at full round-trip precision."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": {f.name: getattr(config, f.name) for f in fields(config)},
+        "config": {f.name: _plain(getattr(config, f.name)) for f in fields(config)},
         "state": {
             **{k: _checkpoint_value(state, k).tolist() for k in _ARRAY_FIELDS},
             **{k: _checkpoint_value(state, k) for k in _SCALAR_FIELDS},

@@ -294,6 +294,13 @@ def test_train_config_errors(tmp_path, capsys):
                      "--out", out]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
+    # an epoch count too large for a float starves the first epoch, too
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n_epochs": 1' + "0" * 400 + "}")
+    capsys.readouterr()
+    assert main(["train", "--config", str(huge), "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
     # config errors are reported before any data is read
     out_of_range = tmp_path / "out_of_range.json"
     for doc in ({"lr_init": 0.5}, {"max_cases": 0}):

@@ -9,6 +9,7 @@ polynomials for the Gaussian basis.
 import numpy as np
 import pytest
 
+import oracles
 from mfquad.meanfield import (
     GaussianMeanField,
     LaplaceMeanField,
@@ -55,6 +56,16 @@ def test_spike_slab_moments_frozen():
     all_slab = SpikeSlabMeanField([0.0], [2.0], [1.0])
     np.testing.assert_allclose(all_slab.mean, [2.0])
     np.testing.assert_allclose(all_slab.std, [1.0])
+
+
+def test_spike_slab_moments_match_formula_oracle():
+    # the in-place evaluation keeps the formula's operations and their order
+    rng = trial_rng(3)
+    p = np.concatenate([rng.random(97), [0.0, 1.0, 0.5]])
+    m = np.concatenate([rng.standard_normal(97) * 4, [-0.0, 2.0, 0.0]])
+    s = np.concatenate([rng.random(97), [0.3, 0.0, 0.0]])
+    for got, want in zip(spike_slab_moments(p, m, s), oracles.spike_slab_moments(p, m, s)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_spike_slab_moments_helper_matches_mixture_mc():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import oracles
 from mfquad.models import (
     Dataset,
     IdxFormatError,
@@ -140,6 +141,19 @@ def test_mlp_zero_params_frozen():
 
 def test_mlp_gradient_check():
     assert gradient_check(small_mlp(), case=7, n_probes=2, seed=3) < 1e-4
+
+
+def test_mlp_evaluate_matches_concatenating_oracle():
+    # gradient blocks written into their slots equal the concatenated blocks
+    model = small_mlp()
+    rng = np.random.Generator(np.random.Philox(9))
+    for case in (0, 7, 14):
+        theta = rng.standard_normal(model.n_params)
+        loss, grad = model.evaluate(theta, case)
+        want_loss, want_grad = oracles.mlp_evaluate(model, theta, case)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+        assert not np.shares_memory(grad, theta)
 
 
 def test_mlp_gradient_check_small_scale():

@@ -9,6 +9,7 @@ contaminated) while two pairs cancel it to [0,0].
 import numpy as np
 import pytest
 
+import oracles
 from mfquad.projection import (
     EvaluationError,
     QuadraticSummary,
@@ -116,6 +117,25 @@ def test_gradient_is_exact_node_average():
         step = sigma * cross_polytope_signs(d, k)
         acc += model.evaluate(mu + step, None)[1] + model.evaluate(mu - step, None)[1]
     np.testing.assert_array_equal(s.grad, acc / (2 * n_pairs))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 5])
+def test_quadratic_approx_matches_allocating_oracle(n_pairs):
+    # the scratch-vector sums keep the oracle's operations and their order,
+    # including the zero curvature of undisplaced coordinates
+    rng = np.random.default_rng(n_pairs)
+    d = 9
+    a = rng.standard_normal((d, d))
+    model = DenseQuadratic(0.4, rng.standard_normal(d), a @ a.T, rng.standard_normal(d))
+    mu = rng.standard_normal(d)
+    sigma = rng.uniform(0.1, 1.5, size=d)
+    sigma[[1, 4]] = 0.0
+    got = quadratic_approx(model, 0, mu, sigma, 11, n_pairs)
+    want = oracles.quadratic_approx(model, 0, mu, sigma, 11, n_pairs)
+    assert got.loss == want.loss
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert got.hess.tobytes() == want.hess.tobytes()
+    assert np.all(got.hess[[1, 4]] == 0.0)
 
 
 def test_zero_sigma_coordinate_gets_zero_curvature():

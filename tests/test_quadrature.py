@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mfquad.quadrature import (
     antithetic_pair,
     blocked_simplex_standard,
@@ -66,6 +67,15 @@ def test_sign_sequence_matches_scalar():
     block = sign_sequence(10, 7, 5)
     for r in range(5):
         np.testing.assert_array_equal(block[r], cross_polytope_signs(10, 7 + r))
+
+
+@pytest.mark.parametrize("d", [7, 64, 25_450, 70_000, 200_000])
+@pytest.mark.parametrize("k_start", [0, 12_345, 2**16 + 3, 2**40 + 3])
+def test_sign_sequence_matches_shift_xor_oracle(d, k_start):
+    # the 16-bit parity table, folded over every chunk that i & k can reach,
+    # reproduces the shift-XOR parity bit for bit
+    n = 3
+    assert sign_sequence(d, k_start, n).tobytes() == oracles.sign_sequence(d, k_start, n).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])

@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import oracles
 from mfquad.meanfield import spike_slab_moments
-from mfquad.models import LogisticModel, QuadraticOracleModel, synth_sparse_logistic
+from mfquad.models import (
+    Dataset,
+    LogisticModel,
+    MlpModel,
+    QuadraticOracleModel,
+    synth_sparse_logistic,
+)
 from mfquad.trainer import (
     Accumulator,
     EpochStats,
@@ -63,6 +70,8 @@ def test_anneal_target_frozen():
     assert anneal_target(5, 10, 512) == 16
     assert anneal_target(10, 10, 60000) == 60000
     assert anneal_target(3, 3, 7) == 7
+    # an epoch count beyond any float underflows to an empty restart
+    assert anneal_target(1, 10**400, 200) == 0
 
 
 # ------------------------------------------------------------- schedules
@@ -90,6 +99,7 @@ def test_sparsity_schedule_short_runs():
     assert sparsity_schedule(0.5, 2, 0.8, 0.1) == pytest.approx((0.0, 0.9))
     assert sparsity_schedule(1.0, 2, 0.8, 0.1) == pytest.approx((0.8, 0.1))
     assert sparsity_schedule(0.0, 1, 0.8, 0.1) == pytest.approx((0.8, 0.1))
+    assert sparsity_schedule(5.0, 10**400, 0.8, 0.1) == pytest.approx((0.8 * 15 / 16, 0.15))
 
 
 def test_sparsity_schedule_monotone():
@@ -182,6 +192,9 @@ def test_sieve_validation():
         sieve_map(np.ones(3), 1.5, 0.0)
     with pytest.raises(ValueError, match="target_held"):
         sieve_map(np.ones(3), 0.5, 0.5, target_zero=-1.0, target_held=1.0)
+    # a diverged run's NaN is a numerical failure, not a rank
+    with pytest.raises(FloatingPointError, match="NaN"):
+        sieve_map(np.array([0.0, np.nan, 1.0]), 0.5, 0.0)
 
 
 @settings(deadline=None, max_examples=200)
@@ -204,6 +217,40 @@ def test_sieve_monotone_and_counts(vals, frac_zero, frac_held):
     n_held = min(math.ceil(frac_held * d), d - n_zero)
     assert np.sum(out >= LOG999 - 1e-12) >= n_zero
     assert np.sum(out <= -LOG999 + 1e-12) >= n_held
+
+
+# Integer-valued entries from a narrow range: most vectors tie at the hinges.
+_TIED_VALUES = st.lists(
+    st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=40
+)
+_EDGE_FRACS = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0, 1)
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    vals=_TIED_VALUES | st.builds(lambda v, n: [v] * n, st.integers(-2, 2).map(float),
+                                  st.integers(1, 20)),
+    frac_zero=_EDGE_FRACS,
+    frac_held=_EDGE_FRACS,
+    targets=st.sampled_from([(LOG999, -LOG999), (5.0, -7.0), (0.0, 0.0), (-0.0, -0.0)]),
+)
+def test_sieve_matches_stable_sort_oracle(vals, frac_zero, frac_held, targets):
+    # Selection with index-ordered ties reproduces the stable argsort bit for
+    # bit, including all-equal vectors, coincident hinges and signed zeros.
+    values = np.asarray(vals)
+    out = sieve_map(values, frac_zero, frac_held, *targets)
+    assert out.tobytes() == oracles.sieve_map(values, frac_zero, frac_held, *targets).tobytes()
+    assert not np.shares_memory(out, values)
+
+
+def test_sieve_matches_oracle_at_model_scale():
+    rng = np.random.Generator(np.random.Philox(12))
+    values = rng.standard_normal(25_450)
+    values[::7] = np.round(values[::7], 1)  # long runs of ties
+    for frac_zero, frac_held in ((0.0, 0.96), (0.5, 0.46), (0.95, 0.01), (0.3, 0.0)):
+        out = sieve_map(values, frac_zero, frac_held)
+        expected = oracles.sieve_map(values, frac_zero, frac_held)
+        assert out.tobytes() == expected.tobytes()
 
 
 @settings(deadline=None, max_examples=100)
@@ -256,6 +303,19 @@ def test_config_validation():
     # numpy scalars pass, and values are kept as given
     cf = TrainConfig(n_epochs=np.int64(3), lr_init=np.float64(0.01), lr_max=1)
     assert type(cf.lr_max) is int and cf.n_epochs == 3
+
+
+def test_init_state_copies_model_params():
+    # The state is updated in place, so it must not alias the model's arrays.
+    class StoredInit(QuadraticOracleModel):
+        def init_params(self, rng):
+            return self.start
+
+    model = StoredInit(c=0.0, b=np.ones(4), a=np.eye(4))
+    model.start = np.linspace(-1.0, 1.0, 4)
+    kept = model.start.copy()
+    train(model, 8, TrainConfig(n_epochs=2), seed=0)
+    assert_array_equal(model.start, kept)
 
 
 # ------------------------------------------------------------- init state
@@ -505,6 +565,86 @@ def test_train_recovers_sparse_signal():
     assert np.mean(preds == data.labels) > 0.9
 
 
+# ------------------------------------------------- in-place hot path
+
+STATE_ARRAYS = ("slab_mean", "slab_std", "zero_logit", "p_nonzero", "realized_nonzero")
+
+
+def _state_buffers(state):
+    named = {name: getattr(state, name) for name in STATE_ARRAYS}
+    for acc in ("prev", "cur"):
+        named[f"{acc}.grad"] = getattr(state, acc).grad
+        named[f"{acc}.hess"] = getattr(state, acc).hess
+    return named
+
+
+def _small_mlp(n_cases=64):
+    rng = np.random.Generator(np.random.Philox(21))
+    data = Dataset(rng.random((n_cases, 784)), rng.integers(0, 10, size=n_cases))
+    return MlpModel(data, layer_sizes=(784, 4, 10))
+
+
+def _small_logistic(n_cases=64):
+    data, _ = synth_sparse_logistic(d=16, k_true=3, n_cases=n_cases, noise=0.3, seed=6)
+    return LogisticModel(data)
+
+
+@pytest.mark.parametrize("make_model", [_small_mlp, _small_logistic])
+def test_training_matches_allocating_oracles(make_model, monkeypatch):
+    # The in-place hot path keeps the oracles' float operations and their
+    # order, so a whole run, final epoch included, is bit-identical.
+    model = make_model()
+    cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
+    fast, fast_hist = train(model, 64, cf, seed=3)
+    with monkeypatch.context() as patch:
+        oracles.patch_all(patch)
+        slow, slow_hist = train(model, 64, cf, seed=3)
+    assert fast_hist == slow_hist
+    for name in STATE_ARRAYS + ("mu", "sigma"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+    for acc in ("prev", "cur"):
+        a, b = getattr(fast, acc), getattr(slow, acc)
+        assert (a.n, a.loss) == (b.n, b.loss), acc
+        assert a.grad.tobytes() == b.grad.tobytes(), acc
+        assert a.hess.tobytes() == b.hess.tobytes(), acc
+    assert (fast.seq_index, fast.hess_min) == (slow.seq_index, slow.hess_min)
+    assert np.mean(fast.realized_nonzero == 0.0) >= 0.9
+
+
+@pytest.mark.parametrize("final_epoch", [False, True])
+def test_variational_update_leaves_caller_arrays_alone(final_epoch):
+    # The snapshot passed in is read, never written; the update writes only
+    # into the state's own arrays, which stay pairwise distinct.
+    cf = TrainConfig()
+    state = hand_state(d=5)
+    state.realized_nonzero = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    rng = np.random.Generator(np.random.Philox(2))
+    grad, hess = rng.standard_normal(5), rng.random(5) + 0.5
+    kept = grad.copy(), hess.copy()
+    variational_update(state, cf, 1.0, grad, hess, t=2.5, final_epoch=final_epoch)
+    assert_array_equal(grad, kept[0])
+    assert_array_equal(hess, kept[1])
+    for buf in _state_buffers(state).values():
+        assert not np.shares_memory(buf, grad) and not np.shares_memory(buf, hess)
+
+
+def test_restart_swap_keeps_accumulators_apart():
+    # After every restart the emptied pass must not share a buffer with the
+    # completed one, or zeroing it in place would wipe the completed sums.
+    model = QuadraticOracleModel(c=0.0, b=np.ones(3), a=np.eye(3))
+    cf = TrainConfig(n_epochs=3)
+    rng = np.random.Generator(np.random.Philox(5))
+    state = init_state(model, 16, cf, rng)
+    for epoch in (1, 2, 3):
+        run_epoch(state, model, 16, cf, epoch, rng)
+        assert state.prev.n > 0 and np.all(state.prev.hess > 0)
+        buffers = list(_state_buffers(state).items())
+        for i, (name_a, a) in enumerate(buffers):
+            for name_b, b in buffers[i + 1 :]:
+                assert not np.shares_memory(a, b), (epoch, name_a, name_b)
+
+
 # ------------------------------------------------------------ checkpoints
 
 
@@ -534,6 +674,23 @@ def test_checkpoint_roundtrip(tmp_path):
         assert (a.n, a.loss) == (b.n, b.loss)
     assert loaded.seq_index == state.seq_index
     assert loaded.hess_min == state.hess_min
+
+
+def test_checkpoint_numpy_scalar_config(tmp_path):
+    # numpy scalars in a config are written as the plain numbers they equal
+    data, _ = synth_sparse_logistic(d=6, k_true=2, n_cases=16, noise=0.3, seed=1)
+    model = LogisticModel(data)
+    plain = TrainConfig(n_epochs=2, frac_zero_target=0.5, frac_held_target=0.125)
+    numpy_cf = TrainConfig(
+        n_epochs=np.int64(2), frac_zero_target=np.float64(0.5), frac_held_target=0.125
+    )
+    paths = []
+    for cf in (plain, numpy_cf):
+        state, _ = train(model, 16, cf, seed=4)
+        paths.append(tmp_path / f"ckpt{len(paths)}.json")
+        save_checkpoint(paths[-1], state, cf)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert load_checkpoint(paths[1])[1] == plain
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
