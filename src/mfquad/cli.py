@@ -467,7 +467,7 @@ def main(argv=None) -> int:
     except (EvaluationError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
-    except ValueError as err:  # ConfigError and invalid values from the library
+    except (ValueError, MemoryError) as err:  # ConfigError, bad values, impossible sizes
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

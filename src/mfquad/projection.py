@@ -121,4 +121,7 @@ def quadratic_approx(
         curv_sum, np.multiply(sigma, n_evals, out=pair), out=np.zeros(d), where=sigma > 0
     )
     loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=pair))
-    return QuadraticSummary(loss, grad, hess)
+    try:
+        return QuadraticSummary(loss, grad, hess)
+    except ValueError as err:  # finite evaluations whose sums overflowed
+        raise EvaluationError(f"non-finite quadratic summary around mean {mu!r}", mu) from err

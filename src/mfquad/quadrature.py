@@ -255,14 +255,11 @@ def blocked_simplex_standard(
         raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
     full = simplex_sigma_points(block_size).nodes
     m = full.shape[0]
-    total = n_groups * m
-    nodes = np.empty((total, d))
-    for g in range(n_groups):
-        group = nodes[g * m : (g + 1) * m]
-        for start in range(0, d, block_size):
-            size = min(block_size, d - start)
-            group[:, start : start + size] = full[rng.permutation(m), :size]
-    return NodeSet(nodes, np.full(total, 1.0 / total))
+    total, n_blocks = n_groups * m, -(-d // block_size)
+    # Row g * n_blocks + b shuffles block b of group g, as rng.permutation(m) would.
+    order = rng.permuted(np.broadcast_to(np.arange(m), (n_groups * n_blocks, m)), axis=1)
+    nodes = full[order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)].reshape(total, -1)
+    return NodeSet(nodes[:, :d], np.full(total, 1.0 / total))
 
 
 def mc_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:

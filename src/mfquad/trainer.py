@@ -157,9 +157,8 @@ class TrainState:
 
     @property
     def mu(self) -> np.ndarray:
-        """Mean ``p_nonzero * slab_mean``, the first of ``spike_slab_moments``;
-        computed alone because each update reads it twice."""
-        return self.p_nonzero * self.slab_mean
+        """Mean of the spike-and-slab marginal."""
+        return spike_slab_moments(self.p_nonzero, self.slab_mean, self.slab_std)[0]
 
     @property
     def sigma(self) -> np.ndarray:
@@ -369,6 +368,7 @@ def variational_update(
     loss: float,
     grad: np.ndarray,
     hess: np.ndarray,
+    mu: np.ndarray,
     t: float,
     final_epoch: bool = False,
 ) -> None:
@@ -379,10 +379,10 @@ def variational_update(
     blended curvature, sieves the zero-logits per the sparsity schedule
     (or applies the frozen decisions in the final epoch), and re-centers
     the accumulated gradients and losses at the moved marginal mean.
+    ``mu`` is the mean the snapshot was expanded around (``state.mu``).
     """
     st, cf = state, config
     prev, cur = st.prev, st.cur
-    mu_old = st.mu
     cur.add(loss, grad, hess, cf.slab_std_max**-2)
 
     # Every full-length result below lands in the state's own arrays or in
@@ -397,10 +397,10 @@ def variational_update(
     np.multiply(cur.grad, a1, out=term)
     work += term
 
-    # slab_mean -= (grad_hat + hess_hat * (slab_mean - mu_old))
+    # slab_mean -= (grad_hat + hess_hat * (slab_mean - mu))
     #              / max(hess_hat, step_floor)
     step_floor = max(prev.n, cur.n) * st.hess_min
-    np.subtract(st.slab_mean, mu_old, out=term)
+    np.subtract(st.slab_mean, mu, out=term)
     term *= hess_hat
     work += term
     np.maximum(hess_hat, step_floor, out=term)
@@ -422,8 +422,8 @@ def variational_update(
         np.negative(p, out=p)
         np.exp(p, out=p)
 
-    delta = np.multiply(st.p_nonzero, st.slab_mean, out=work)  # mu - mu_old
-    delta -= mu_old
+    delta = np.multiply(st.p_nonzero, st.slab_mean, out=work)  # new mean - old mu
+    delta -= mu
     prev.recenter(delta)
     cur.recenter(delta)
 
@@ -452,13 +452,12 @@ def run_epoch(
 
     epoch_loss = 0.0
     for i, case in enumerate(rng.permutation(n_cases)):
-        snap = quadratic_approx(
-            model, int(case), st.mu, st.sigma, st.seq_index, cf.n_pairs_per_case
-        )
+        mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
+        snap = quadratic_approx(model, int(case), mu, sigma, st.seq_index, cf.n_pairs_per_case)
         st.seq_index += cf.n_pairs_per_case
         epoch_loss += snap.loss
         t = (epoch - 1) + i / n_cases
-        variational_update(st, cf, snap.loss, snap.grad, snap.hess, t, final)
+        variational_update(st, cf, snap.loss, snap.grad, snap.hess, mu, t, final)
         if st.cur.n == target:
             st.prev, st.cur = st.cur, st.prev
             st.cur.reset()

@@ -2,9 +2,10 @@
 
 Each function restates a fast path of the package in its plain, allocating
 form: a full stable sort for the sieve, a shift-XOR bit parity for the
-signs, fresh arrays for every intermediate result.  The fast paths must
-agree with them bit for bit, because they keep the same floating-point
-operations in the same order.  ``patch_all`` swaps every oracle into the
+signs, one shuffle call per block for the blocked simplex rule, fresh arrays
+for every intermediate result.  The fast paths must agree with them bit for
+bit, because they keep the same floating-point operations (and random draws)
+in the same order.  ``patch_all`` swaps every hot-path oracle into the
 package for a whole training run.
 """
 
@@ -17,6 +18,7 @@ import mfquad.quadrature
 import mfquad.trainer
 from mfquad.models import MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
+from mfquad.quadrature import NodeSet, simplex_sigma_points
 from mfquad.trainer import Accumulator, hybrid_coeffs, sparsity_schedule
 
 
@@ -77,6 +79,21 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     k = (np.uint64(k_start) + np.arange(n_vectors, dtype=np.uint64))[:, None]
     parity = _bit_parity(i[None, :] & k)
     return (2.0 * parity - 1.0).astype(np.float64)
+
+
+def blocked_simplex_standard(d, block_size, rng, n_groups=1) -> NodeSet:
+    """``quadrature.blocked_simplex_standard`` with one ``rng.permutation``
+    per group and block."""
+    full = simplex_sigma_points(block_size).nodes
+    m = full.shape[0]
+    total = n_groups * m
+    nodes = np.empty((total, d))
+    for g in range(n_groups):
+        group = nodes[g * m : (g + 1) * m]
+        for start in range(0, d, block_size):
+            size = min(block_size, d - start)
+            group[:, start : start + size] = full[rng.permutation(m), :size]
+    return NodeSet(nodes, np.full(total, 1.0 / total))
 
 
 def reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -187,11 +204,10 @@ def accumulator_reset(self) -> None:
     self.loss = 0.0
 
 
-def variational_update(state, config, loss, grad, hess, t, final_epoch=False) -> None:
+def variational_update(state, config, loss, grad, hess, mu, t, final_epoch=False) -> None:
     """``trainer.variational_update`` with a fresh array for every step."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
-    mu_old = st.mu
     cur.add(loss, grad, hess, cf.slab_std_max**-2)
 
     a0, a1 = hybrid_coeffs(prev.n, cur.n)
@@ -199,7 +215,7 @@ def variational_update(state, config, loss, grad, hess, t, final_epoch=False) ->
     hess_hat = a0 * prev.hess + a1 * cur.hess
 
     step_floor = max(prev.n, cur.n) * st.hess_min
-    slab_grad = grad_hat + hess_hat * (st.slab_mean - mu_old)
+    slab_grad = grad_hat + hess_hat * (st.slab_mean - mu)
     st.slab_mean = st.slab_mean - slab_grad / np.maximum(hess_hat, step_floor)
     st.slab_std = hess_hat**-0.5
 
@@ -215,7 +231,7 @@ def variational_update(state, config, loss, grad, hess, t, final_epoch=False) ->
         )
         st.p_nonzero = np.exp(-np.logaddexp(0.0, st.zero_logit))
 
-    delta = st.mu - mu_old
+    delta = st.mu - mu
     prev.recenter(delta)
     cur.recenter(delta)
 

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import mfquad.cli
+import mfquad.trainer
 from mfquad.cli import main, parse_basis, load_run_config, ConfigError
 from mfquad.meanfield import OrthonormalBasis, orthonormal_basis, preset
 from mfquad.models import write_idx
@@ -127,13 +129,18 @@ def test_bench_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_bench_config_errors(tmp_path):
+def test_bench_config_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     base = ["integrate-bench", "--dist", "gauss", "--method", "mc", "--out", out]
     assert main(base + ["--basis", "phi1:9", "--d", "4"]) == 2
     assert main(base + ["--basis", "junk", "--d", "4"]) == 2
     assert main(base + ["--basis", "phi1:0", "--trials", "0"]) == 2
     assert main(base + ["--basis", "phi1:0", "--max-evals", "1"]) == 2
+    # numpy refuses these 7.11 PiB before allocating anything
+    capsys.readouterr()
+    assert main(base + ["--basis", "phi1:0", "--d", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
     # argparse rejects unknown choices with exit code 2
     assert main(["integrate-bench", "--dist", "gauss", "--method", "bogus",
                  "--basis", "phi1:0", "--out", out]) == 2
@@ -376,6 +383,34 @@ def test_train_max_cases_limits_training_set(tmp_path):
 
 
 # ------------------------------------------------------------------ misc
+
+
+def test_unit_spans_keep_their_lookup_names(tmp_path, monkeypatch):
+    # perfbench/worker.py times and counts each command's units of work
+    # through these module attributes; each must be called once per unit.
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(mfquad.trainer, "run_epoch")
+    count(mfquad.cli, "trial_rng")
+    count(mfquad.cli, "count_exact_pairs")
+    assert main(["train", "--data", "synth:d=4,k=1,n=32,nval=8,seed=0",
+                 "--out", str(tmp_path / "run"), "--epochs", "3"]) == 0
+    assert calls == {"run_epoch": 3}
+    code, _ = bench(tmp_path, "--dist", "gauss", "--method", "mc", "--d", "2",
+                    "--basis", "phi1:0", "--trials", "5", "--max-evals", "8")
+    assert code == 0 and calls == {"run_epoch": 3, "trial_rng": 5}
+    assert main(["exactness-count", "--d", "16", "--method", "cross-polytope",
+                 "--max-evals", "16", "--out", str(tmp_path / "count.csv")]) == 0
+    assert calls == {"run_epoch": 3, "trial_rng": 5, "count_exact_pairs": 3}
 
 
 def test_main_usage_errors():

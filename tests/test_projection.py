@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mfquad.models import QuadraticOracleModel
 from mfquad.projection import (
     EvaluationError,
     QuadraticSummary,
@@ -166,6 +167,17 @@ def test_evaluation_error_carries_node():
     node = exc_info.value.node
     assert node.shape == (2,)
     assert node[0] > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_summary_is_an_evaluation_error():
+    # every evaluation is finite, but the gradient difference along the step
+    # overflows; that is a numerical failure (exit 4), not a config error
+    model = QuadraticOracleModel(0.0, [0.0, 0.0], [[1e308, 0.0], [0.0, 1.0]])
+    mu = np.zeros(2)
+    with pytest.raises(EvaluationError, match="non-finite quadratic summary") as exc_info:
+        quadratic_approx(model, None, mu, np.array([1.5, 1.0]), 0, 1)
+    np.testing.assert_array_equal(exc_info.value.node, mu)
 
 
 def test_summary_validation():

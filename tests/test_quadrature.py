@@ -279,6 +279,23 @@ def test_blocked_tail_block_standardized():
     np.testing.assert_allclose(second[3:, 3:], np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "d,block_size,n_groups",
+    [(1, 2, 1), (1, 1, 3), (3, 5, 2), (7, 3, 4), (64, 2, 85), (513, 2, 7), (512, 4, 3),
+     (512, 2, 341)],
+)
+def test_blocked_simplex_matches_per_block_oracle(d, block_size, n_groups):
+    # one shuffle call draws what one permutation per group and block drew,
+    # tail blocks included, and leaves the generator in the same state
+    fast_rng, slow_rng = trial_rng(d + n_groups), trial_rng(d + n_groups)
+    fast = blocked_simplex_standard(d, block_size, fast_rng, n_groups=n_groups)
+    slow = oracles.blocked_simplex_standard(d, block_size, slow_rng, n_groups=n_groups)
+    assert fast.nodes.shape == slow.nodes.shape == (n_groups * (block_size + 1), d)
+    assert fast.nodes.tobytes() == slow.nodes.tobytes()
+    assert fast.weights.tobytes() == slow.weights.tobytes()
+    assert fast_rng.integers(2**62) == slow_rng.integers(2**62)
+
+
 def test_blocked_expectation_over_shuffles():
     # the shuffle average of a cross-block mixed moment estimate converges
     # to the tensor-product value (zero here); Monte Carlo check at 3 SE

@@ -371,7 +371,13 @@ def test_variational_update_hand_computed():
     cf = TrainConfig(slab_std_max=0.5, frac_zero_target=0.97, frac_held_target=0.01)
     state = hand_state()
     variational_update(
-        state, cf, loss=3.0, grad=np.array([1.25]), hess=np.array([6.25]), t=1.0
+        state,
+        cf,
+        loss=3.0,
+        grad=np.array([1.25]),
+        hess=np.array([6.25]),
+        mu=state.mu,
+        t=1.0,
     )
     assert state.cur.n == 1
     assert state.cur.hess[0] == 6.25  # above the 1/0.25 floor
@@ -387,7 +393,7 @@ def test_variational_update_curvature_floor():
     cf = TrainConfig(slab_std_max=0.5)
     state = hand_state()
     variational_update(
-        state, cf, loss=0.0, grad=np.array([0.0]), hess=np.array([1e-9]), t=1.0
+        state, cf, loss=0.0, grad=np.array([0.0]), hess=np.array([1e-9]), mu=state.mu, t=1.0
     )
     assert state.cur.hess[0] == pytest.approx(4.0)
     # slab deviation respects the cap thanks to the floor and a1 >= 1
@@ -402,7 +408,7 @@ def test_variational_update_step_floor_limits_step():
     state.prev.hess[:] = 0.0
     state.prev.grad[:] = 0.0
     variational_update(
-        state, cf, loss=0.0, grad=np.array([1.0]), hess=np.array([1e-8]), t=1.0
+        state, cf, loss=0.0, grad=np.array([1.0]), hess=np.array([1e-8]), mu=state.mu, t=1.0
     )
     # blended grad = 1.6, floor = 4 * 0.25 = 1.0 -> step exactly 1.6
     assert state.slab_mean[0] == pytest.approx(0.5 - 1.6, rel=1e-12)
@@ -422,6 +428,7 @@ def test_variational_update_spike_slab_moments_match():
         loss=1.0,
         grad=rng.standard_normal(5),
         hess=rng.random(5) + 0.5,
+        mu=state.mu,
         t=5.5,
     )
     mean, std = spike_slab_moments(state.p_nonzero, state.slab_mean, state.slab_std)
@@ -453,6 +460,7 @@ def test_variational_update_recentering_invariance():
         loss=0.7,
         grad=rng.standard_normal(3),
         hess=rng.random(3) + 0.2,
+        mu=state.mu,
         t=3.2,
     )
     after = [prev_surrogate(p) for p in probes]
@@ -469,6 +477,7 @@ def test_variational_update_final_epoch_uses_frozen_decisions():
         loss=0.0,
         grad=np.zeros(4),
         hess=np.ones(4),
+        mu=state.mu,
         t=9.5,
         final_epoch=True,
     )
@@ -614,19 +623,44 @@ def test_training_matches_allocating_oracles(make_model, monkeypatch):
 
 @pytest.mark.parametrize("final_epoch", [False, True])
 def test_variational_update_leaves_caller_arrays_alone(final_epoch):
-    # The snapshot passed in is read, never written; the update writes only
-    # into the state's own arrays, which stay pairwise distinct.
+    # The snapshot and its mean passed in are read, never written; the
+    # update writes only into the state's own arrays, which stay pairwise
+    # distinct.
     cf = TrainConfig()
     state = hand_state(d=5)
     state.realized_nonzero = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     rng = np.random.Generator(np.random.Philox(2))
-    grad, hess = rng.standard_normal(5), rng.random(5) + 0.5
-    kept = grad.copy(), hess.copy()
-    variational_update(state, cf, 1.0, grad, hess, t=2.5, final_epoch=final_epoch)
-    assert_array_equal(grad, kept[0])
-    assert_array_equal(hess, kept[1])
+    grad, hess, mu = rng.standard_normal(5), rng.random(5) + 0.5, state.mu
+    kept = grad.copy(), hess.copy(), mu.copy()
+    variational_update(state, cf, 1.0, grad, hess, mu, t=2.5, final_epoch=final_epoch)
+    for arg, before in zip((grad, hess, mu), kept):
+        assert_array_equal(arg, before)
     for buf in _state_buffers(state).values():
-        assert not np.shares_memory(buf, grad) and not np.shares_memory(buf, hess)
+        assert not any(np.shares_memory(buf, arg) for arg in (grad, hess, mu))
+
+
+def test_run_epoch_derives_the_marginal_once_per_case(monkeypatch):
+    # One spike_slab_moments call gives each case both the quadrature's
+    # (mu, sigma) and the update's expansion point; TrainState.mu is not read.
+    model = QuadraticOracleModel(c=0.0, b=np.ones(3), a=np.eye(3))
+    cf = TrainConfig(n_epochs=2)
+    rng = np.random.Generator(np.random.Philox(5))
+    state = init_state(model, 16, cf, rng)
+    calls = {"moments": 0, "mu": 0}
+
+    def counting_moments(*args):
+        calls["moments"] += 1
+        return spike_slab_moments(*args)
+
+    def counting_mu(self):
+        calls["mu"] += 1
+        return spike_slab_moments(self.p_nonzero, self.slab_mean, self.slab_std)[0]
+
+    monkeypatch.setattr("mfquad.trainer.spike_slab_moments", counting_moments)
+    monkeypatch.setattr(TrainState, "mu", property(counting_mu))
+    for epoch in (1, 2):
+        run_epoch(state, model, 16, cf, epoch, rng)
+        assert calls == {"moments": 16 * epoch, "mu": 0}
 
 
 def test_restart_swap_keeps_accumulators_apart():
