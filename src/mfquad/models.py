@@ -6,6 +6,13 @@ it).  Per-case losses include the continuous prior component
 ``h_prior/(2*N) * |theta|^2`` so that summing over the dataset reproduces
 the full regularized objective.  Gradients are hand-derived; a central
 finite-difference checker validates them.
+
+A model may also offer the batched form
+``evaluate_nodes(nodes, case) -> (losses, grads)`` for an ``(m, d)`` block
+of nodes, returning ``(m,)`` losses and ``(m, d)`` gradients.  Row ``i``
+must be bit-identical to ``evaluate(nodes[i], case)``, so that a caller may
+use either form without changing a result.  ``LogisticModel`` has it; the
+quadratic oracle and the MLP evaluate one node at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +38,8 @@ DEFAULT_H_PRIOR = 1.0 / 0.09  # precision of a slab with deviation cap 0.3
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,25 @@ class LogisticModel:
         return np.zeros(self.n_params)
 
     def evaluate(self, theta: np.ndarray, case: int) -> tuple[float, np.ndarray]:
+        losses, grads = self.evaluate_nodes(theta[None, :], case)
+        return float(losses[0]), grads[0]
+
+    def evaluate_nodes(
+        self, nodes: np.ndarray, case: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at every row of the ``(m, d)`` block ``nodes``."""
         x = self.dataset.features[case]
         y = float(self.dataset.labels[case])
-        z = float(x @ theta)
+        # One dot per row: a matrix-vector product rounds differently.
+        z = np.array([x @ t for t in nodes])
+        sq = np.array([t @ t for t in nodes])
         # softplus(z) - y*z, stable on both tails
-        loss = np.logaddexp(0.0, -abs(z)) + max(z, 0.0) - y * z
-        grad = (float(_sigmoid(np.asarray([z]))[0]) - y) * x
+        losses = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - y * z
         n = self.dataset.n_cases
-        loss += 0.5 * self.h_prior / n * float(theta @ theta)
-        grad = grad + (self.h_prior / n) * theta
-        return float(loss), grad
+        losses += 0.5 * self.h_prior / n * sq
+        grads = np.multiply.outer(_sigmoid(z) - y, x)
+        grads += (self.h_prior / n) * nodes
+        return losses, grads
 
     def predict(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         return (features @ theta > 0).astype(np.int64)

@@ -11,6 +11,7 @@ pair sees it contaminated by off-diagonal terms, bounded coordinate-wise by
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +60,44 @@ def full_period(d: int) -> int:
     return 1 << (d - 1).bit_length()
 
 
+def _one_line(a: np.ndarray) -> str:
+    """``repr(a)`` on a single line, summarized beyond 1000 entries."""
+    return np.array_repr(a, max_line_width=sys.maxsize)
+
+
 def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
     loss, grad = model.evaluate(theta, case)
     loss = float(loss)
     grad = np.asarray(grad, dtype=np.float64)
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise EvaluationError(
-            f"non-finite loss evaluation (loss={loss!r}) at node {theta!r}", theta
+            f"non-finite loss evaluation (loss={loss!r}) at node {_one_line(theta)}",
+            theta,
         )
     return loss, grad
+
+
+def _node_evaluations(model, case, nodes: np.ndarray):
+    """Yield ``(loss, grad)`` at each node of the ``(2, n_pairs, d)`` block,
+    pair by pair, the plus node before the minus node.
+
+    A model with ``evaluate_nodes`` evaluates the whole block in one call.
+    Any other model is evaluated one node at a time, when the caller asks
+    for that node.  A caller that keeps one pair while it asks for the next
+    then allocates and frees gradients in the order of a plain loop over
+    ``evaluate``, with at most three alive; a fourth d = 25,450 gradient
+    moves the heap top and costs the MLP minor page faults on every case.
+    """
+    evaluate_nodes = getattr(model, "evaluate_nodes", None)
+    if evaluate_nodes is None:
+        for pair in nodes.swapaxes(0, 1):
+            for node in pair:
+                loss, grad = model.evaluate(node, case)
+                yield float(loss), grad
+        return
+    n_pairs, d = nodes.shape[1:]
+    losses, grads = evaluate_nodes(nodes.swapaxes(0, 1).reshape(2 * n_pairs, d), case)
+    yield from zip(losses.tolist(), grads)
 
 
 def quadratic_approx(
@@ -89,6 +119,11 @@ def quadratic_approx(
     loss value, gradient, and curvature at ``mu`` exactly.
 
     Coordinates with ``sigma == 0`` are never displaced and get curvature 0.
+
+    A non-finite evaluation makes the sums non-finite, so one check of the
+    summary covers every node.  Only when it fails are the nodes evaluated
+    again one by one, plus before minus, pair by pair, and the first
+    non-finite one is named in the ``EvaluationError``.
     """
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -101,27 +136,35 @@ def quadratic_approx(
     grad_sum = np.zeros(d)
     curv_sum = np.zeros(d)
     pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
-    for s, plus, minus in zip(signs, nodes[0], nodes[1]):
-        loss_p, grad_p = _evaluate(model, plus, case)
-        loss_m, grad_m = _evaluate(model, minus, case)
-        loss_sum += loss_p + loss_m
-        grad_sum += np.add(grad_p, grad_m, out=pair)
-        np.subtract(grad_p, grad_m, out=pair)
-        curv_sum += np.multiply(pair, s, out=pair)
+    # Overflow and NaN are caught by the summary check below, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluations = _node_evaluations(model, case, nodes)
+        for s in signs:
+            loss_p, grad_p = next(evaluations)
+            loss_m, grad_m = next(evaluations)
+            loss_sum += loss_p + loss_m
+            grad_sum += np.add(grad_p, grad_m, out=pair)
+            np.subtract(grad_p, grad_m, out=pair)
+            curv_sum += np.multiply(pair, s, out=pair)
 
-    # The returned arrays are allocated last, so they sit above this call's
-    # temporaries in the heap.  Were they below, freeing the node block on
-    # return would leave a large free heap top, which glibc's malloc gives
-    # back to the kernel, and the next case would fault those pages in again
-    # (about 400 minor page faults per case at d = 25,450, a third of its
-    # time).
-    n_evals = 2.0 * n_pairs
-    grad = grad_sum / n_evals
-    hess = np.divide(
-        curv_sum, np.multiply(sigma, n_evals, out=pair), out=np.zeros(d), where=sigma > 0
-    )
-    loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=pair))
-    try:
-        return QuadraticSummary(loss, grad, hess)
-    except ValueError as err:  # finite evaluations whose sums overflowed
-        raise EvaluationError(f"non-finite quadratic summary around mean {mu!r}", mu) from err
+        # The returned arrays are allocated last, so they sit above this
+        # call's temporaries in the heap.  Were they below, freeing the node
+        # block on return would leave a large free heap top, which glibc's
+        # malloc gives back to the kernel, and the next case would fault
+        # those pages in again (about 400 minor page faults per case at
+        # d = 25,450, a third of its time).
+        n_evals = 2.0 * n_pairs
+        grad = grad_sum / n_evals
+        hess = np.divide(
+            curv_sum, np.multiply(sigma, n_evals, out=pair), out=np.zeros(d), where=sigma > 0
+        )
+        loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=pair))
+        try:
+            return QuadraticSummary(loss, grad, hess)
+        except ValueError as err:
+            for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, d):
+                _evaluate(model, node, case)
+            # every node is finite, but the sums overflowed
+            raise EvaluationError(
+                f"non-finite quadratic summary around mean {_one_line(mu)}", mu
+            ) from err

@@ -2,10 +2,10 @@
 
 Each function restates a fast path of the package in its plain, allocating
 form: a full stable sort for the sieve, a shift-XOR bit parity for the
-signs, one shuffle call per block for the blocked simplex rule, fresh arrays
-for every intermediate result.  The fast paths must agree with them bit for
-bit, because they keep the same floating-point operations (and random draws)
-in the same order.  ``patch_all`` swaps every hot-path oracle into the
+signs, one shuffle call per block for the blocked simplex rule, one checked
+model call per node, fresh arrays for every intermediate result.  The fast
+paths must agree with them bit for bit, because they keep the same
+floating-point operations (and random draws) in the same order.  ``patch_all`` swaps every hot-path oracle into the
 package for a whole training run.
 """
 
@@ -14,9 +14,10 @@ import math
 import numpy as np
 
 import mfquad.meanfield
+import mfquad.models
 import mfquad.quadrature
 import mfquad.trainer
-from mfquad.models import MlpModel
+from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
 from mfquad.quadrature import NodeSet, simplex_sigma_points
 from mfquad.trainer import Accumulator, hybrid_coeffs, sparsity_schedule
@@ -147,8 +148,33 @@ def mlp_evaluate(self, theta: np.ndarray, case: int):
     return float(loss), grad
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """``models._sigmoid`` through boolean masks of each sign."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_evaluate(self, theta: np.ndarray, case: int):
+    """``LogisticModel.evaluate`` on one node, in scalar arithmetic."""
+    x = self.dataset.features[case]
+    y = float(self.dataset.labels[case])
+    z = float(x @ theta)
+    # softplus(z) - y*z, stable on both tails
+    loss = np.logaddexp(0.0, -abs(z)) + max(z, 0.0) - y * z
+    grad = (float(sigmoid(np.asarray([z]))[0]) - y) * x
+    n = self.dataset.n_cases
+    loss += 0.5 * self.h_prior / n * float(theta @ theta)
+    grad = grad + (self.h_prior / n) * theta
+    return float(loss), grad
+
+
 def quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
-    """``projection.quadratic_approx`` with fresh arrays for every sum."""
+    """``projection.quadratic_approx`` with a checked ``evaluate`` call per
+    node and fresh arrays for every sum."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if n_pairs < 1:
@@ -251,5 +277,7 @@ def patch_all(monkeypatch) -> None:
         (Accumulator, "recenter", accumulator_recenter),
         (Accumulator, "reset", accumulator_reset),
         (MlpModel, "evaluate", mlp_evaluate),
+        (LogisticModel, "evaluate", logistic_evaluate),
+        (mfquad.models, "_sigmoid", sigmoid),
     ):
         monkeypatch.setattr(module, name, oracle)

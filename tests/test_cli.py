@@ -2,11 +2,13 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import mfquad.cli
+import mfquad.models
 import mfquad.trainer
 from mfquad.cli import main, parse_basis, load_run_config, ConfigError
 from mfquad.meanfield import OrthonormalBasis, orthonormal_basis, preset
@@ -159,6 +161,23 @@ def test_bench_non_finite_estimate_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+
+
+def test_train_non_finite_node_exits_4_on_one_line(tmp_path, monkeypatch, capsys):
+    # a NaN gradient at every node with margin above 1: the snapshot check
+    # fails, and the error names the first such node, with no warning
+    sigmoid = mfquad.models._sigmoid
+    monkeypatch.setattr(
+        mfquad.models, "_sigmoid", lambda z: np.where(z > 1.0, np.nan, sigmoid(z))
+    )
+    args = ["train", "--data", "synth:d=16,k=2,n=512,nval=16,seed=4",
+            "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite loss evaluation"), err
+    assert err.count("\n") == 1 and "at node array([" in err, err
 
 
 # -------------------------------------------------------- exactness-count

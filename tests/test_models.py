@@ -4,11 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from mfquad.models import (
     Dataset,
+    _sigmoid,
     IdxFormatError,
     LogisticModel,
     MlpModel,
@@ -91,6 +94,47 @@ def test_logistic_extreme_margin_stable():
 
 def test_logistic_gradient_check():
     assert gradient_check(small_logistic(), case=3, n_probes=3, seed=2) < 1e-6
+
+
+# margins z = x.theta of exactly +0, or of |z| >= 700 where exp(-|z|) is
+# subnormal or zero; z = -0 never comes out of a dot product
+_MARGINS = st.one_of(
+    st.just(0.0), st.floats(701.0, 1e4), st.floats(-1e4, -701.0), st.floats(-40.0, 40.0)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+    case=st.integers(0, 2),
+    margins=st.sampled_from([1, 2, 4, 6]).flatmap(
+        lambda m: st.lists(_MARGINS, min_size=m, max_size=m)
+    ),
+)
+def test_logistic_evaluate_nodes_rows_match_scalar_oracle(labels, case, margins):
+    rng = np.random.Generator(np.random.Philox(7))
+    feats = rng.standard_normal((3, 5))
+    model = LogisticModel(Dataset(feats, np.array(labels)), h_prior=2.0)
+    x = feats[case]
+    nodes = np.array([z / (x @ x) * x for z in margins])
+    losses, grads = model.evaluate_nodes(nodes, case)
+    assert losses.shape == (len(margins),) and grads.shape == nodes.shape
+    for z, node, loss, grad in zip(margins, nodes, losses, grads):
+        margin = x @ node
+        assert margin == 0.0 if z == 0.0 else (abs(margin) >= 700.0) == (abs(z) > 700.0)
+        want_loss, want_grad = oracles.logistic_evaluate(model, node, case)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        one_loss, one_grad = model.evaluate(node, case)
+        assert one_loss == want_loss and one_grad.tobytes() == want_grad.tobytes()
+
+
+def test_sigmoid_matches_mask_oracle():
+    rng = np.random.Generator(np.random.Philox(3))
+    edges = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 709.8, -745.2]
+    tiny = [5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+    z = np.concatenate([rng.normal(0.0, 40.0, 100_000), edges, tiny])
+    assert _sigmoid(z).tobytes() == oracles.sigmoid(z).tobytes()
 
 
 def test_logistic_rejects_multiclass():

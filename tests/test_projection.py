@@ -6,6 +6,8 @@ pure cross term theta_0*theta_1 one pair gives curvature [1,1] (fully
 contaminated) while two pairs cancel it to [0,0].
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mfquad.projection import (
     full_period,
     quadratic_approx,
 )
+from mfquad.quadrature import reflected_nodes
 
 
 class DenseQuadratic:
@@ -169,15 +172,53 @@ def test_evaluation_error_carries_node():
     assert node[0] > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_summary_is_an_evaluation_error():
     # every evaluation is finite, but the gradient difference along the step
-    # overflows; that is a numerical failure (exit 4), not a config error
+    # overflows; that is a numerical failure (exit 4), not a config error,
+    # and it is reported by the error alone, with no RuntimeWarning
     model = QuadraticOracleModel(0.0, [0.0, 0.0], [[1e308, 0.0], [0.0, 1.0]])
     mu = np.zeros(2)
-    with pytest.raises(EvaluationError, match="non-finite quadratic summary") as exc_info:
-        quadratic_approx(model, None, mu, np.array([1.5, 1.0]), 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite quadratic summary") as exc_info:
+            quadratic_approx(model, None, mu, np.array([1.5, 1.0]), 0, 1)
     np.testing.assert_array_equal(exc_info.value.node, mu)
+
+
+class TwoBadNodes:
+    """Finite bowl except at two nodes; evaluates single nodes or blocks."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.block_calls = 0
+
+    def evaluate(self, theta, case):
+        if any(np.array_equal(theta, b) for b in self.bad):
+            return np.nan, np.full_like(theta, np.inf)
+        return float(theta @ theta), 2.0 * theta
+
+    def evaluate_nodes(self, nodes, case):
+        self.block_calls += 1
+        losses, grads = zip(*(self.evaluate(t, case) for t in nodes))
+        return np.array(losses), np.array(grads)
+
+
+def test_batched_error_names_the_node_of_the_per_node_loop():
+    # the block lists every plus node before every minus node; the error
+    # must still name the first bad node in pair order, plus before minus
+    rng = np.random.default_rng(4)
+    mu, sigma = rng.standard_normal(5), rng.uniform(0.5, 1.5, size=5)
+    _, nodes = reflected_nodes(mu, sigma, 3, 3)
+    model = TwoBadNodes([nodes[0, 2], nodes[1, 1]])  # plus of pair 2, minus of pair 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite loss evaluation") as got:
+            quadratic_approx(model, None, mu, sigma, 3, 3)
+    assert model.block_calls == 1
+    with pytest.raises(EvaluationError) as want:
+        oracles.quadratic_approx(model, None, mu, sigma, 3, 3)
+    assert got.value.node.tobytes() == want.value.node.tobytes() == nodes[1, 1].tobytes()
+    assert str(got.value) == str(want.value)
 
 
 def test_summary_validation():

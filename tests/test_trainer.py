@@ -663,6 +663,36 @@ def test_run_epoch_derives_the_marginal_once_per_case(monkeypatch):
         assert calls == {"moments": 16 * epoch, "mu": 0}
 
 
+@pytest.mark.parametrize(
+    "make_model, n_pairs", [(_small_logistic, 2), (_small_mlp, 2), (_small_mlp, 3)]
+)
+def test_run_epoch_model_calls_per_case(make_model, n_pairs, monkeypatch):
+    # The logistic model evaluates each case's reflected pairs in one
+    # batched call; the MLP, which has no batched form, makes one evaluate
+    # call per node.
+    model = make_model(n_cases=16)
+    cf = TrainConfig(n_epochs=2, n_pairs_per_case=n_pairs)
+    rng = np.random.Generator(np.random.Philox(5))
+    state = init_state(model, 16, cf, rng)
+    calls = {"evaluate": 0, "evaluate_nodes": 0}
+
+    def counted(name, method):
+        def counting(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return counting
+
+    for name in calls:
+        if hasattr(type(model), name):
+            monkeypatch.setattr(type(model), name, counted(name, getattr(type(model), name)))
+    run_epoch(state, model, 16, cf, 1, rng)
+    if isinstance(model, LogisticModel):
+        assert calls == {"evaluate": 0, "evaluate_nodes": 16}
+    else:
+        assert calls == {"evaluate": 16 * 2 * n_pairs, "evaluate_nodes": 0}
+
+
 def test_restart_swap_keeps_accumulators_apart():
     # After every restart the emptied pass must not share a buffer with the
     # completed one, or zeroing it in place would wipe the completed sums.
