@@ -52,6 +52,7 @@ from .trainer import (
     hybrid_coeffs,
     init_state,
     load_checkpoint,
+    load_resume,
     run_epoch,
     save_checkpoint,
     sieve_map,

@@ -10,8 +10,8 @@ Three subcommands:
     reproduces exactly, along a ladder of evaluation budgets.
 ``train``
     The sparsifying variational trainer on synthetic or IDX-file data,
-    with per-epoch CSV diagnostics, a JSON checkpoint, and a histogram
-    of the nonzero probabilities.
+    with per-epoch CSV diagnostics, a JSON checkpoint that a later run
+    can resume from, and a histogram of the nonzero probabilities.
 
 Every command is a pure function of its flags, config, and input files:
 identical invocations produce byte-identical outputs.  Floats are printed
@@ -57,7 +57,7 @@ from .quadrature import (
     reflected_nodes,
     trial_rng,
 )
-from .trainer import TrainConfig, init_state, save_checkpoint, train
+from .trainer import TrainConfig, init_state, load_resume, save_checkpoint, train
 
 __all__ = ["main", "ConfigError", "DataError"]
 
@@ -361,9 +361,20 @@ def _histogram_rows(epoch: int, p_nonzero: np.ndarray) -> list[list]:
 def cmd_train(args) -> int:
     config, run = load_run_config(args.config)
     if args.epochs is not None:
+        if args.resume is not None:
+            raise ConfigError("--resume continues the checkpoint's schedule; drop --epochs")
         if args.epochs < 0:
             raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
         config = replace(config, n_epochs=max(args.epochs, 1))
+    if args.resume is not None:
+        state, saved, done, rng = load_resume(args.resume)
+        differ = [f.name for f in fields(config)
+                  if getattr(config, f.name) != getattr(saved, f.name)]
+        if differ:
+            raise ConfigError(
+                f"{args.resume}: the run's config differs from the checkpoint's in "
+                + ", ".join(differ)
+            )
     train_data, val_data, default_model = _resolve_data(args.data)
     if run["max_cases"] is not None:
         train_data = train_data.subset(0, min(run["max_cases"], train_data.n_cases))
@@ -371,6 +382,15 @@ def cmd_train(args) -> int:
         run["model"] or default_model, train_data, val_data,
         config.slab_std_max, run["hidden_units"],
     )
+    n_cases = train_data.n_cases
+    if args.resume is None:
+        rng = np.random.Generator(np.random.Philox(run["seed"]))
+        state, done = init_state(model, n_cases, config, rng), 0
+    elif state.dim != model.n_params:
+        raise ConfigError(
+            f"{args.resume}: the checkpoint has {state.dim} parameters, "
+            f"the model {model.n_params}"
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,16 +413,14 @@ def cmd_train(args) -> int:
         )
         hist_rows.extend(_histogram_rows(stats.epoch, state.p_nonzero))
 
-    n_cases = train_data.n_cases
-    if args.epochs == 0:
-        rng = np.random.Generator(np.random.Philox(run["seed"]))
-        state = init_state(model, n_cases, config, rng)
-    else:
-        state, _ = train(model, n_cases, config, run["seed"], callback=record)
+    if args.epochs != 0:
+        train(model, n_cases, config, callback=record, start=(state, done, rng))
+        done = config.n_epochs
 
+    # The checkpoint first: a state it refuses (non-finite) leaves no new file.
+    save_checkpoint(out_dir / "checkpoint.json", state, config, done, rng)
     _write_csv(out_dir / "epochs.csv", epoch_header, epoch_rows)
     _write_csv(out_dir / "sieve_histogram.csv", hist_header, hist_rows)
-    save_checkpoint(out_dir / "checkpoint.json", state, config)
     return 0
 
 
@@ -449,6 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--epochs", type=int, default=None,
                     help="override n_epochs; 0 writes only the initial checkpoint")
+    tr.add_argument("--resume", default=None, metavar="CKPT",
+                    help="continue the run saved in a checkpoint.json, with the "
+                         "same --config and --data")
     tr.set_defaults(func=cmd_train)
     return parser
 

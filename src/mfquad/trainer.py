@@ -18,9 +18,12 @@ parameter vector.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -42,9 +45,11 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "load_resume",
 ]
 
-CHECKPOINT_FORMAT = "mfvi-ckpt-1"
+CHECKPOINT_FORMAT = "mfvi-ckpt-2"
+_FORMAT_1 = "mfvi-ckpt-1"  # float lists with the derived mu/sigma; still loads
 
 
 @dataclass(frozen=True)
@@ -311,11 +316,28 @@ def sieve_map(
         out += target_held
     else:
         out.fill(0.5 * (target_zero + target_held))
-    np.copyto(out, scratch, where=low)
+    _copy_where(out, scratch, low, n_held)
     np.subtract(values, z0, out=scratch)
     scratch += target_zero
-    np.copyto(out, scratch, where=top)
+    _copy_where(out, scratch, top, n_zero)
     return out
+
+
+def _copy_where(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, count: int) -> None:
+    """``dst[mask] = src[mask]`` for a mask with ``count`` true entries.
+
+    ``np.copyto(where=)`` branches per entry, so on a long mask it is
+    fastest when nearly all entries are false or nearly all true; in
+    between, gathering the indices first is faster (96 against 279 us on
+    random 50% masks at d = 25,450).  Below about a thousand entries the two
+    extra calls of the gather cost more than the branches.
+    """
+    n = mask.size
+    if n >= 1024 and 0.05 * n < count < 0.8 * n:
+        idx = np.flatnonzero(mask)
+        dst[idx] = src[idx]
+    else:
+        np.copyto(dst, src, where=mask)
 
 
 def _rank_ties(values: np.ndarray, z: float, rank: int):
@@ -477,17 +499,23 @@ def train(
     config: TrainConfig,
     seed: int = 0,
     callback=None,
+    start=None,
 ) -> tuple[TrainState, list[EpochStats]]:
     """Run the full schedule; returns the final state and per-epoch stats.
 
     ``callback(state, stats)``, if given, runs after every epoch.  After
     the final epoch, coordinates decided zero have exactly ``mu = 0`` and
     ``sigma = 0``; survivors carry their polished slab mean and deviation.
+    ``start = (state, epoch, rng)`` continues a run whose first ``epoch``
+    epochs are done (as ``load_resume`` returns it) in place of a fresh one
+    from ``seed``; the run then ends bit-identical to the uninterrupted one.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    state = init_state(model, n_cases, config, rng)
+    if start is None:
+        rng = np.random.Generator(np.random.Philox(seed))
+        start = (init_state(model, n_cases, config, rng), 0, rng)
+    state, done, rng = start
     history = []
-    for epoch in range(1, config.n_epochs + 1):
+    for epoch in range(done + 1, config.n_epochs + 1):
         stats = run_epoch(state, model, n_cases, config, epoch, rng)
         history.append(stats)
         if callback is not None:
@@ -497,9 +525,8 @@ def train(
 
 # ------------------------------------------------------------ checkpoints
 
+# Format 2 stores each array as base64 of its little-endian float64 bytes.
 _ARRAY_FIELDS = (
-    "mu",
-    "sigma",
     "slab_mean",
     "slab_std",
     "zero_logit",
@@ -518,6 +545,8 @@ _SCALAR_FIELDS = (
     "seq_index",
     "hess_min",
 )
+# Format 1 also stored the derived marginal, as float lists.
+_FORMAT_1_ARRAYS = ("mu", "sigma") + _ARRAY_FIELDS
 
 # Allowed entry ranges; every other array only needs finite entries.
 _ARRAY_RANGES = {
@@ -537,33 +566,84 @@ def _checkpoint_value(state: TrainState, key: str):
 
 
 def _plain(value):
-    """A numpy scalar as the Python number JSON can write."""
-    return value.item() if isinstance(value, np.generic) else value
+    """numpy scalars and arrays, also inside a dict, as the Python numbers
+    and lists JSON can write."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
-def save_checkpoint(path, state: TrainState, config: TrainConfig) -> None:
-    """JSON checkpoint; floats at full round-trip precision."""
+def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rng) -> None:
+    """JSON checkpoint of a run after ``epoch`` completed epochs.
+
+    Format ``mfvi-ckpt-2``: each state array is base64 of its little-endian
+    float64 bytes, so it loads bit for bit; ``mu``/``sigma`` are derived,
+    not stored; the scalars are JSON numbers; ``epoch`` and the Philox
+    state of ``rng``, the run's generator, let ``load_resume`` continue the
+    run.  Raises FloatingPointError naming the first non-finite field
+    before anything is written.  The file is written under a temporary
+    name in the same directory and renamed over ``path``, so ``path``
+    holds either its old content or the whole new checkpoint.
+    """
+    arrays = {k: _checkpoint_value(state, k) for k in _ARRAY_FIELDS}
+    scalars = {k: _plain(_checkpoint_value(state, k)) for k in _SCALAR_FIELDS}
+    for key, value in (*arrays.items(), *scalars.items()):
+        if type(value) is not int and not np.all(np.isfinite(value)):
+            raise FloatingPointError(f"checkpoint field {key!r} holds a non-finite value")
+    rng_state = _plain(rng.bit_generator.state)
+    if rng_state["bit_generator"] != "Philox":
+        raise ValueError(f"checkpoints store a Philox generator, not {rng_state['bit_generator']}")
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": {f.name: _plain(getattr(config, f.name)) for f in fields(config)},
         "state": {
-            **{k: _checkpoint_value(state, k).tolist() for k in _ARRAY_FIELDS},
-            **{k: _checkpoint_value(state, k) for k in _SCALAR_FIELDS},
+            **{k: base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode("ascii")
+               for k, a in arrays.items()},
+            **scalars,
+            "epoch": _plain(epoch),
+            "rng": rng_state,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_atomic(path, (json.dumps(payload, indent=1, allow_nan=False) + "\n").encode("ascii"))
 
 
-def _checked_state(raw: dict) -> TrainState:
-    """TrainState from a checkpoint's ``state`` object.
+def _write_atomic(path, data: bytes) -> None:
+    """Writes ``data`` to a new file beside ``path``, syncs it and renames it
+    over ``path``; on any failure the new file is removed and ``path`` is
+    left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _decoded(raw: dict, key: str) -> np.ndarray:
+    """The float64 array a format-2 field holds as base64 text."""
+    try:
+        buf = base64.b64decode(raw.get(key), validate=True)
+    except (TypeError, ValueError) as err:  # not text, or not base64
+        raise ValueError(f"checkpoint field {key!r} must be base64 text ({err})") from err
+    if len(buf) % 8:
+        raise ValueError(
+            f"checkpoint field {key!r} holds {len(buf)} bytes, not whole float64 values"
+        )
+    return np.frombuffer(buf, dtype="<f8").astype(np.float64)
+
+
+def _checked_state(arrays: dict, raw: dict) -> TrainState:
+    """TrainState from a checkpoint's decoded ``arrays`` and ``state`` object.
 
     Raises ValueError naming the first field that is missing, mistyped, of
-    the wrong length, non-finite or out of range, or, for ``mu`` and
-    ``sigma``, unequal to the moments the stored slab parameters imply.
+    the wrong length, non-finite or out of range.
     """
-    arrays = {k: np.asarray(raw.get(k), dtype=np.float64) for k in _ARRAY_FIELDS}
     d = arrays["slab_mean"].size
     for key, a in arrays.items():
         lo, hi = _ARRAY_RANGES.get(key, (-math.inf, math.inf))
@@ -579,7 +659,7 @@ def _checked_state(raw: dict) -> TrainState:
             ok, want = type(v) in (int, float) and math.isfinite(v), "a finite number"
         if not ok:
             raise ValueError(f"checkpoint field {key!r} must be {want}, got {v!r}")
-    state = TrainState(
+    return TrainState(
         slab_mean=arrays["slab_mean"],
         slab_std=arrays["slab_std"],
         zero_logit=arrays["zero_logit"],
@@ -592,6 +672,13 @@ def _checked_state(raw: dict) -> TrainState:
         seq_index=raw["seq_index"],
         hess_min=raw["hess_min"],
     )
+
+
+def _checked_format_1(raw: dict) -> TrainState:
+    """TrainState from a format-1 ``state`` object, whose stored ``mu`` and
+    ``sigma`` must equal the moments the slab parameters imply."""
+    arrays = {k: np.asarray(raw.get(k), dtype=np.float64) for k in _FORMAT_1_ARRAYS}
+    state = _checked_state(arrays, raw)
     for key in ("mu", "sigma"):
         if not np.array_equal(arrays[key], getattr(state, key)):
             raise ValueError(
@@ -601,15 +688,70 @@ def _checked_state(raw: dict) -> TrainState:
     return state
 
 
-def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    """Read and validate a checkpoint written by ``save_checkpoint``."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    tag = payload.get("format")
-    if tag != CHECKPOINT_FORMAT:
+def _checked_rng(raw: dict) -> np.random.Generator:
+    """The generator a format-2 ``rng`` field holds: exactly a state that
+    ``np.random.Philox`` reports, with ``buffer_pos`` inside its buffer."""
+    v = raw.get("rng")
+    bit_gen = np.random.Philox()
+    try:
+        bit_gen.state = {
+            **v,
+            "state": {k: np.array(v["state"][k], dtype=np.uint64) for k in ("counter", "key")},
+            "buffer": np.array(v["buffer"], dtype=np.uint64),
+        }
+        back = _plain(bit_gen.state)
+        ok = json.dumps(back, sort_keys=True) == json.dumps(v, sort_keys=True)
+        ok = ok and 0 <= back["buffer_pos"] <= len(back["buffer"])
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"checkpoint field 'rng' must be a Philox generator state, got {v!r}")
+    return np.random.Generator(bit_gen)
+
+
+def _read_checkpoint(path):
+    """``(state, config, epoch, rng)`` of a checkpoint file of either format;
+    ``epoch`` and ``rng`` are None for format 1, which has neither."""
+    try:
+        with open(path, "rb") as fh:
+            payload = json.loads(fh.read())
+    except ValueError as err:  # not JSON, or not text
+        raise ValueError(f"{path}: not a JSON checkpoint ({err})") from err
+    tag = payload.get("format") if isinstance(payload, dict) else None
+    if tag not in (CHECKPOINT_FORMAT, _FORMAT_1):
         raise ValueError(f"{path}: unsupported checkpoint format {tag!r}")
     try:
         config = TrainConfig(**payload["config"])
-    except (TypeError, ValueError) as err:  # unknown key, bad type or range
+    except (KeyError, TypeError, ValueError) as err:  # missing, unknown key, bad type or range
         raise ValueError(f"{path}: bad checkpoint config ({err})") from err
-    return _checked_state(payload["state"]), config
+    raw = payload.get("state")
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: checkpoint field 'state' must be a JSON object")
+    if tag == _FORMAT_1:
+        return _checked_format_1(raw), config, None, None
+    state = _checked_state({k: _decoded(raw, k) for k in _ARRAY_FIELDS}, raw)
+    epoch = raw.get("epoch")
+    if type(epoch) is not int or not 0 <= epoch <= config.n_epochs:
+        raise ValueError(
+            f"checkpoint field 'epoch' must be an integer in [0, {config.n_epochs}], "
+            f"got {epoch!r}"
+        )
+    return state, config, epoch, _checked_rng(raw)
+
+
+def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
+    """Read and validate a checkpoint of either format."""
+    state, config, _, _ = _read_checkpoint(path)
+    return state, config
+
+
+def load_resume(path) -> tuple[TrainState, TrainConfig, int, np.random.Generator]:
+    """A format-2 checkpoint as a run to continue: its state, config,
+    completed epoch count and generator (pass ``(state, epoch, rng)`` to
+    ``train`` as ``start``)."""
+    state, config, epoch, rng = _read_checkpoint(path)
+    if rng is None:
+        raise ValueError(
+            f"{path}: a {_FORMAT_1} checkpoint stores no epoch or generator to resume from"
+        )
+    return state, config, epoch, rng

@@ -6,10 +6,13 @@ signs, one shuffle call per block for the blocked simplex rule, one checked
 model call per node, fresh arrays for every intermediate result.  The fast
 paths must agree with them bit for bit, because they keep the same
 floating-point operations (and random draws) in the same order.  ``patch_all`` swaps every hot-path oracle into the
-package for a whole training run.
+package for a whole training run.  ``save_checkpoint_v1`` keeps the writer
+of the first checkpoint format, which ``load_checkpoint`` still reads.
 """
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +23,15 @@ import mfquad.trainer
 from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
 from mfquad.quadrature import NodeSet, simplex_sigma_points
-from mfquad.trainer import Accumulator, hybrid_coeffs, sparsity_schedule
+from mfquad.trainer import (
+    _FORMAT_1_ARRAYS,
+    _SCALAR_FIELDS,
+    Accumulator,
+    _checkpoint_value,
+    _plain,
+    hybrid_coeffs,
+    sparsity_schedule,
+)
 
 
 def sieve_map(
@@ -281,3 +292,19 @@ def patch_all(monkeypatch) -> None:
         (mfquad.models, "_sigmoid", sigmoid),
     ):
         monkeypatch.setattr(module, name, oracle)
+
+
+def save_checkpoint_v1(path, state, config) -> None:
+    """Format ``mfvi-ckpt-1``: indented JSON float lists at full round-trip
+    precision, with the derived ``mu`` and ``sigma``, no epoch, no generator."""
+    payload = {
+        "format": "mfvi-ckpt-1",
+        "config": {f.name: _plain(getattr(config, f.name)) for f in fields(config)},
+        "state": {
+            **{k: _checkpoint_value(state, k).tolist() for k in _FORMAT_1_ARRAYS},
+            **{k: _checkpoint_value(state, k) for k in _SCALAR_FIELDS},
+        },
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")

@@ -1,5 +1,7 @@
 """CLI contract: CSV schemas, frozen counts, exit codes, determinism."""
 
+import base64
+import copy
 import csv
 import json
 import warnings
@@ -10,10 +12,18 @@ import pytest
 import mfquad.cli
 import mfquad.models
 import mfquad.trainer
-from mfquad.cli import main, parse_basis, load_run_config, ConfigError
+import oracles
+from mfquad.cli import (
+    ConfigError,
+    _build_model,
+    _resolve_data,
+    load_run_config,
+    main,
+    parse_basis,
+)
 from mfquad.meanfield import OrthonormalBasis, orthonormal_basis, preset
 from mfquad.models import write_idx
-from mfquad.trainer import TrainConfig, load_checkpoint
+from mfquad.trainer import TrainConfig, init_state, load_checkpoint, run_epoch, save_checkpoint
 
 
 def read_rows(path):
@@ -399,6 +409,183 @@ def test_train_max_cases_limits_training_set(tmp_path):
     state, _ = load_checkpoint(out_dir / "checkpoint.json")
     # first-epoch restart target = floor(32 * 2**-1) = 16 cases
     assert state.prev.n in (16, 32)
+
+
+# ----------------------------------------------------------- resume
+
+
+def _resume_setup(tmp_path, kind, n_epochs=4):
+    """Config path and --data argument of a small run of ``kind``."""
+    doc = {"n_epochs": n_epochs, "frac_zero_target": 0.6, "frac_held_target": 0.05,
+           "seed": 3}
+    if kind == "logistic":
+        data = "synth:d=12,k=3,n=96,nval=24,noise=0.5,seed=4"
+    else:
+        make_idx_dir(tmp_path / "idx", n_train=32)
+        data = f"mnist:{tmp_path / 'idx'}"
+        doc["hidden_units"] = 4
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return config, data
+
+
+def _library_head(config, data, k, path):
+    """Epochs 1..k of the run the CLI makes of ``config`` and ``data``, saved."""
+    cf, run = load_run_config(config)
+    train_data, val_data, default = _resolve_data(data)
+    model = _build_model(run["model"] or default, train_data, val_data,
+                         cf.slab_std_max, run["hidden_units"])
+    rng = np.random.Generator(np.random.Philox(run["seed"]))
+    state = init_state(model, train_data.n_cases, cf, rng)
+    for epoch in range(1, k + 1):
+        run_epoch(state, model, train_data.n_cases, cf, epoch, rng)
+    save_checkpoint(path, state, cf, k, rng)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_train_resume_is_bit_identical(tmp_path, kind, k):
+    # Stopped after epoch k of 4 and resumed: the final checkpoint and the
+    # rows of epochs k+1..4 equal those of the uninterrupted run.
+    config, data = _resume_setup(tmp_path, kind)
+    whole, resumed, head = tmp_path / "whole", tmp_path / "resumed", tmp_path / "head.json"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(whole)]) == 0
+    _library_head(config, data, k, head)
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(resumed),
+                 "--resume", str(head)]) == 0
+    ckpt = (whole / "checkpoint.json").read_bytes()
+    assert (resumed / "checkpoint.json").read_bytes() == ckpt
+    for name in ("epochs.csv", "sieve_histogram.csv"):
+        rows = read_rows(whole / name)
+        tail = [rows[0]] + [r for r in rows[1:] if int(r[0]) > k]
+        assert read_rows(resumed / name) == tail, name
+    # a finished run resumes to itself and runs no epoch
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(again),
+                 "--resume", str(whole / "checkpoint.json")]) == 0
+    assert (again / "checkpoint.json").read_bytes() == ckpt
+    assert len(read_rows(again / "epochs.csv")) == 1
+
+
+def test_train_resume_errors(tmp_path, capsys):
+    config, data = _resume_setup(tmp_path, "mlp", n_epochs=2)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
+    ckpt = str(run / "checkpoint.json")
+    other = tmp_path / "other.json"
+    v1 = tmp_path / "v1.json"
+    oracles.save_checkpoint_v1(v1, *load_checkpoint(ckpt))
+    base = ["train", "--data", data, "--out", str(tmp_path / "resumed")]
+    cases = [
+        # a config that differs from the checkpoint's, naming the field
+        ({"n_epochs": 3, "hidden_units": 4}, [], ckpt, "n_epochs"),
+        ({"n_epochs": 2, "frac_zero_target": 0.5, "frac_held_target": 0.05,
+          "hidden_units": 4}, [], ckpt, "frac_zero_target"),
+        # a model whose parameter count differs
+        ({**json.loads(config.read_text()), "hidden_units": 5}, [], ckpt, "parameters"),
+        # --resume with --epochs
+        (json.loads(config.read_text()), ["--epochs", "2"], ckpt, "--epochs"),
+        # a format-1 checkpoint has nothing to resume from
+        (json.loads(config.read_text()), [], str(v1), "mfvi-ckpt-1"),
+    ]
+    for doc, extra, path, match in cases:
+        other.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(base + ["--config", str(other), "--resume", path] + extra) == 2, match
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert match in err, err
+    assert main(base + ["--config", str(config), "--resume", str(tmp_path / "nope.json")]) == 3
+
+
+def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
+    # Each bad field of a format-2 file raises ValueError naming it, and
+    # through --resume exits 2 with one config error line.
+    config, data = _resume_setup(tmp_path, "logistic", n_epochs=2)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
+    payload = json.loads((run / "checkpoint.json").read_text())
+    d = 12
+
+    def b64(values):
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+    def put(key, value):
+        return lambda st: st.__setitem__(key, value)
+
+    def rng_edit(edit):
+        def apply(st):
+            edit(st["rng"])
+        return apply
+
+    nan_at_2 = np.zeros(d)
+    nan_at_2[2] = np.nan
+    cases = [
+        (put("slab_mean", "not base64!"), "slab_mean"),
+        (put("slab_std", payload["state"]["slab_std"][:-1]), "slab_std"),  # bad padding
+        (put("hess_cur", 17), "hess_cur"),
+        (put("grad_cur", base64.b64encode(b"\0" * 7).decode()), "grad_cur"),
+        (put("hess_prev", b64(np.ones(d + 1))), "hess_prev"),
+        (put("grad_prev", b64(np.ones(d - 1))), "grad_prev"),
+        (put("zero_logit", b64(nan_at_2)), "zero_logit"),
+        (put("slab_mean", b64(np.full(d, np.inf))), "slab_mean"),
+        (put("p_nonzero", b64(np.full(d, 7.0))), "p_nonzero"),
+        (lambda st: st.pop("epoch"), "epoch"),
+        (put("epoch", "2"), "epoch"),
+        (put("epoch", 2.0), "epoch"),
+        (put("epoch", True), "epoch"),
+        (put("epoch", -1), "epoch"),
+        (put("epoch", 3), "epoch"),
+        (lambda st: st.pop("rng"), "rng"),
+        (put("rng", "philox"), "rng"),
+        (rng_edit(lambda r: r.__setitem__("bit_generator", "PCG64")), "rng"),
+        (rng_edit(lambda r: r["state"]["counter"].pop()), "rng"),
+        (rng_edit(lambda r: r["state"]["key"].__setitem__(0, 1.5)), "rng"),
+        (rng_edit(lambda r: r["state"]["key"].__setitem__(0, -1)), "rng"),
+        (rng_edit(lambda r: r["state"]["key"].__setitem__(0, 2**64)), "rng"),
+        (rng_edit(lambda r: r.__setitem__("buffer_pos", 99)), "rng"),
+        (rng_edit(lambda r: r.__setitem__("has_uint32", True)), "rng"),
+        (rng_edit(lambda r: r.pop("uinteger")), "rng"),
+    ]
+    path = tmp_path / "edited.json"
+    argv = ["train", "--config", str(config), "--data", data,
+            "--out", str(tmp_path / "resumed"), "--resume", str(path)]
+    for edit, field in cases:
+        doc = copy.deepcopy(payload)
+        edit(doc["state"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(argv) == 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert f"'{field}'" in err, err
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("field", ["loss_cur", "slab_mean"])
+def test_train_non_finite_state_exits_4(tmp_path, monkeypatch, capsys, field):
+    # A state the checkpoint writer refuses ends in one numerical failure
+    # line, and the run writes no file at all.
+    real = mfquad.trainer.save_checkpoint
+
+    def poisoned(path, state, *rest):
+        if field == "loss_cur":
+            state.cur.loss = float("inf")
+        else:
+            state.slab_mean[0] = float("nan")
+        return real(path, state, *rest)
+
+    monkeypatch.setattr(mfquad.cli, "save_checkpoint", poisoned)
+    out = tmp_path / "run"
+    assert main(["train", "--data", "synth:d=8,k=2,n=64,nval=16,seed=4",
+                 "--out", str(out), "--epochs", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+    assert f"'{field}'" in err, err
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------------------------------ misc

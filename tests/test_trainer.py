@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mfquad.trainer
 import oracles
 from mfquad.meanfield import spike_slab_moments
 from mfquad.models import (
@@ -28,6 +29,7 @@ from mfquad.trainer import (
     hybrid_coeffs,
     init_state,
     load_checkpoint,
+    load_resume,
     run_epoch,
     save_checkpoint,
     sieve_map,
@@ -226,6 +228,11 @@ _TIED_VALUES = st.lists(
 _EDGE_FRACS = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0, 1)
 
 
+# 2,000 tied values; the zero and held masks hold ~3%, ~50% or ~97% of them,
+# on both sides of the density rule that picks how the sieve copies a mask.
+_MASK_VALUES = [float(i * 37 % 11 - 5) for i in range(2000)]
+
+
 @settings(deadline=None, max_examples=500)
 @given(
     vals=_TIED_VALUES | st.builds(lambda v, n: [v] * n, st.integers(-2, 2).map(float),
@@ -234,6 +241,11 @@ _EDGE_FRACS = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0, 1)
     frac_held=_EDGE_FRACS,
     targets=st.sampled_from([(LOG999, -LOG999), (5.0, -7.0), (0.0, 0.0), (-0.0, -0.0)]),
 )
+@example(vals=_MASK_VALUES, frac_zero=0.03, frac_held=0.5, targets=(LOG999, -LOG999))
+@example(vals=_MASK_VALUES, frac_zero=0.5, frac_held=0.03, targets=(LOG999, -LOG999))
+@example(vals=_MASK_VALUES, frac_zero=0.97, frac_held=0.03, targets=(5.0, -7.0))
+@example(vals=_MASK_VALUES, frac_zero=0.02, frac_held=0.97, targets=(5.0, -7.0))
+@example(vals=_MASK_VALUES, frac_zero=0.5, frac_held=0.49, targets=(0.0, 0.0))
 def test_sieve_matches_stable_sort_oracle(vals, frac_zero, frac_held, targets):
     # Selection with index-ordered ties reproduces the stable argsort bit for
     # bit, including all-equal vectors, coincident hinges and signed zeros.
@@ -712,13 +724,38 @@ def test_restart_swap_keeps_accumulators_apart():
 # ------------------------------------------------------------ checkpoints
 
 
+def _trained_run(epochs_done=2, seed=4):
+    """A d = 6 logistic run after ``epochs_done`` epochs, with its generator."""
+    data, _ = synth_sparse_logistic(d=6, k_true=2, n_cases=16, noise=0.3, seed=1)
+    model = LogisticModel(data)
+    cf = TrainConfig(n_epochs=2, frac_zero_target=0.5, frac_held_target=0.125)
+    rng = np.random.Generator(np.random.Philox(seed))
+    state = init_state(model, 16, cf, rng)
+    for epoch in range(1, epochs_done + 1):
+        run_epoch(state, model, 16, cf, epoch, rng)
+    return state, cf, rng
+
+
+def _assert_same_state(a, b):
+    for name in STATE_ARRAYS + ("mu", "sigma"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for acc in ("prev", "cur"):
+        x, y = getattr(a, acc), getattr(b, acc)
+        assert x.grad.tobytes() == y.grad.tobytes(), acc
+        assert x.hess.tobytes() == y.hess.tobytes(), acc
+        assert (x.n, x.loss) == (y.n, y.loss), acc
+    assert (a.seq_index, a.hess_min) == (b.seq_index, b.hess_min)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     data, _ = synth_sparse_logistic(d=6, k_true=2, n_cases=16, noise=0.3, seed=1)
     model = LogisticModel(data)
     cf = TrainConfig(n_epochs=2, frac_zero_target=0.5, frac_held_target=0.125)
     state, _ = train(model, 16, cf, seed=4)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, state, cf)
+    rng = np.random.Generator(np.random.Philox(9))
+    rng.random(3)
+    save_checkpoint(path, state, cf, 2, rng)
     loaded, loaded_cf = load_checkpoint(path)
     assert loaded_cf == cf
     for name in (
@@ -738,6 +775,34 @@ def test_checkpoint_roundtrip(tmp_path):
         assert (a.n, a.loss) == (b.n, b.loss)
     assert loaded.seq_index == state.seq_index
     assert loaded.hess_min == state.hess_min
+    _, _, epoch, loaded_rng = load_resume(path)
+    assert epoch == 2
+    assert loaded_rng.random(5).tobytes() == rng.random(5).tobytes()
+    # the loaded arrays are the state's own, writable and unshared
+    buffers = list(_state_buffers(loaded).values())
+    assert all(b.flags.writeable and b.flags.owndata for b in buffers)
+
+
+def test_checkpoint_formats_load_bit_identical(tmp_path):
+    # A format-1 file (float lists through repr) and a format-2 file (base64
+    # bytes) of the same state load to the same bits; format 2 stores no
+    # mu/sigma and is resumable, format 1 is not.
+    state, cf, rng = _trained_run(epochs_done=1)
+    state.prev.loss, state.slab_mean[0] = -0.0, -0.0  # signs survive both
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    oracles.save_checkpoint_v1(v1, state, cf)
+    save_checkpoint(v2, state, cf, 1, rng)
+    (a, cf_a), (b, cf_b) = load_checkpoint(v1), load_checkpoint(v2)
+    assert cf_a == cf_b == cf
+    _assert_same_state(a, state)
+    _assert_same_state(b, state)
+    assert math.copysign(1.0, b.prev.loss) == -1.0
+    doc = json.loads(v2.read_text())
+    assert doc["format"] == "mfvi-ckpt-2"
+    assert "mu" not in doc["state"] and "sigma" not in doc["state"]
+    assert v2.stat().st_size < v1.stat().st_size
+    with pytest.raises(ValueError, match="mfvi-ckpt-1"):
+        load_resume(v1)
 
 
 def test_checkpoint_numpy_scalar_config(tmp_path):
@@ -752,7 +817,8 @@ def test_checkpoint_numpy_scalar_config(tmp_path):
     for cf in (plain, numpy_cf):
         state, _ = train(model, 16, cf, seed=4)
         paths.append(tmp_path / f"ckpt{len(paths)}.json")
-        save_checkpoint(paths[-1], state, cf)
+        rng = np.random.Generator(np.random.Philox(4))
+        save_checkpoint(paths[-1], state, cf, cf.n_epochs, rng)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert load_checkpoint(paths[1])[1] == plain
 
@@ -762,15 +828,22 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "mfvi-ckpt-9", "config": {}, "state": {}}')
     with pytest.raises(ValueError, match="mfvi-ckpt-9"):
         load_checkpoint(path)
+    for text, match in (("[1, 2]", "format"), ("{not json", "JSON"),
+                        ('{"format": "mfvi-ckpt-2", "state": {}}', "config"),
+                        ('{"format": "mfvi-ckpt-2", "config": {}, "state": []}', "state")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_invalid_state(tmp_path):
+    # Format 1, written by the old writer, keeps every check it had.
     data, _ = synth_sparse_logistic(d=6, k_true=2, n_cases=16, noise=0.3, seed=1)
     model = LogisticModel(data)
     cf = TrainConfig(n_epochs=2, frac_zero_target=0.5, frac_held_target=0.125)
     state, _ = train(model, 16, cf, seed=4)
     good = tmp_path / "good.json"
-    save_checkpoint(good, state, cf)
+    oracles.save_checkpoint_v1(good, state, cf)
     payload = json.loads(good.read_text())
 
     def edited(edit):
@@ -810,3 +883,53 @@ def test_checkpoint_rejects_invalid_state(tmp_path):
             load_checkpoint(path)
     # the unedited file loads
     load_checkpoint(edited(lambda st: None))
+
+
+@pytest.mark.parametrize("field", ["loss_cur", "slab_mean"])
+def test_checkpoint_refuses_non_finite_state(tmp_path, field):
+    # JSON would write NaN/Infinity tokens that no loader accepts; the writer
+    # names the field and writes nothing, not even a temporary file.
+    state, cf, rng = _trained_run()
+    if field == "loss_cur":
+        state.cur.loss = math.inf
+    else:
+        state.slab_mean[3] = math.nan
+    with pytest.raises(FloatingPointError, match=f"'{field}'"):
+        save_checkpoint(tmp_path / "checkpoint.json", state, cf, 2, rng)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, failing):
+    # A write that fails partway leaves the old checkpoint byte for byte and
+    # no temporary file beside it.
+    state, cf, rng = _trained_run()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, state, cf, 2, rng)
+    before = path.read_bytes()
+    state.slab_mean += 1.0
+
+    def fail(*args):
+        raise OSError(f"{failing} failed")
+
+    monkeypatch.setattr(mfquad.trainer.os, failing, fail)
+    with pytest.raises(OSError, match=failing):
+        save_checkpoint(path, state, cf, 2, rng)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+    save_checkpoint(path, state, cf, 2, rng)
+    assert load_checkpoint(path)[0].slab_mean.tobytes() == state.slab_mean.tobytes()
+
+
+def test_train_resumes_bit_identical():
+    # Epochs 1..k, then train(start=...) for k+1..n, equal n epochs in one go.
+    model = _small_logistic()
+    cf = TrainConfig(n_epochs=4, frac_zero_target=0.9, frac_held_target=0.05)
+    whole, whole_hist = train(model, 64, cf, seed=3)
+    rng = np.random.Generator(np.random.Philox(3))
+    state = init_state(model, 64, cf, rng)
+    head = [run_epoch(state, model, 64, cf, epoch, rng) for epoch in (1, 2)]
+    resumed, tail = train(model, 64, cf, seed=99, start=(state, 2, rng))
+    assert resumed is state and head + tail == whole_hist
+    _assert_same_state(resumed, whole)
