@@ -68,9 +68,9 @@ def spike_slab_moments(
     s = np.asarray(slab_std, dtype=np.float64)
     mu = p * m
     # p * (1 - p) * m**2 + p * s**2, in place and in that order
-    var = np.subtract(1.0, p, out=np.empty_like(mu))
+    var = np.subtract(1.0, p)
     var *= p
-    term = np.square(m, out=np.empty_like(mu))
+    term = np.square(m)
     var *= term
     np.square(s, out=term)
     term *= p

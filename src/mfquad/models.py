@@ -11,8 +11,11 @@ A model may also offer the batched form
 ``evaluate_nodes(nodes, case) -> (losses, grads)`` for an ``(m, d)`` block
 of nodes, returning ``(m,)`` losses and ``(m, d)`` gradients.  Row ``i``
 must be bit-identical to ``evaluate(nodes[i], case)``, so that a caller may
-use either form without changing a result.  ``LogisticModel`` has it; the
-quadratic oracle and the MLP evaluate one node at a time.
+use either form without changing a result.  ``projection.quadratic_approx``
+hands a model that has it (``LogisticModel``) each case's whole block of
+reflected nodes in one call.  It evaluates a model without it (the
+quadratic oracle, the MLP) one node at a time, which keeps at most three
+of the MLP's long gradients alive.
 """
 
 from __future__ import annotations
@@ -131,13 +134,13 @@ class LogisticModel:
         """``evaluate`` at every row of the ``(m, d)`` block ``nodes``."""
         x = self.dataset.features[case]
         y = float(self.dataset.labels[case])
-        # One dot per row: a matrix-vector product rounds differently.
-        z = np.array([x @ t for t in nodes])
-        sq = np.array([t @ t for t in nodes])
+        # One dot per row, as ``x @ t`` takes it (a matrix-vector product
+        # rounds differently).
+        z = np.vecdot(nodes, x)
         # softplus(z) - y*z, stable on both tails
         losses = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - y * z
         n = self.dataset.n_cases
-        losses += 0.5 * self.h_prior / n * sq
+        losses += 0.5 * self.h_prior / n * np.vecdot(nodes, nodes)
         grads = np.multiply.outer(_sigmoid(z) - y, x)
         grads += (self.h_prior / n) * nodes
         return losses, grads

@@ -7,10 +7,15 @@ Averaged over one aligned full period of the sequence, the curvature
 estimate is exactly the Hessian diagonal for any quadratic loss; a single
 pair sees it contaminated by off-diagonal terms, bounded coordinate-wise by
 ``sum_j |A_ij| sigma_j / sigma_i``.
+
+A model with ``evaluate_nodes`` (the logistic model) is evaluated on each
+case's whole block of nodes in one call; any other model (the MLP, the
+quadratic oracle) one ``evaluate`` call per node.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -42,9 +47,10 @@ class QuadraticSummary:
         hess = np.asarray(self.hess, dtype=np.float64).ravel()
         if grad.shape != hess.shape:
             raise ValueError("grad and hess must have equal length")
-        if not (np.isfinite(self.loss) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        loss = float(self.loss)
+        if not (math.isfinite(loss) and np.isfinite(grad).all() and np.isfinite(hess).all()):
             raise ValueError("summary entries must be finite")
-        object.__setattr__(self, "loss", float(self.loss))
+        object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", hess)
 
@@ -69,7 +75,7 @@ def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
     loss, grad = model.evaluate(theta, case)
     loss = float(loss)
     grad = np.asarray(grad, dtype=np.float64)
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise EvaluationError(
             f"non-finite loss evaluation (loss={loss!r}) at node {_one_line(theta)}",
             theta,
@@ -79,25 +85,18 @@ def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
 
 def _node_evaluations(model, case, nodes: np.ndarray):
     """Yield ``(loss, grad)`` at each node of the ``(2, n_pairs, d)`` block,
-    pair by pair, the plus node before the minus node.
+    one ``evaluate`` call per node, pair by pair, the plus node before the
+    minus node, each when the caller asks for it.
 
-    A model with ``evaluate_nodes`` evaluates the whole block in one call.
-    Any other model is evaluated one node at a time, when the caller asks
-    for that node.  A caller that keeps one pair while it asks for the next
-    then allocates and frees gradients in the order of a plain loop over
-    ``evaluate``, with at most three alive; a fourth d = 25,450 gradient
-    moves the heap top and costs the MLP minor page faults on every case.
+    A caller that keeps one pair while it asks for the next then allocates
+    and frees gradients in the order of a plain loop over ``evaluate``, with
+    at most three alive; a fourth d = 25,450 gradient moves the heap top and
+    costs the MLP minor page faults on every case.
     """
-    evaluate_nodes = getattr(model, "evaluate_nodes", None)
-    if evaluate_nodes is None:
-        for pair in nodes.swapaxes(0, 1):
-            for node in pair:
-                loss, grad = model.evaluate(node, case)
-                yield float(loss), grad
-        return
-    n_pairs, d = nodes.shape[1:]
-    losses, grads = evaluate_nodes(nodes.swapaxes(0, 1).reshape(2 * n_pairs, d), case)
-    yield from zip(losses.tolist(), grads)
+    for pair in nodes.swapaxes(0, 1):
+        for node in pair:
+            loss, grad = model.evaluate(node, case)
+            yield float(loss), grad
 
 
 def quadratic_approx(
@@ -120,6 +119,12 @@ def quadratic_approx(
 
     Coordinates with ``sigma == 0`` are never displaced and get curvature 0.
 
+    A model with ``evaluate_nodes`` gets the ``(2 * n_pairs, d)`` block of
+    nodes, plus nodes first, in one call, and the sums are formed over the
+    block.  Any other model is evaluated node by node, pair by pair, keeping
+    at most three of its gradients alive.  Both paths add each pair's terms
+    in pair order into zeroed sums, so they give the same bits.
+
     A non-finite evaluation makes the sums non-finite, so one check of the
     summary covers every node.  Only when it fails are the nodes evaluated
     again one by one, plus before minus, pair by pair, and the first
@@ -135,17 +140,33 @@ def quadratic_approx(
     loss_sum = 0.0
     grad_sum = np.zeros(d)
     curv_sum = np.zeros(d)
-    pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
+    evaluate_nodes = getattr(model, "evaluate_nodes", None)
     # Overflow and NaN are caught by the summary check below, not warned of.
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluations = _node_evaluations(model, case, nodes)
-        for s in signs:
-            loss_p, grad_p = next(evaluations)
-            loss_m, grad_m = next(evaluations)
-            loss_sum += loss_p + loss_m
-            grad_sum += np.add(grad_p, grad_m, out=pair)
-            np.subtract(grad_p, grad_m, out=pair)
-            curv_sum += np.multiply(pair, s, out=pair)
+        if evaluate_nodes is None:
+            pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
+            evaluations = _node_evaluations(model, case, nodes)
+            for s in signs:
+                loss_p, grad_p = next(evaluations)
+                loss_m, grad_m = next(evaluations)
+                loss_sum += loss_p + loss_m
+                grad_sum += np.add(grad_p, grad_m, out=pair)
+                np.subtract(grad_p, grad_m, out=pair)
+                curv_sum += np.multiply(pair, s, out=pair)
+        else:
+            # The same sums over the whole block: each pair's row is added
+            # in turn into the zeroed sums, as above.
+            losses, grads = evaluate_nodes(nodes.reshape(2 * n_pairs, d), case)
+            for loss in (losses[:n_pairs] + losses[n_pairs:]).tolist():
+                loss_sum += loss
+            plus, minus = grads[:n_pairs], grads[n_pairs:]
+            for row in plus + minus:
+                grad_sum += row
+            diff = plus - minus
+            diff *= signs
+            for row in diff:
+                curv_sum += row
+            pair = diff[0]  # scratch for the lines below
 
         # The returned arrays are allocated last, so they sit above this
         # call's temporaries in the heap.  Were they below, freeing the node

@@ -127,9 +127,9 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     # whose table parities XOR together.
     nbit = int(d - 1).bit_length()
     mask = (1 << nbit) - 1
-    k = ((k_start & mask) + np.arange(n_vectors)) & mask
+    k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
     x = np.arange(d) & k[:, None]
-    parity = _PARITY16[x & 0xFFFF]
+    parity = _PARITY16[x & 0xFFFF if nbit > 16 else x]
     for _ in range(16, nbit, 16):
         x >>= 16
         parity ^= _PARITY16[x & 0xFFFF]
@@ -176,7 +176,7 @@ def _reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray
         raise ValueError(
             f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}, signs {signs.shape}"
         )
-    if np.any(sigma < 0):
+    if (sigma < 0).any():
         raise ValueError("sigma must be nonnegative")
     nodes = np.empty((2,) + signs.shape)
     step = np.multiply(sigma, signs, out=nodes[1])

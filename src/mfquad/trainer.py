@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +95,12 @@ class TrainConfig:
         if not 0 < self.p_sieve_zero < 0.5 < self.p_sieve_one < 1:
             raise ValueError("need 0 < p_sieve_zero < 0.5 < p_sieve_one < 1")
 
-    @property
+    @cached_property
     def target_logit_zero(self) -> float:
         """Zero-logit pinned onto coordinates scheduled to vanish."""
         return math.log(1.0 / self.p_sieve_zero - 1.0)
 
-    @property
+    @cached_property
     def target_logit_one(self) -> float:
         """Zero-logit pinned onto coordinates held confidently nonzero."""
         return math.log(1.0 / self.p_sieve_one - 1.0)
@@ -239,7 +240,7 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     """
     hess = np.asarray(hess, dtype=np.float64)
     mean = np.asarray(slab_mean, dtype=np.float64)
-    if np.any(hess <= 0):
+    if (hess <= 0).any():
         raise ValueError("zero_logits needs strictly positive curvature")
     out = hess * slab_std_max**2
     np.log(out, out=out)
@@ -268,7 +269,8 @@ def sieve_map(
     is continuous whenever the hinges are distinct.  Degenerate cases:
     with one fraction zero the whole vector shifts uniformly onto the
     remaining anchor; with both zero the values pass through unchanged;
-    ties straddling coincident hinges sit at the undecided midpoint.
+    the middle ranks between coincident hinges, or hinges too close for a
+    finite slope, sit at the undecided midpoint.
     """
     values = np.asarray(values, dtype=np.float64)
     d = values.size
@@ -286,35 +288,46 @@ def sieve_map(
     # Select the hinge ranks instead of sorting: partition at the zero hinge,
     # then the part below it at the held hinge (one two-rank partition call
     # is several times slower).
-    scratch = np.partition(values, d - n_zero if n_zero else n_held - 1)
+    scratch = values.copy()
+    scratch.partition(d - n_zero if n_zero else n_held - 1)
     if n_zero and n_held:
         scratch[: d - n_zero].partition(n_held - 1)
-    # Each hinge is read back from values at the index the stable sort would
-    # rank there, which also keeps the sign of a zero hinge.
+    # Each hinge is the entry the stable sort would rank there, read back from
+    # values when ties make it matter, which also keeps the sign of a zero
+    # hinge.  Hinges are Python floats: their division overflows to inf
+    # without a warning.
     if n_zero == 0:
         _, ties, j = _rank_ties(values, scratch[n_held - 1], n_held - 1)
         out = values - values[ties[j]]
         out += target_held
         return out
-    below, ties0, j0 = _rank_ties(values, scratch[d - n_zero], d - n_zero)
-    z0 = values[ties0[j0]]  # smallest value scheduled to zero
     if n_held == 0:
-        out = values - z0
+        _, ties, j = _rank_ties(values, scratch[d - n_zero], d - n_zero)
+        out = values - values[ties[j]]
         out += target_zero
         return out
-    low, ties1, j1 = _rank_ties(values, scratch[n_held - 1], n_held - 1)
-    z1 = values[ties1[j1]]  # largest value scheduled to hold
-    low[ties1[: j1 + 1]] = True
-    top = np.logical_not(below, out=below)
-    top[ties0[:j0]] = False
+    z0 = float(scratch[d - n_zero])  # smallest value scheduled to zero
+    z1 = float(scratch[n_held - 1])  # largest value scheduled to hold
+    top, low = values >= z0, values <= z1
+    # A nonzero hinge tied with no entry outside its set gives its set by
+    # one comparison.
+    if not (z0 and z1 and np.count_nonzero(top) == n_zero
+            and np.count_nonzero(low) == n_held):
+        top, ties0, j0 = _rank_ties(values, z0, d - n_zero)
+        z0 = float(values[ties0[j0]])
+        low, ties1, j1 = _rank_ties(values, z1, n_held - 1)
+        z1 = float(values[ties1[j1]])
+        low[ties1[: j1 + 1]] = True
+        np.logical_not(top, out=top)
+        top[ties0[:j0]] = False
 
     out = values - z1
     np.add(out, target_held, out=scratch)
-    if z0 > z1:
-        slope = (target_zero - target_held) / (z0 - z1)
+    slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
+    if math.isfinite(slope):
         out *= slope
         out += target_held
-    else:
+    else:  # hinges coincide, or lie too close for a finite slope
         out.fill(0.5 * (target_zero + target_held))
     _copy_where(out, scratch, low, n_held)
     np.subtract(values, z0, out=scratch)
@@ -334,7 +347,7 @@ def _copy_where(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, count: int) 
     """
     n = mask.size
     if n >= 1024 and 0.05 * n < count < 0.8 * n:
-        idx = np.flatnonzero(mask)
+        idx = mask.nonzero()[0]
         dst[idx] = src[idx]
     else:
         np.copyto(dst, src, where=mask)
@@ -349,7 +362,7 @@ def _rank_ties(values: np.ndarray, z: float, rank: int):
     of that rank is ``ties[offset]``.
     """
     below = values < z
-    ties = np.flatnonzero(values == z)
+    ties = (values == z).nonzero()[0]
     return below, ties, rank - int(np.count_nonzero(below))
 
 
@@ -473,9 +486,9 @@ def run_epoch(
         st.realized_nonzero = (st.p_nonzero >= 0.5).astype(np.float64)
 
     epoch_loss = 0.0
-    for i, case in enumerate(rng.permutation(n_cases)):
+    for i, case in enumerate(rng.permutation(n_cases).tolist()):
         mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
-        snap = quadratic_approx(model, int(case), mu, sigma, st.seq_index, cf.n_pairs_per_case)
+        snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
         st.seq_index += cf.n_pairs_per_case
         epoch_loss += snap.loss
         t = (epoch - 1) + i / n_cases

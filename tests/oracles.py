@@ -65,10 +65,11 @@ def sieve_map(
     top, low, mid = order[d - n_zero :], order[:n_held], order[n_held : d - n_zero]
     out[top] = values[top] - z0 + target_zero
     out[low] = values[low] - z1 + target_held
-    if z0 > z1:
-        slope = (target_zero - target_held) / (z0 - z1)
+    # in Python floats, which overflow to inf without a warning
+    slope = (target_zero - target_held) / float(z0 - z1) if z0 > z1 else math.inf
+    if math.isfinite(slope):
         out[mid] = target_held + (values[mid] - z1) * slope
-    else:
+    else:  # coincident hinges, or too close for a finite slope
         out[mid] = 0.5 * (target_zero + target_held)
     return out
 

@@ -129,6 +129,26 @@ def test_logistic_evaluate_nodes_rows_match_scalar_oracle(labels, case, margins)
         assert one_loss == want_loss and one_grad.tobytes() == want_grad.tobytes()
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_logistic_evaluate_nodes_rows_on_non_contiguous_blocks(layout):
+    # One dot per row whatever the block's layout: each row matches the
+    # scalar oracle on that same row, a view with the block's strides.
+    data, _ = synth_sparse_logistic(d=37, k_true=5, n_cases=8, noise=0.5, seed=3)
+    model = LogisticModel(data)
+    rng = np.random.Generator(np.random.Philox(8))
+    nodes = 3.0 * rng.standard_normal((6, 37))
+    if layout == "fortran":
+        block = np.asfortranarray(nodes)
+    else:
+        block = np.repeat(nodes, 2, axis=1)[:, ::2]
+    assert not block.flags.c_contiguous and np.array_equal(block, nodes)
+    losses, grads = model.evaluate_nodes(block, 4)
+    for row, loss, grad in zip(block, losses, grads):
+        want_loss, want_grad = oracles.logistic_evaluate(model, row, 4)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_sigmoid_matches_mask_oracle():
     rng = np.random.Generator(np.random.Philox(3))
     edges = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 709.8, -745.2]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mfquad.models import QuadraticOracleModel
+from mfquad.models import Dataset, LogisticModel, QuadraticOracleModel
 from mfquad.projection import (
     EvaluationError,
     QuadraticSummary,
@@ -140,6 +140,54 @@ def test_quadratic_approx_matches_allocating_oracle(n_pairs):
     assert got.grad.tobytes() == want.grad.tobytes()
     assert got.hess.tobytes() == want.hess.tobytes()
     assert np.all(got.hess[[1, 4]] == 0.0)
+
+
+class WeightedBowl:
+    """loss = 0.5 * sum(w * theta**2), batched; a negative weight at a zero
+    coordinate gives -0.0 gradients, whose pair sum stays -0.0."""
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=float)
+
+    def evaluate(self, theta, case):
+        losses, grads = self.evaluate_nodes(theta[None, :], case)
+        return float(losses[0]), grads[0]
+
+    def evaluate_nodes(self, nodes, case):
+        return 0.5 * np.vecdot(nodes * nodes, self.w), nodes * self.w
+
+
+def _block_models():
+    rng = np.random.Generator(np.random.Philox(31))
+    features = rng.standard_normal((5, 7))
+    features[:, 2] = 0.0  # a zero feature column
+    logistic = LogisticModel(Dataset(features, np.array([1, 0, 1, 1, 0])))
+    w = rng.uniform(-2.0, 2.0, size=7)
+    w[[2, 5]] = -1.0
+    return {"logistic": logistic, "bowl": WeightedBowl(w)}
+
+
+@pytest.mark.parametrize("name", ["logistic", "bowl"])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 5])
+def test_block_sums_match_per_node_oracle(name, n_pairs, monkeypatch):
+    # A model with evaluate_nodes has its block summed whole, row by row into
+    # zeroed sums: the per-node loop's order, so every bit and every signed
+    # zero matches, at zero features, zero means and undisplaced coordinates.
+    model = _block_models()[name]
+    rng = np.random.Generator(np.random.Philox(n_pairs))
+    mu = rng.standard_normal(7)
+    sigma = rng.uniform(0.1, 1.5, size=7)
+    mu[[2, 4]] = 0.0
+    mu[5] = -0.0
+    sigma[[2, 5, 6]] = 0.0
+    got = quadratic_approx(model, 1, mu, sigma, 6, n_pairs)
+    # the oracle calls evaluate node by node, the logistic model's in scalar
+    # arithmetic
+    monkeypatch.setattr(LogisticModel, "evaluate", oracles.logistic_evaluate)
+    want = oracles.quadratic_approx(model, 1, mu, sigma, 6, n_pairs)
+    assert np.float64(got.loss).tobytes() == np.float64(want.loss).tobytes()
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert got.hess.tobytes() == want.hess.tobytes()
 
 
 def test_zero_sigma_coordinate_gets_zero_curvature():

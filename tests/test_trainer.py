@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mfquad.projection
 import mfquad.trainer
 import oracles
 from mfquad.meanfield import spike_slab_moments
@@ -219,6 +223,18 @@ def test_sieve_monotone_and_counts(vals, frac_zero, frac_held):
     n_held = min(math.ceil(frac_held * d), d - n_zero)
     assert np.sum(out >= LOG999 - 1e-12) >= n_zero
     assert np.sum(out <= -LOG999 + 1e-12) >= n_held
+
+
+@pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
+def test_sieve_hinges_too_close_for_a_finite_slope(sieve):
+    # Hinges one subnormal apart overflow the middle segment's slope; the
+    # middle ranks then sit at the midpoint, as between coincident hinges,
+    # instead of computing 0 * inf for the entry tied with the held hinge.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sieve(np.array([0.0, 0.0, 5e-324]), 1 / 3, 1 / 3)
+    assert np.isfinite(out).all()
+    assert out.tolist() == [-LOG999, 0.0, LOG999]
 
 
 # Integer-valued entries from a narrow range: most vectors tie at the hinges.
@@ -703,6 +719,44 @@ def test_run_epoch_model_calls_per_case(make_model, n_pairs, monkeypatch):
         assert calls == {"evaluate": 0, "evaluate_nodes": 16}
     else:
         assert calls == {"evaluate": 16 * 2 * n_pairs, "evaluate_nodes": 0}
+
+
+def test_per_case_path_calls_no_numpy_wrapper():
+    # Each of numpy's module-level wrappers (np.any, np.all, np.partition,
+    # the np.flatnonzero that calls two of them, ...) costs several Python
+    # calls where the ndarray method costs one; the per-case path (the three
+    # calls run_epoch makes per case, and all they call) uses the methods.
+    # A model with evaluate_nodes never enters the per-node generator.
+    model = _small_logistic(n_cases=16)
+    cf = TrainConfig(n_epochs=2)
+    rng = np.random.Generator(np.random.Philox(5))
+    state = init_state(model, 16, cf, rng)
+    entered = {"wrappers": [], "per_node": 0, "quadratic_approx": 0}
+    per_node = mfquad.projection._node_evaluations.__code__
+    approx = mfquad.projection.quadratic_approx.__code__
+    per_case = {f.__code__ for f in (spike_slab_moments, variational_update)} | {approx}
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        path = Path(frame.f_code.co_filename)
+        if path.name == "fromnumeric.py" and "numpy" in path.parts:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in per_case:
+                caller = caller.f_back
+            if caller is not None:
+                entered["wrappers"].append(frame.f_code.co_name)
+        entered["per_node"] += frame.f_code is per_node
+        entered["quadratic_approx"] += frame.f_code is approx
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for epoch in (1, 2):  # a sieved epoch, then the final one
+            run_epoch(state, model, 16, cf, epoch, rng)
+    finally:
+        sys.setprofile(previous)
+    assert entered == {"wrappers": [], "per_node": 0, "quadratic_approx": 32}
 
 
 def test_restart_swap_keeps_accumulators_apart():
