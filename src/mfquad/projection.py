@@ -83,22 +83,6 @@ def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _node_evaluations(model, case, nodes: np.ndarray):
-    """Yield ``(loss, grad)`` at each node of the ``(2, n_pairs, d)`` block,
-    one ``evaluate`` call per node, pair by pair, the plus node before the
-    minus node, each when the caller asks for it.
-
-    A caller that keeps one pair while it asks for the next then allocates
-    and frees gradients in the order of a plain loop over ``evaluate``, with
-    at most three alive; a fourth d = 25,450 gradient moves the heap top and
-    costs the MLP minor page faults on every case.
-    """
-    for pair in nodes.swapaxes(0, 1):
-        for node in pair:
-            loss, grad = model.evaluate(node, case)
-            yield float(loss), grad
-
-
 def quadratic_approx(
     model,
     case,
@@ -144,12 +128,15 @@ def quadratic_approx(
     # Overflow and NaN are caught by the summary check below, not warned of.
     with np.errstate(over="ignore", invalid="ignore"):
         if evaluate_nodes is None:
+            # Each new plus node is evaluated while the last pair's gradients
+            # are alive, so at most three are: a fourth d = 25,450 gradient
+            # moves the heap top and costs the MLP minor page faults on every
+            # case.
             pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
-            evaluations = _node_evaluations(model, case, nodes)
-            for s in signs:
-                loss_p, grad_p = next(evaluations)
-                loss_m, grad_m = next(evaluations)
-                loss_sum += loss_p + loss_m
+            for s, plus, minus in zip(signs, nodes[0], nodes[1]):
+                loss_p, grad_p = model.evaluate(plus, case)
+                loss_m, grad_m = model.evaluate(minus, case)
+                loss_sum += float(loss_p) + float(loss_m)
                 grad_sum += np.add(grad_p, grad_m, out=pair)
                 np.subtract(grad_p, grad_m, out=pair)
                 curv_sum += np.multiply(pair, s, out=pair)

@@ -11,7 +11,7 @@ Sign-vector construction for sequence index ``k``: with ``nbit`` the number
 of bits needed to index ``d`` coordinates, coordinate ``i`` gets the parity
 of ``popcount(i AND k)``, mapped to {-1, +1}.  Bits of ``k`` above ``nbit``
 never meet a set bit of ``i``, so the sequence is periodic in ``k`` with
-period ``2**nbit``.  Parities are read from a 16-bit lookup table.
+period ``2**nbit``.  Parities are the low bits of ``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ class AntitheticPair:
         return NodeSet(np.stack([self.plus, self.minus]), [self.weight, self.weight])
 
 
-def _parity_table(bits: int) -> np.ndarray:
-    """Parity (0 or 1) of the set bits of every integer below ``2**bits``."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        table = np.concatenate([table, table ^ 1])  # a new top bit flips the parity
-    return table
-
-
-_PARITY16 = _parity_table(16)
-
-
 def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     """Consecutive sign vectors ``k_start .. k_start + n_vectors - 1``.
 
@@ -123,16 +112,11 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     if k_start < 0 or n_vectors < 0:
         raise ValueError("sequence indices must be nonnegative")
     # Index bits above those of d - 1 never meet a set bit of i, so k is
-    # reduced to them and every i & k fits in ceil(nbit / 16) 16-bit chunks,
-    # whose table parities XOR together.
-    nbit = int(d - 1).bit_length()
-    mask = (1 << nbit) - 1
+    # reduced to them.
+    mask = (1 << int(d - 1).bit_length()) - 1
     k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
-    x = np.arange(d) & k[:, None]
-    parity = _PARITY16[x & 0xFFFF if nbit > 16 else x]
-    for _ in range(16, nbit, 16):
-        x >>= 16
-        parity ^= _PARITY16[x & 0xFFFF]
+    parity = np.bitwise_count(np.arange(d) & k[:, None])
+    parity &= 1
     signs = parity.astype(np.float64)
     signs *= 2.0
     signs -= 1.0

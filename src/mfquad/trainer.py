@@ -19,6 +19,7 @@ parameter vector.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import os
@@ -108,39 +109,30 @@ class TrainConfig:
 
 @dataclass
 class Accumulator:
-    """Running sum of quadratic snapshots: count, gradient, curvature, loss."""
+    """Running sum of quadratic snapshots: count, gradient, curvature (no
+    step reads their constant terms, so they are not kept)."""
 
     n: int
     grad: np.ndarray
     hess: np.ndarray
-    loss: float
 
-    def add(self, loss: float, grad: np.ndarray, hess: np.ndarray, hess_floor: float) -> None:
+    def add(self, grad: np.ndarray, hess: np.ndarray, hess_floor: float) -> None:
         """Fold in one snapshot; the summed curvature is floored at ``hess_floor``."""
         self.n += 1
         self.grad += grad
-        self.loss += loss
         self.hess += hess
         np.maximum(self.hess, hess_floor, out=self.hess)
 
     def recenter(self, delta: np.ndarray) -> None:
-        """Re-express the summed quadratic around a mean moved by ``delta``.
-
-        The surrogate it represents is unchanged as a function.
-        """
-        # loss += grad @ delta + 0.5 * (hess * delta) @ delta; grad += hess * delta
-        step = self.hess * delta
-        step *= 0.5
-        self.loss += float(self.grad @ delta + step @ delta)
-        np.multiply(self.hess, delta, out=step)
-        self.grad += step
+        """Re-express the summed gradient around a mean moved by ``delta``;
+        as a function of the point, the surrogate's gradient is unchanged."""
+        self.grad += self.hess * delta
 
     def reset(self) -> None:
         """Empty the sum."""
         self.n = 0
         self.grad.fill(0.0)
         self.hess.fill(0.0)
-        self.loss = 0.0
 
 
 @dataclass
@@ -270,7 +262,8 @@ def sieve_map(
     with one fraction zero the whole vector shifts uniformly onto the
     remaining anchor; with both zero the values pass through unchanged;
     the middle ranks between coincident hinges, or hinges too close for a
-    finite slope, sit at the undecided midpoint.
+    finite slope, sit at the undecided midpoint; hinges more than DBL_MAX
+    apart interpolate on halved values.
     """
     values = np.asarray(values, dtype=np.float64)
     d = values.size
@@ -321,18 +314,27 @@ def sieve_map(
         np.logical_not(top, out=top)
         top[ties0[:j0]] = False
 
-    out = values - z1
-    np.add(out, target_held, out=scratch)
-    slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
-    if math.isfinite(slope):
-        out *= slope
-        out += target_held
-    else:  # hinges coincide, or lie too close for a finite slope
-        out.fill(0.5 * (target_zero + target_held))
-    _copy_where(out, scratch, low, n_held)
-    np.subtract(values, z0, out=scratch)
-    scratch += target_zero
-    _copy_where(out, scratch, top, n_zero)
+    # Hinges more than DBL_MAX apart interpolate on halved values; only the
+    # entries an anchor segment discards can overflow there.
+    wide = z0 - z1 == math.inf
+    with np.errstate(over="ignore") if wide else contextlib.nullcontext():
+        out = values - z1
+        np.add(out, target_held, out=scratch)
+        if wide:
+            np.multiply(values, 0.5, out=out)
+            out -= 0.5 * z1
+            slope = (target_zero - target_held) / (0.5 * z0 - 0.5 * z1)
+        else:
+            slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
+        if math.isfinite(slope):
+            out *= slope
+            out += target_held
+        else:  # hinges coincide, or lie too close for a finite slope
+            out.fill(0.5 * (target_zero + target_held))
+        _copy_where(out, scratch, low, n_held)
+        np.subtract(values, z0, out=scratch)
+        scratch += target_zero
+        _copy_where(out, scratch, top, n_zero)
     return out
 
 
@@ -366,6 +368,18 @@ def _rank_ties(values: np.ndarray, z: float, rank: int):
     return below, ties, rank - int(np.count_nonzero(below))
 
 
+def _first_pass(n_cases: int, config: TrainConfig) -> tuple[int, float]:
+    """The snapshot count of a fresh run's virtual completed pass (the first
+    epoch's restart target, at least 1 or ValueError) and its ``hess_min``."""
+    n_prev = anneal_target(1, config.n_epochs, n_cases)
+    if n_prev < 1:
+        raise ValueError(
+            f"{n_cases} cases over {config.n_epochs} epochs leaves the first "
+            "epoch with an empty accumulator; reduce n_epochs or add cases"
+        )
+    return n_prev, 1.0 / (n_prev * config.lr_max)
+
+
 def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
     """Fresh trainer state with a tight isotropic marginal around the init.
 
@@ -374,12 +388,7 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
     first epoch's restart target.
     """
     d = model.n_params
-    n_prev = anneal_target(1, config.n_epochs, n_cases)
-    if n_prev < 1:
-        raise ValueError(
-            f"{n_cases} cases over {config.n_epochs} epochs leaves the first "
-            "epoch with an empty accumulator; reduce n_epochs or add cases"
-        )
+    n_prev, hess_min = _first_pass(n_cases, config)
     # A copy: the state's arrays are updated in place.
     slab_mean = np.array(model.init_params(rng), dtype=np.float64)
     n_q = config.n_pairs_per_case
@@ -390,17 +399,16 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
         zero_logit=np.zeros(d),
         p_nonzero=np.ones(d),
         realized_nonzero=np.ones(d),
-        prev=Accumulator(n_prev, np.zeros(d), np.full(d, 1.0 / config.lr_init), 0.0),
-        cur=Accumulator(0, np.zeros(d), np.zeros(d), 0.0),
+        prev=Accumulator(n_prev, np.zeros(d), np.full(d, 1.0 / config.lr_init)),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=seq_index,
-        hess_min=1.0 / (n_prev * config.lr_max),
+        hess_min=hess_min,
     )
 
 
 def variational_update(
     state: TrainState,
     config: TrainConfig,
-    loss: float,
     grad: np.ndarray,
     hess: np.ndarray,
     mu: np.ndarray,
@@ -409,16 +417,16 @@ def variational_update(
 ) -> None:
     """Fold one quadratic snapshot into the state and refresh the marginal.
 
-    Accumulates the snapshot, blends both passes, takes a damped diagonal
-    Newton step on the slab means, re-derives slab deviations from the
-    blended curvature, sieves the zero-logits per the sparsity schedule
-    (or applies the frozen decisions in the final epoch), and re-centers
-    the accumulated gradients and losses at the moved marginal mean.
+    Accumulates the snapshot's gradient and curvature, blends both passes,
+    takes a damped diagonal Newton step on the slab means, re-derives slab
+    deviations from the blended curvature, sieves the zero-logits per the
+    sparsity schedule (or applies the frozen decisions in the final epoch),
+    and re-centers the accumulated gradients at the moved marginal mean.
     ``mu`` is the mean the snapshot was expanded around (``state.mu``).
     """
     st, cf = state, config
     prev, cur = st.prev, st.cur
-    cur.add(loss, grad, hess, cf.slab_std_max**-2)
+    cur.add(grad, hess, cf.slab_std_max**-2)
 
     # Every full-length result below lands in the state's own arrays or in
     # the local vectors hess_hat, work and term, with the float operations
@@ -492,7 +500,7 @@ def run_epoch(
         st.seq_index += cf.n_pairs_per_case
         epoch_loss += snap.loss
         t = (epoch - 1) + i / n_cases
-        variational_update(st, cf, snap.loss, snap.grad, snap.hess, mu, t, final)
+        variational_update(st, cf, snap.grad, snap.hess, mu, t, final)
         if st.cur.n == target:
             st.prev, st.cur = st.cur, st.prev
             st.cur.reset()
@@ -522,11 +530,19 @@ def train(
     ``start = (state, epoch, rng)`` continues a run whose first ``epoch``
     epochs are done (as ``load_resume`` returns it) in place of a fresh one
     from ``seed``; the run then ends bit-identical to the uninterrupted one.
+    Raises ValueError when ``state.hess_min`` is not the one a fresh run on
+    ``n_cases`` cases under ``config`` starts with.
     """
     if start is None:
         rng = np.random.Generator(np.random.Philox(seed))
         start = (init_state(model, n_cases, config, rng), 0, rng)
     state, done, rng = start
+    _, hess_min = _first_pass(n_cases, config)
+    if state.hess_min != hess_min:
+        raise ValueError(
+            f"the state's hess_min {state.hess_min!r} is not {hess_min!r}, the one "
+            f"of a run on {n_cases} cases; resume on the run's own data"
+        )
     history = []
     for epoch in range(done + 1, config.n_epochs + 1):
         stats = run_epoch(state, model, n_cases, config, epoch, rng)
@@ -539,6 +555,7 @@ def train(
 # ------------------------------------------------------------ checkpoints
 
 # Format 2 stores each array as base64 of its little-endian float64 bytes.
+# The current pass is not stored: run_epoch empties it before its first case.
 _ARRAY_FIELDS = (
     "slab_mean",
     "slab_std",
@@ -546,18 +563,9 @@ _ARRAY_FIELDS = (
     "p_nonzero",
     "realized_nonzero",
     "grad_prev",
-    "grad_cur",
     "hess_prev",
-    "hess_cur",
 )
-_SCALAR_FIELDS = (
-    "n_prev",
-    "n_cur",
-    "loss_prev",
-    "loss_cur",
-    "seq_index",
-    "hess_min",
-)
+_SCALAR_FIELDS = ("n_prev", "seq_index", "hess_min")
 # Format 1 also stored the derived marginal, as float lists.
 _FORMAT_1_ARRAYS = ("mu", "sigma") + _ARRAY_FIELDS
 
@@ -570,12 +578,10 @@ _ARRAY_RANGES = {
 
 
 def _checkpoint_value(state: TrainState, key: str):
-    """Value stored under checkpoint ``key``: ``<name>_prev`` and
-    ``<name>_cur`` are fields of that accumulator."""
+    """Value stored under checkpoint ``key``: ``<name>_prev`` is a field of
+    the completed pass."""
     name, _, acc = key.rpartition("_")
-    if acc in ("prev", "cur"):
-        return getattr(getattr(state, acc), name)
-    return getattr(state, key)
+    return getattr(state.prev, name) if acc == "prev" else getattr(state, key)
 
 
 def _plain(value):
@@ -591,12 +597,13 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
 
     Format ``mfvi-ckpt-2``: each state array is base64 of its little-endian
     float64 bytes, so it loads bit for bit; ``mu``/``sigma`` are derived,
-    not stored; the scalars are JSON numbers; ``epoch`` and the Philox
-    state of ``rng``, the run's generator, let ``load_resume`` continue the
-    run.  Raises FloatingPointError naming the first non-finite field
-    before anything is written.  The file is written under a temporary
-    name in the same directory and renamed over ``path``, so ``path``
-    holds either its old content or the whole new checkpoint.
+    and the current pass, which the next epoch empties, is not stored; the
+    scalars are JSON numbers; ``epoch`` and the Philox state of ``rng``, the
+    run's generator, let ``load_resume`` continue the run.  Raises
+    FloatingPointError naming the first non-finite field before anything is
+    written.  The file is written under a temporary name in the same
+    directory and renamed over ``path``, so ``path`` holds either its old
+    content or the whole new checkpoint.
     """
     arrays = {k: _checkpoint_value(state, k) for k in _ARRAY_FIELDS}
     scalars = {k: _plain(_checkpoint_value(state, k)) for k in _SCALAR_FIELDS}
@@ -652,7 +659,8 @@ def _decoded(raw: dict, key: str) -> np.ndarray:
 
 
 def _checked_state(arrays: dict, raw: dict) -> TrainState:
-    """TrainState from a checkpoint's decoded ``arrays`` and ``state`` object.
+    """TrainState from a checkpoint's decoded ``arrays`` and ``state`` object,
+    with an empty current pass.
 
     Raises ValueError naming the first field that is missing, mistyped, of
     the wrong length, non-finite or out of range.
@@ -666,7 +674,7 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
             )
     for key in _SCALAR_FIELDS:
         v = raw.get(key)
-        if key in ("n_prev", "n_cur", "seq_index"):
+        if key != "hess_min":
             ok, want = type(v) is int and v >= 0, "a nonnegative integer"
         else:
             ok, want = type(v) in (int, float) and math.isfinite(v), "a finite number"
@@ -678,10 +686,8 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
         zero_logit=arrays["zero_logit"],
         p_nonzero=arrays["p_nonzero"],
         realized_nonzero=arrays["realized_nonzero"],
-        prev=Accumulator(
-            raw["n_prev"], arrays["grad_prev"], arrays["hess_prev"], raw["loss_prev"]
-        ),
-        cur=Accumulator(raw["n_cur"], arrays["grad_cur"], arrays["hess_cur"], raw["loss_cur"]),
+        prev=Accumulator(raw["n_prev"], arrays["grad_prev"], arrays["hess_prev"]),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=raw["seq_index"],
         hess_min=raw["hess_min"],
     )

@@ -23,15 +23,7 @@ import mfquad.trainer
 from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
 from mfquad.quadrature import NodeSet, simplex_sigma_points
-from mfquad.trainer import (
-    _FORMAT_1_ARRAYS,
-    _SCALAR_FIELDS,
-    Accumulator,
-    _checkpoint_value,
-    _plain,
-    hybrid_coeffs,
-    sparsity_schedule,
-)
+from mfquad.trainer import Accumulator, _plain, hybrid_coeffs, sparsity_schedule
 
 
 def sieve_map(
@@ -65,10 +57,13 @@ def sieve_map(
     top, low, mid = order[d - n_zero :], order[:n_held], order[n_held : d - n_zero]
     out[top] = values[top] - z0 + target_zero
     out[low] = values[low] - z1 + target_held
-    # in Python floats, which overflow to inf without a warning
-    slope = (target_zero - target_held) / float(z0 - z1) if z0 > z1 else math.inf
+    # in Python floats, which overflow to inf without a warning; a gap that
+    # overflows is interpolated on halved values
+    z0, z1 = float(z0), float(z1)
+    h = 0.5 if z0 - z1 == math.inf else 1.0
+    slope = (target_zero - target_held) / (h * z0 - h * z1) if z0 > z1 else math.inf
     if math.isfinite(slope):
-        out[mid] = target_held + (values[mid] - z1) * slope
+        out[mid] = target_held + (values[mid] * h - h * z1) * slope
     else:  # coincident hinges, or too close for a finite slope
         out[mid] = 0.5 * (target_zero + target_held)
     return out
@@ -223,15 +218,13 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
 # Accumulator.add, .recenter and .reset, rebinding fresh arrays.
 
 
-def accumulator_add(self, loss, grad, hess, hess_floor) -> None:
+def accumulator_add(self, grad, hess, hess_floor) -> None:
     self.n += 1
     self.grad = self.grad + grad
-    self.loss += loss
     self.hess = np.maximum(self.hess + hess, hess_floor)
 
 
 def accumulator_recenter(self, delta) -> None:
-    self.loss += float(self.grad @ delta + 0.5 * (self.hess * delta) @ delta)
     self.grad = self.grad + self.hess * delta
 
 
@@ -239,14 +232,13 @@ def accumulator_reset(self) -> None:
     self.n = 0
     self.grad = np.zeros_like(self.grad)
     self.hess = np.zeros_like(self.hess)
-    self.loss = 0.0
 
 
-def variational_update(state, config, loss, grad, hess, mu, t, final_epoch=False) -> None:
+def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> None:
     """``trainer.variational_update`` with a fresh array for every step."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
-    cur.add(loss, grad, hess, cf.slab_std_max**-2)
+    cur.add(grad, hess, cf.slab_std_max**-2)
 
     a0, a1 = hybrid_coeffs(prev.n, cur.n)
     grad_hat = a0 * prev.grad + a1 * cur.grad
@@ -295,15 +287,30 @@ def patch_all(monkeypatch) -> None:
         monkeypatch.setattr(module, name, oracle)
 
 
+# Format 1 stored both passes, their summed snapshot losses and the derived
+# marginal; the loader reads none of the current pass and no loss.
+_V1_ARRAYS = ("mu", "sigma", "slab_mean", "slab_std", "zero_logit", "p_nonzero",
+              "realized_nonzero", "grad_prev", "grad_cur", "hess_prev", "hess_cur")
+_V1_SCALARS = ("n_prev", "n_cur", "loss_prev", "loss_cur", "seq_index", "hess_min")
+
+
+def _v1_value(state, key):
+    name, _, acc = key.rpartition("_")
+    if acc not in ("prev", "cur"):
+        return getattr(state, key)
+    return 0.0 if name == "loss" else getattr(getattr(state, acc), name)
+
+
 def save_checkpoint_v1(path, state, config) -> None:
     """Format ``mfvi-ckpt-1``: indented JSON float lists at full round-trip
-    precision, with the derived ``mu`` and ``sigma``, no epoch, no generator."""
+    precision, with the derived ``mu`` and ``sigma``, no epoch, no generator;
+    the losses, which the state no longer keeps, are written as 0."""
     payload = {
         "format": "mfvi-ckpt-1",
         "config": {f.name: _plain(getattr(config, f.name)) for f in fields(config)},
         "state": {
-            **{k: _checkpoint_value(state, k).tolist() for k in _FORMAT_1_ARRAYS},
-            **{k: _checkpoint_value(state, k) for k in _SCALAR_FIELDS},
+            **{k: _v1_value(state, k).tolist() for k in _V1_ARRAYS},
+            **{k: _plain(_v1_value(state, k)) for k in _V1_SCALARS},
         },
     }
     with open(path, "w") as fh:

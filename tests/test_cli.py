@@ -498,6 +498,25 @@ def test_train_resume_errors(tmp_path, capsys):
     assert main(base + ["--config", str(config), "--resume", str(tmp_path / "nope.json")]) == 3
 
 
+def test_train_resume_rejects_other_data(tmp_path, capsys):
+    # A checkpoint's hess_min must be the one a fresh run on --data starts
+    # with: data with another first restart target, or too few cases for
+    # the schedule, exits 2 with one line.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_epochs": 4}))
+    run = tmp_path / "run"
+    base = ["train", "--config", str(config)]
+    assert main(base + ["--data", "synth:d=8,k=2,n=64,nval=16", "--out", str(run)]) == 0
+    base += ["--out", str(tmp_path / "resumed"), "--resume", str(run / "checkpoint.json")]
+    for n, match in ((32, "hess_min"), (4, "empty accumulator")):
+        capsys.readouterr()
+        assert main(base + ["--data", f"synth:d=8,k=2,n={n},nval=16"]) == 2, n
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert match in err, err
+    assert main(base + ["--data", "synth:d=8,k=2,n=64,nval=16"]) == 0
+
+
 def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
     # Each bad field of a format-2 file raises ValueError naming it, and
     # through --resume exits 2 with one config error line.
@@ -523,8 +542,8 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
     cases = [
         (put("slab_mean", "not base64!"), "slab_mean"),
         (put("slab_std", payload["state"]["slab_std"][:-1]), "slab_std"),  # bad padding
-        (put("hess_cur", 17), "hess_cur"),
-        (put("grad_cur", base64.b64encode(b"\0" * 7).decode()), "grad_cur"),
+        (put("hess_prev", 17), "hess_prev"),
+        (put("grad_prev", base64.b64encode(b"\0" * 7).decode()), "grad_prev"),
         (put("hess_prev", b64(np.ones(d + 1))), "hess_prev"),
         (put("grad_prev", b64(np.ones(d - 1))), "grad_prev"),
         (put("zero_logit", b64(nan_at_2)), "zero_logit"),
@@ -565,15 +584,15 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
     assert main(argv) == 0
 
 
-@pytest.mark.parametrize("field", ["loss_cur", "slab_mean"])
+@pytest.mark.parametrize("field", ["hess_min", "slab_mean"])
 def test_train_non_finite_state_exits_4(tmp_path, monkeypatch, capsys, field):
     # A state the checkpoint writer refuses ends in one numerical failure
     # line, and the run writes no file at all.
     real = mfquad.trainer.save_checkpoint
 
     def poisoned(path, state, *rest):
-        if field == "loss_cur":
-            state.cur.loss = float("inf")
+        if field == "hess_min":
+            state.hess_min = float("inf")
         else:
             state.slab_mean[0] = float("nan")
         return real(path, state, *rest)

@@ -1,5 +1,6 @@
 """Trainer oracles: blend identities, schedules, sieve, update invariants."""
 
+import base64
 import copy
 import json
 import math
@@ -237,6 +238,19 @@ def test_sieve_hinges_too_close_for_a_finite_slope(sieve):
     assert out.tolist() == [-LOG999, 0.0, LOG999]
 
 
+@pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
+def test_sieve_hinges_further_apart_than_dbl_max(sieve):
+    # The hinges' gap overflows; the middle is interpolated on halved values,
+    # so the entry halfway between the hinges lands on the midpoint 0, and
+    # the anchored entries that overflow are discarded without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sieve(np.array([-1.5e308, -1e308, 0.0, 1e308, 1.5e308]), 0.4, 0.4)
+    assert np.isfinite(out).all()
+    assert out[1:4].tolist() == [-LOG999, 0.0, LOG999]
+    assert out[0] < out[1] and out[4] > out[3]
+
+
 # Integer-valued entries from a narrow range: most vectors tie at the hinges.
 _TIED_VALUES = st.lists(
     st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=40
@@ -383,8 +397,8 @@ def hand_state(d=1):
         zero_logit=np.zeros(d),
         p_nonzero=np.ones(d),
         realized_nonzero=np.ones(d),
-        prev=Accumulator(4, np.full(d, 2.0), np.full(d, 10.0), 1.0),
-        cur=Accumulator(0, np.zeros(d), np.zeros(d), 0.0),
+        prev=Accumulator(4, np.full(d, 2.0), np.full(d, 10.0)),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=0,
         hess_min=0.25,
     )
@@ -401,7 +415,6 @@ def test_variational_update_hand_computed():
     variational_update(
         state,
         cf,
-        loss=3.0,
         grad=np.array([1.25]),
         hess=np.array([6.25]),
         mu=state.mu,
@@ -421,7 +434,7 @@ def test_variational_update_curvature_floor():
     cf = TrainConfig(slab_std_max=0.5)
     state = hand_state()
     variational_update(
-        state, cf, loss=0.0, grad=np.array([0.0]), hess=np.array([1e-9]), mu=state.mu, t=1.0
+        state, cf, grad=np.array([0.0]), hess=np.array([1e-9]), mu=state.mu, t=1.0
     )
     assert state.cur.hess[0] == pytest.approx(4.0)
     # slab deviation respects the cap thanks to the floor and a1 >= 1
@@ -436,7 +449,7 @@ def test_variational_update_step_floor_limits_step():
     state.prev.hess[:] = 0.0
     state.prev.grad[:] = 0.0
     variational_update(
-        state, cf, loss=0.0, grad=np.array([1.0]), hess=np.array([1e-8]), mu=state.mu, t=1.0
+        state, cf, grad=np.array([1.0]), hess=np.array([1e-8]), mu=state.mu, t=1.0
     )
     # blended grad = 1.6, floor = 4 * 0.25 = 1.0 -> step exactly 1.6
     assert state.slab_mean[0] == pytest.approx(0.5 - 1.6, rel=1e-12)
@@ -453,7 +466,6 @@ def test_variational_update_spike_slab_moments_match():
     variational_update(
         state,
         cf,
-        loss=1.0,
         grad=rng.standard_normal(5),
         hess=rng.random(5) + 0.5,
         mu=state.mu,
@@ -466,7 +478,7 @@ def test_variational_update_spike_slab_moments_match():
 
 def test_variational_update_recentering_invariance():
     # The stored accumulators represent quadratic surrogates; re-centering
-    # at the moved mean must not change their value at any fixed point.
+    # at the moved mean must not change their gradient at any fixed point.
     cf = TrainConfig()
     state = hand_state(d=3)
     rng = np.random.Generator(np.random.Philox(4))
@@ -476,22 +488,19 @@ def test_variational_update_recentering_invariance():
 
     probes = [rng.standard_normal(3) for _ in range(3)]
 
-    def prev_surrogate(at):
-        z = at - state.mu
-        prev = state.prev
-        return prev.loss + prev.grad @ z + 0.5 * (prev.hess * z) @ z
+    def prev_gradient(at):
+        return state.prev.grad + state.prev.hess * (at - state.mu)
 
-    before = [prev_surrogate(p) for p in probes]
+    before = [prev_gradient(p) for p in probes]
     variational_update(
         state,
         cf,
-        loss=0.7,
         grad=rng.standard_normal(3),
         hess=rng.random(3) + 0.2,
         mu=state.mu,
         t=3.2,
     )
-    after = [prev_surrogate(p) for p in probes]
+    after = [prev_gradient(p) for p in probes]
     assert_allclose(after, before, rtol=1e-10, atol=1e-10)
 
 
@@ -502,7 +511,6 @@ def test_variational_update_final_epoch_uses_frozen_decisions():
     variational_update(
         state,
         cf,
-        loss=0.0,
         grad=np.zeros(4),
         hess=np.ones(4),
         mu=state.mu,
@@ -642,7 +650,7 @@ def test_training_matches_allocating_oracles(make_model, monkeypatch):
         assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
     for acc in ("prev", "cur"):
         a, b = getattr(fast, acc), getattr(slow, acc)
-        assert (a.n, a.loss) == (b.n, b.loss), acc
+        assert a.n == b.n, acc
         assert a.grad.tobytes() == b.grad.tobytes(), acc
         assert a.hess.tobytes() == b.hess.tobytes(), acc
     assert (fast.seq_index, fast.hess_min) == (slow.seq_index, slow.hess_min)
@@ -660,7 +668,7 @@ def test_variational_update_leaves_caller_arrays_alone(final_epoch):
     rng = np.random.Generator(np.random.Philox(2))
     grad, hess, mu = rng.standard_normal(5), rng.random(5) + 0.5, state.mu
     kept = grad.copy(), hess.copy(), mu.copy()
-    variational_update(state, cf, 1.0, grad, hess, mu, t=2.5, final_epoch=final_epoch)
+    variational_update(state, cf, grad, hess, mu, t=2.5, final_epoch=final_epoch)
     for arg, before in zip((grad, hess, mu), kept):
         assert_array_equal(arg, before)
     for buf in _state_buffers(state).values():
@@ -726,13 +734,11 @@ def test_per_case_path_calls_no_numpy_wrapper():
     # the np.flatnonzero that calls two of them, ...) costs several Python
     # calls where the ndarray method costs one; the per-case path (the three
     # calls run_epoch makes per case, and all they call) uses the methods.
-    # A model with evaluate_nodes never enters the per-node generator.
     model = _small_logistic(n_cases=16)
     cf = TrainConfig(n_epochs=2)
     rng = np.random.Generator(np.random.Philox(5))
     state = init_state(model, 16, cf, rng)
-    entered = {"wrappers": [], "per_node": 0, "quadratic_approx": 0}
-    per_node = mfquad.projection._node_evaluations.__code__
+    entered = {"wrappers": [], "quadratic_approx": 0}
     approx = mfquad.projection.quadratic_approx.__code__
     per_case = {f.__code__ for f in (spike_slab_moments, variational_update)} | {approx}
 
@@ -746,7 +752,6 @@ def test_per_case_path_calls_no_numpy_wrapper():
                 caller = caller.f_back
             if caller is not None:
                 entered["wrappers"].append(frame.f_code.co_name)
-        entered["per_node"] += frame.f_code is per_node
         entered["quadratic_approx"] += frame.f_code is approx
 
     previous = sys.getprofile()
@@ -756,7 +761,7 @@ def test_per_case_path_calls_no_numpy_wrapper():
             run_epoch(state, model, 16, cf, epoch, rng)
     finally:
         sys.setprofile(previous)
-    assert entered == {"wrappers": [], "per_node": 0, "quadratic_approx": 32}
+    assert entered == {"wrappers": [], "quadratic_approx": 32}
 
 
 def test_restart_swap_keeps_accumulators_apart():
@@ -797,7 +802,7 @@ def _assert_same_state(a, b):
         x, y = getattr(a, acc), getattr(b, acc)
         assert x.grad.tobytes() == y.grad.tobytes(), acc
         assert x.hess.tobytes() == y.hess.tobytes(), acc
-        assert (x.n, x.loss) == (y.n, y.loss), acc
+        assert x.n == y.n, acc
     assert (a.seq_index, a.hess_min) == (b.seq_index, b.hess_min)
 
 
@@ -826,7 +831,7 @@ def test_checkpoint_roundtrip(tmp_path):
         a, b = getattr(loaded, acc), getattr(state, acc)
         assert_array_equal(a.grad, b.grad)
         assert_array_equal(a.hess, b.hess)
-        assert (a.n, a.loss) == (b.n, b.loss)
+        assert a.n == b.n
     assert loaded.seq_index == state.seq_index
     assert loaded.hess_min == state.hess_min
     _, _, epoch, loaded_rng = load_resume(path)
@@ -842,7 +847,7 @@ def test_checkpoint_formats_load_bit_identical(tmp_path):
     # bytes) of the same state load to the same bits; format 2 stores no
     # mu/sigma and is resumable, format 1 is not.
     state, cf, rng = _trained_run(epochs_done=1)
-    state.prev.loss, state.slab_mean[0] = -0.0, -0.0  # signs survive both
+    state.prev.grad[0], state.slab_mean[0] = -0.0, -0.0  # signs survive both
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     oracles.save_checkpoint_v1(v1, state, cf)
     save_checkpoint(v2, state, cf, 1, rng)
@@ -850,7 +855,7 @@ def test_checkpoint_formats_load_bit_identical(tmp_path):
     assert cf_a == cf_b == cf
     _assert_same_state(a, state)
     _assert_same_state(b, state)
-    assert math.copysign(1.0, b.prev.loss) == -1.0
+    assert math.copysign(1.0, b.prev.grad[0]) == -1.0
     doc = json.loads(v2.read_text())
     assert doc["format"] == "mfvi-ckpt-2"
     assert "mu" not in doc["state"] and "sigma" not in doc["state"]
@@ -912,14 +917,14 @@ def test_checkpoint_rejects_invalid_state(tmp_path):
 
     cases = [
         (lambda st: st.__setitem__("mu", st["mu"][:3]), "mu"),
-        (lambda st: st.__setitem__("grad_cur", st["grad_cur"] + [0.0]), "grad_cur"),
+        (lambda st: st.__setitem__("grad_prev", st["grad_prev"] + [0.0]), "grad_prev"),
         (lambda st: st.__setitem__("slab_mean", [st["slab_mean"]]), "slab_mean"),
         (set_entry("hess_prev", 2, float("nan")), "hess_prev"),
         (set_entry("zero_logit", 0, float("inf")), "zero_logit"),
         (set_entry("p_nonzero", 0, 7.0), "p_nonzero"),
         (set_entry("realized_nonzero", 1, -1.0), "realized_nonzero"),
         (set_entry("slab_std", 3, -state.slab_std[3]), "slab_std"),
-        (lambda st: st.__setitem__("loss_cur", float("nan")), "loss_cur"),
+        (lambda st: st.__setitem__("hess_min", float("nan")), "hess_min"),
         (lambda st: st.__setitem__("n_prev", 2.5), "n_prev"),
         (lambda st: st.pop("seq_index"), "seq_index"),
         (set_entry("mu", 0, payload["state"]["mu"][0] + 1e-3), "mu"),
@@ -939,13 +944,13 @@ def test_checkpoint_rejects_invalid_state(tmp_path):
     load_checkpoint(edited(lambda st: None))
 
 
-@pytest.mark.parametrize("field", ["loss_cur", "slab_mean"])
+@pytest.mark.parametrize("field", ["hess_min", "slab_mean"])
 def test_checkpoint_refuses_non_finite_state(tmp_path, field):
     # JSON would write NaN/Infinity tokens that no loader accepts; the writer
     # names the field and writes nothing, not even a temporary file.
     state, cf, rng = _trained_run()
-    if field == "loss_cur":
-        state.cur.loss = math.inf
+    if field == "hess_min":
+        state.hess_min = math.inf
     else:
         state.slab_mean[3] = math.nan
     with pytest.raises(FloatingPointError, match=f"'{field}'"):
@@ -987,3 +992,34 @@ def test_train_resumes_bit_identical():
     resumed, tail = train(model, 64, cf, seed=99, start=(state, 2, rng))
     assert resumed is state and head + tail == whole_hist
     _assert_same_state(resumed, whole)
+
+
+def test_checkpoint_drops_the_current_pass(tmp_path):
+    # Each epoch empties the current pass before its first case, so the
+    # checkpoint does not store it.  A run saved with a partial current
+    # pass resumes to the uninterrupted run's bits, from today's layout and
+    # from the earlier format-2 layout that also stored the current pass and
+    # the accumulated losses.
+    model = _small_logistic(n_cases=22)
+    cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
+    whole, whole_hist = train(model, 22, cf, seed=3)
+    rng = np.random.Generator(np.random.Philox(3))
+    state = init_state(model, 22, cf, rng)
+    head = [run_epoch(state, model, 22, cf, 1, rng)]
+    assert state.cur.n == 2  # restarts every floor(22 / 4) = 5 cases
+    path, earlier = tmp_path / "checkpoint.json", tmp_path / "earlier.json"
+    save_checkpoint(path, state, cf, 1, rng)
+    doc = json.loads(path.read_text())
+    dropped = {"grad_cur": state.cur.grad, "hess_cur": state.cur.hess}
+    assert not {*dropped, "n_cur", "loss_prev", "loss_cur"} & set(doc["state"])
+    for key, a in dropped.items():
+        doc["state"][key] = base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+    doc["state"].update(n_cur=state.cur.n, loss_prev=1.5, loss_cur=-0.25)
+    earlier.write_text(json.dumps(doc))
+    for p in (path, earlier):
+        loaded, loaded_cf, epoch, loaded_rng = load_resume(p)
+        cur = loaded.cur
+        assert (cur.n, cur.grad.any(), cur.hess.any()) == (0, False, False), p.name
+        resumed, tail = train(model, 22, loaded_cf, start=(loaded, epoch, loaded_rng))
+        assert head + tail == whole_hist, p.name
+        _assert_same_state(resumed, whole)
