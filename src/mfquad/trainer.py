@@ -152,6 +152,7 @@ class TrainState:
     cur: Accumulator          # snapshots of the accumulating pass
     seq_index: int            # next sign-vector index to consume
     hess_min: float           # per-snapshot curvature floor scale
+    n_cases: int | None = None  # cases of the run's data; None if not recorded
 
     @property
     def mu(self) -> np.ndarray:
@@ -403,6 +404,7 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
         cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=seq_index,
         hess_min=hess_min,
+        n_cases=n_cases,
     )
 
 
@@ -449,7 +451,8 @@ def variational_update(
     np.maximum(hess_hat, step_floor, out=term)
     work /= term
     st.slab_mean -= work
-    np.power(hess_hat, -0.5, out=st.slab_std)
+    np.sqrt(hess_hat, out=st.slab_std)  # slab_std = 1 / sqrt(hess_hat)
+    np.divide(1.0, st.slab_std, out=st.slab_std)
 
     if final_epoch:
         np.copyto(st.p_nonzero, st.realized_nonzero)
@@ -461,9 +464,13 @@ def variational_update(
         st.zero_logit = sieve_map(
             raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one
         )
-        p = np.logaddexp(0.0, st.zero_logit, out=st.p_nonzero)
-        np.negative(p, out=p)
-        np.exp(p, out=p)
+        # p_nonzero = 1 / (1 + exp(zero_logit)); where exp overflows
+        # (zero_logit > 709.78) p = 0, less than 2**-1022 from the exact value
+        p = st.p_nonzero
+        with np.errstate(over="ignore"):
+            np.exp(st.zero_logit, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
 
     delta = np.multiply(st.p_nonzero, st.slab_mean, out=work)  # new mean - old mu
     delta -= mu
@@ -530,14 +537,23 @@ def train(
     ``start = (state, epoch, rng)`` continues a run whose first ``epoch``
     epochs are done (as ``load_resume`` returns it) in place of a fresh one
     from ``seed``; the run then ends bit-identical to the uninterrupted one.
-    Raises ValueError when ``state.hess_min`` is not the one a fresh run on
-    ``n_cases`` cases under ``config`` starts with.
+    Raises ValueError when ``state.n_cases`` is not ``n_cases``, or when
+    ``state.hess_min`` is not the one a fresh run on ``n_cases`` cases under
+    ``config`` starts with.  A state that records no case count (read from a
+    checkpoint written without one) takes ``n_cases``.
     """
     if start is None:
         rng = np.random.Generator(np.random.Philox(seed))
         start = (init_state(model, n_cases, config, rng), 0, rng)
     state, done, rng = start
     _, hess_min = _first_pass(n_cases, config)
+    if state.n_cases is None:
+        state.n_cases = n_cases
+    elif state.n_cases != n_cases:
+        raise ValueError(
+            f"the state is of a run on {state.n_cases} cases, not {n_cases}; "
+            "resume on the run's own data"
+        )
     if state.hess_min != hess_min:
         raise ValueError(
             f"the state's hess_min {state.hess_min!r} is not {hess_min!r}, the one "
@@ -598,8 +614,9 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
     Format ``mfvi-ckpt-2``: each state array is base64 of its little-endian
     float64 bytes, so it loads bit for bit; ``mu``/``sigma`` are derived,
     and the current pass, which the next epoch empties, is not stored; the
-    scalars are JSON numbers; ``epoch`` and the Philox state of ``rng``, the
-    run's generator, let ``load_resume`` continue the run.  Raises
+    scalars are JSON numbers (``n_cases`` only when the state records it);
+    ``epoch`` and the Philox state of ``rng``, the run's generator, let
+    ``load_resume`` continue the run.  Raises
     FloatingPointError naming the first non-finite field before anything is
     written.  The file is written under a temporary name in the same
     directory and renamed over ``path``, so ``path`` holds either its old
@@ -607,6 +624,8 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
     """
     arrays = {k: _checkpoint_value(state, k) for k in _ARRAY_FIELDS}
     scalars = {k: _plain(_checkpoint_value(state, k)) for k in _SCALAR_FIELDS}
+    if state.n_cases is not None:
+        scalars["n_cases"] = _plain(state.n_cases)
     for key, value in (*arrays.items(), *scalars.items()):
         if type(value) is not int and not np.all(np.isfinite(value)):
             raise FloatingPointError(f"checkpoint field {key!r} holds a non-finite value")
@@ -680,6 +699,11 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
             ok, want = type(v) in (int, float) and math.isfinite(v), "a finite number"
         if not ok:
             raise ValueError(f"checkpoint field {key!r} must be {want}, got {v!r}")
+    n_cases = raw.get("n_cases")  # absent from files written before it was stored
+    if n_cases is not None and (type(n_cases) is not int or n_cases < 1):
+        raise ValueError(
+            f"checkpoint field 'n_cases' must be a positive integer, got {n_cases!r}"
+        )
     return TrainState(
         slab_mean=arrays["slab_mean"],
         slab_std=arrays["slab_std"],
@@ -690,6 +714,7 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
         cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=raw["seq_index"],
         hess_min=raw["hess_min"],
+        n_cases=n_cases,
     )
 
 

@@ -234,6 +234,29 @@ def accumulator_reset(self) -> None:
     self.hess = np.zeros_like(self.hess)
 
 
+def keep_probability(zero_logit):
+    """``p_nonzero = 1 / (1 + exp(zero_logit))``; an overflowing exp gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(zero_logit))
+
+
+def slab_deviation(hess_hat):
+    """``slab_std = 1 / sqrt(hess_hat)``."""
+    return 1.0 / np.sqrt(hess_hat)
+
+
+# The update's earlier forms of the two formulas above, which differ from
+# them in the last bits: the reference that tests/test_drift.py patches in.
+
+
+def keep_probability_logaddexp(zero_logit):
+    return np.exp(-np.logaddexp(0.0, zero_logit))
+
+
+def slab_deviation_power(hess_hat):
+    return hess_hat**-0.5
+
+
 def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> None:
     """``trainer.variational_update`` with a fresh array for every step."""
     st, cf = state, config
@@ -247,7 +270,7 @@ def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> N
     step_floor = max(prev.n, cur.n) * st.hess_min
     slab_grad = grad_hat + hess_hat * (st.slab_mean - mu)
     st.slab_mean = st.slab_mean - slab_grad / np.maximum(hess_hat, step_floor)
-    st.slab_std = hess_hat**-0.5
+    st.slab_std = slab_deviation(hess_hat)
 
     if final_epoch:
         st.p_nonzero = st.realized_nonzero.copy()
@@ -259,7 +282,7 @@ def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> N
         st.zero_logit = sieve_map(
             raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one
         )
-        st.p_nonzero = np.exp(-np.logaddexp(0.0, st.zero_logit))
+        st.p_nonzero = keep_probability(st.zero_logit)
 
     delta = st.mu - mu
     prev.recenter(delta)

@@ -499,22 +499,36 @@ def test_train_resume_errors(tmp_path, capsys):
 
 
 def test_train_resume_rejects_other_data(tmp_path, capsys):
-    # A checkpoint's hess_min must be the one a fresh run on --data starts
-    # with: data with another first restart target, or too few cases for
-    # the schedule, exits 2 with one line.
+    # A checkpoint records its run's case count: data with another count
+    # exits 2 with one line, also when it keeps the first restart target and
+    # so hess_min (n = 71).  A file written before the count was stored
+    # still has hess_min checked, and resumes the run's own data to the
+    # bytes a file with the count gives.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_epochs": 4}))
-    run = tmp_path / "run"
-    base = ["train", "--config", str(config)]
-    assert main(base + ["--data", "synth:d=8,k=2,n=64,nval=16", "--out", str(run)]) == 0
-    base += ["--out", str(tmp_path / "resumed"), "--resume", str(run / "checkpoint.json")]
-    for n, match in ((32, "hess_min"), (4, "empty accumulator")):
+    run, ckpt = tmp_path / "run", tmp_path / "run" / "checkpoint.json"
+    data = "synth:d=8,k=2,n=64,nval=16"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
+    payload = json.loads(ckpt.read_text())
+    assert payload["state"].pop("n_cases") == 64
+    uncounted = tmp_path / "uncounted.json"
+    uncounted.write_text(json.dumps(payload))
+    cases = [(ckpt, "n=71,nval=16,seed=5", "64 cases, not 71"),
+             (ckpt, "n=32,nval=16", "64 cases, not 32"),
+             (ckpt, "n=4,nval=16", "empty accumulator"),
+             (uncounted, "n=32,nval=16", "hess_min")]
+    for path, spec, match in cases:
         capsys.readouterr()
-        assert main(base + ["--data", f"synth:d=8,k=2,n={n},nval=16"]) == 2, n
+        assert main(["train", "--config", str(config), "--data", f"synth:d=8,k=2,{spec}",
+                     "--out", str(tmp_path / "resumed"), "--resume", str(path)]) == 2, spec
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert match in err, err
-    assert main(base + ["--data", "synth:d=8,k=2,n=64,nval=16"]) == 0
+    for path in (ckpt, uncounted):
+        out = tmp_path / f"from-{path.stem}"
+        assert main(["train", "--config", str(config), "--data", data,
+                     "--out", str(out), "--resume", str(path)]) == 0
+        assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
 
 
 def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
@@ -555,6 +569,9 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
         (put("epoch", True), "epoch"),
         (put("epoch", -1), "epoch"),
         (put("epoch", 3), "epoch"),
+        (put("n_cases", 0), "n_cases"),
+        (put("n_cases", 96.0), "n_cases"),
+        (put("n_cases", True), "n_cases"),
         (lambda st: st.pop("rng"), "rng"),
         (put("rng", "philox"), "rng"),
         (rng_edit(lambda r: r.__setitem__("bit_generator", "PCG64")), "rng"),

@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import decimal
 import json
 import math
 import sys
@@ -407,7 +408,7 @@ def hand_state(d=1):
 def test_variational_update_hand_computed():
     # Chosen so the blended quantities are exact: blend (4,1) -> (0.6, 1.6),
     # grad_hat = 0.6*2 + 1.6*1.25 = 3.2, hess_hat = 0.6*10 + 1.6*6.25 = 16,
-    # slab step 0.5 - 3.2/16 = 0.3, slab deviation 16**-0.5 = 0.25.  At
+    # slab step 0.5 - 3.2/16 = 0.3, slab deviation 1/sqrt(16) = 0.25.  At
     # t = 1 the schedule pins nothing to zero and everything to the keep
     # anchor, so p_nonzero = 0.999 for the single coordinate.
     cf = TrainConfig(slab_std_max=0.5, frac_zero_target=0.97, frac_held_target=0.01)
@@ -523,6 +524,92 @@ def test_variational_update_final_epoch_uses_frozen_decisions():
     # survivors carry the slab exactly
     assert state.mu[0] == pytest.approx(state.slab_mean[0], rel=1e-15)
     assert state.sigma[0] == pytest.approx(state.slab_std[0], rel=1e-14)
+
+
+def _first_update(monkeypatch, hess, zero_logit=None, slab_std_max=0.3):
+    """The state after one update from an empty completed pass, so that
+    ``hess_hat = max(hess, slab_std_max**-2)``; ``zero_logit``, if given,
+    stands in for the sieve's output.  Any warning raises."""
+    d = hess.size
+    state = TrainState(
+        slab_mean=np.zeros(d),
+        slab_std=np.ones(d),
+        zero_logit=np.zeros(d),
+        p_nonzero=np.ones(d),
+        realized_nonzero=np.ones(d),
+        prev=Accumulator(0, np.zeros(d), np.zeros(d)),
+        cur=Accumulator(0, np.zeros(d), np.zeros(d)),
+        seq_index=0,
+        hess_min=1.0,
+    )
+    if zero_logit is not None:
+        monkeypatch.setattr(mfquad.trainer, "sieve_map", lambda raw, *rest: zero_logit.copy())
+    cf = TrainConfig(slab_std_max=slab_std_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        variational_update(state, cf, np.zeros(d), hess, np.zeros(d), t=0.5)
+    return state
+
+
+def _ulps(a, b) -> np.ndarray:
+    """Distance in units in the last place between nonnegative doubles."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _decimal_reference(fn, values) -> np.ndarray:
+    """``fn`` of each double, computed to 50 digits and rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return np.array([float(fn(decimal.Decimal(float(v)))) for v in values])
+
+
+def _keep_probability(z):
+    e = (-abs(z)).exp()  # exp(-|z|) cannot overflow
+    return e / (1 + e) if z > 0 else 1 / (1 + e)
+
+
+def test_keep_probability_accuracy_and_edges(monkeypatch):
+    # p_nonzero = 1 / (1 + exp(z)) stays within 2 ULP of the exact value
+    # wherever exp(z) is finite.  Above log(DBL_MAX) ~ 709.78 it overflows
+    # and p is 0, as is the exact value rounded to a normal double (it lies
+    # below 2**-1022).  On |z| > 20 its largest and mean errors are no worse
+    # than those of the earlier exp(-logaddexp(0, z)), whose exp scales the
+    # rounding error of softplus(z) by |z|.
+    edges = [0.0, 1e-300, 20.0, 37.0, 40.0, 709.0, 709.78, 710.0, 745.0, 800.0, 1e300]
+    rng = np.random.Generator(np.random.Philox(12))
+    tails = rng.uniform(20.0, 709.0, size=100)
+    z = np.concatenate([edges, np.negative(edges), rng.normal(0.0, 8.0, 200), tails, -tails])
+    p = _first_update(monkeypatch, np.ones(z.size), zero_logit=z).p_nonzero
+    ref = _decimal_reference(_keep_probability, z)
+
+    assert p[0] == p[len(edges)] == 0.5  # z = +0.0 and -0.0
+    overflow = z > math.log(np.finfo(np.float64).max)
+    assert_array_equal(p[overflow], 0.0)
+    assert np.all(ref[overflow] < np.finfo(np.float64).smallest_normal)
+    err = _ulps(p, ref)[~overflow]
+    assert err.max() <= 2, z[~overflow][err.argmax()]
+
+    tail = (np.abs(z) > 20)[~overflow]
+    earlier = _ulps(oracles.keep_probability_logaddexp(z), ref)[~overflow]
+    assert err[tail].max() <= earlier[tail].max()
+    assert err[tail].mean() <= earlier[tail].mean()
+
+
+def test_slab_deviation_at_the_floor_and_at_the_top(monkeypatch):
+    # slab_std = 1 / sqrt(hess_hat) is within 1 ULP of the exact value, at
+    # the curvature floor slab_std_max**-2, where it is slab_std_max, and at
+    # hess_hat = 1e308.
+    for slab_std_max in (0.3, 0.5, 1e-3):
+        floor = slab_std_max**-2
+        hess = np.array([0.0, floor, 2.0 * floor, 1e308])
+        state = _first_update(monkeypatch, hess, slab_std_max=slab_std_max)
+        hess_hat = np.maximum(hess, floor)
+        ref = _decimal_reference(lambda h: 1 / h.sqrt(), hess_hat)
+        assert _ulps(state.slab_std, ref).max() <= 1, slab_std_max
+        assert _ulps(state.slab_std[:2], slab_std_max).max() <= 1, slab_std_max
+    assert state.slab_std[-1] == pytest.approx(1e-154, rel=1e-15)
+    assert _first_update(monkeypatch, np.array([4.0]), slab_std_max=0.5).slab_std[0] == 0.5
 
 
 # ---------------------------------------------------------------- epochs
@@ -837,6 +924,7 @@ def test_checkpoint_roundtrip(tmp_path):
     _, _, epoch, loaded_rng = load_resume(path)
     assert epoch == 2
     assert loaded_rng.random(5).tobytes() == rng.random(5).tobytes()
+    assert loaded.n_cases == state.n_cases == 16
     # the loaded arrays are the state's own, writable and unshared
     buffers = list(_state_buffers(loaded).values())
     assert all(b.flags.writeable and b.flags.owndata for b in buffers)
@@ -999,7 +1087,7 @@ def test_checkpoint_drops_the_current_pass(tmp_path):
     # checkpoint does not store it.  A run saved with a partial current
     # pass resumes to the uninterrupted run's bits, from today's layout and
     # from the earlier format-2 layout that also stored the current pass and
-    # the accumulated losses.
+    # the accumulated losses, but not the case count (the run takes it).
     model = _small_logistic(n_cases=22)
     cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
     whole, whole_hist = train(model, 22, cf, seed=3)
@@ -1015,11 +1103,14 @@ def test_checkpoint_drops_the_current_pass(tmp_path):
     for key, a in dropped.items():
         doc["state"][key] = base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
     doc["state"].update(n_cur=state.cur.n, loss_prev=1.5, loss_cur=-0.25)
+    assert doc["state"].pop("n_cases") == 22
     earlier.write_text(json.dumps(doc))
     for p in (path, earlier):
         loaded, loaded_cf, epoch, loaded_rng = load_resume(p)
         cur = loaded.cur
         assert (cur.n, cur.grad.any(), cur.hess.any()) == (0, False, False), p.name
+        assert loaded.n_cases == (22 if p == path else None), p.name
         resumed, tail = train(model, 22, loaded_cf, start=(loaded, epoch, loaded_rng))
         assert head + tail == whole_hist, p.name
         _assert_same_state(resumed, whole)
+        assert resumed.n_cases == 22, p.name
