@@ -328,7 +328,10 @@ def sieve_map(
         else:
             slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
         if math.isfinite(slope):
-            out *= slope
+            # A middle entry lands between the targets; only the entries an
+            # anchor segment discards can overflow under a steep slope.
+            with np.errstate(over="ignore"):
+                out *= slope
             out += target_held
         else:  # hinges coincide, or lie too close for a finite slope
             out.fill(0.5 * (target_zero + target_held))

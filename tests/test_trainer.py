@@ -240,6 +240,18 @@ def test_sieve_hinges_too_close_for_a_finite_slope(sieve):
 
 
 @pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
+def test_sieve_steep_slope_overflows_only_discarded_entries(sieve):
+    # Hinges 4e-307 apart give a finite slope near 3.5e307; the top entry 6
+    # overflows under it before its anchor segment replaces it, which must
+    # raise no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sieve(np.array([0.0, 6.0, 3.9519674218568144e-307]), 0.5, 1.0)
+    assert np.isfinite(out).all()
+    assert out.tolist() == [-LOG999, 6.0 - 3.9519674218568144e-307 + LOG999, LOG999]
+
+
+@pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
 def test_sieve_hinges_further_apart_than_dbl_max(sieve):
     # The hinges' gap overflows; the middle is interpolated on halved values,
     # so the entry halfway between the hinges lands on the midpoint 0, and
