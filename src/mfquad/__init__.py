@@ -16,6 +16,7 @@ from .quadrature import (
     sign_sequence,
     simplex_sigma_points,
     trial_rng,
+    walsh_signs,
 )
 from .meanfield import (
     GaussianMeanField,

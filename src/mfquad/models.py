@@ -7,15 +7,19 @@ it).  Per-case losses include the continuous prior component
 the full regularized objective.  Gradients are hand-derived; a central
 finite-difference checker validates them.
 
-A model may also offer the batched form
-``evaluate_nodes(nodes, case) -> (losses, grads)`` for an ``(m, d)`` block
-of nodes, returning ``(m,)`` losses and ``(m, d)`` gradients.  Row ``i``
-must be bit-identical to ``evaluate(nodes[i], case)``, so that a caller may
-use either form without changing a result.  ``projection.quadratic_approx``
-hands a model that has it (``LogisticModel``) each case's whole block of
-reflected nodes in one call.  It evaluates a model without it (the
-quadratic oracle, the MLP) one node at a time, which keeps at most three
-of the MLP's long gradients alive.
+A model may also offer one optional method,
+``pair_sums(case, mu, sigma, k_start, n_pairs) -> (loss_sum, grad_sum,
+curv_sum)``.  Over the reflected pairs ``mu +- sigma * s_k`` of the sign
+vectors ``k = k_start .. k_start + n_pairs - 1`` it returns the three sums
+that ``projection.quadratic_approx`` reduces the evaluations to: the
+summed losses, the summed gradients ``sum(g+ + g-)``, and the signed
+gradient differences ``sum((g+ - g-) * s_k)``, as a float and two fresh
+length-``d`` arrays.  They equal the sums of ``evaluate`` at the nodes up to
+rounding, not bit for bit.  Taking ``k_start`` rather than the signs lets a
+model build only the signs it needs.  ``pair_sums`` may return None, and
+the caller then evaluates the nodes one by one.  ``LogisticModel`` and
+``MlpModel`` have it; ``MlpModel`` returns None unless its hidden size is a
+power of two.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quadrature import sign_sequence, walsh_signs
 
 __all__ = [
     "Dataset",
@@ -125,25 +131,44 @@ class LogisticModel:
         return np.zeros(self.n_params)
 
     def evaluate(self, theta: np.ndarray, case: int) -> tuple[float, np.ndarray]:
-        losses, grads = self.evaluate_nodes(theta[None, :], case)
-        return float(losses[0]), grads[0]
-
-    def evaluate_nodes(
-        self, nodes: np.ndarray, case: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate`` at every row of the ``(m, d)`` block ``nodes``."""
         x = self.dataset.features[case]
         y = float(self.dataset.labels[case])
-        # One dot per row, as ``x @ t`` takes it (a matrix-vector product
-        # rounds differently).
-        z = np.vecdot(nodes, x)
+        z = float(x @ theta)
         # softplus(z) - y*z, stable on both tails
-        losses = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - y * z
+        loss = np.logaddexp(0.0, -abs(z)) + max(z, 0.0) - y * z
+        grad = (float(_sigmoid(np.float64(z))) - y) * x
         n = self.dataset.n_cases
-        losses += 0.5 * self.h_prior / n * np.vecdot(nodes, nodes)
-        grads = np.multiply.outer(_sigmoid(z) - y, x)
-        grads += (self.h_prior / n) * nodes
-        return losses, grads
+        loss += 0.5 * self.h_prior / n * float(theta @ theta)
+        grad += (self.h_prior / n) * theta
+        return float(loss), grad
+
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+        """``pair_sums`` of the module's contract for this case.
+
+        The margins of the nodes are ``x @ mu +- (sigma * x) @ s_k``, one
+        product for all of them, and each node's data gradient is a
+        multiple of ``x``.
+        """
+        x = self.dataset.features[case]
+        y = float(self.dataset.labels[case])
+        signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+        z0, dz = x @ mu, signs @ (sigma * x)
+        z = np.empty((2, n_pairs))  # plus nodes first
+        np.add(z0, dz, out=z[0])
+        np.subtract(z0, dz, out=z[1])
+        slopes = _sigmoid(z)
+        slopes -= y
+        loss_sum = float(np.logaddexp(0.0, z).sum()) - y * float(z.sum())
+        # the prior's terms summed over a pair: |mu +- sigma*s|^2 adds to
+        # 2|mu|^2 + 2|sigma|^2, its gradients to 2*mu, their difference to
+        # 2*sigma*s
+        prior = self.h_prior / self.dataset.n_cases
+        loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
+        grad_sum = np.multiply(mu, 2 * n_pairs * prior)
+        grad_sum += float(slopes.sum()) * x
+        curv_sum = np.multiply(sigma, 2 * n_pairs * prior)
+        curv_sum += ((slopes[0] - slopes[1]) @ signs) * x
+        return loss_sum, grad_sum, curv_sum
 
     def predict(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         return (features @ theta > 0).astype(np.int64)
@@ -227,6 +252,85 @@ class MlpModel:
         loss += 0.5 * self.h_prior / n * float(theta @ theta)
         grad += (self.h_prior / n) * theta
         return float(loss), grad
+
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+        """``pair_sums`` of the module's contract for this case, or None
+        unless the hidden size is a power of two.
+
+        With ``n_hid = 2**bits`` the index ``i*n_hid + j`` of W1 entry
+        ``(i, j)`` is the bitwise OR of ``i*n_hid`` and ``j``, so every sign
+        vector's W1 block is rank one: ``S[i, j] = -S[i, 0] * S[0, j]``.
+        With ``C`` and ``R`` the pairs' first columns and first rows, the
+        first layer's step ``x @ (sigma_W1 * S)`` is
+        ``((x * C) @ sigma_W1) * -R``, one product for all pairs, and the
+        W1 curvature sum ``sum_k outer(x, dpre+ - dpre-) * S_k`` is
+        ``(x * C).T @ ((dpre+ - dpre-) * -R)``: W1's d-length signs are
+        never built.  Every parameter after W1 is evaluated as a small
+        block of nodes.
+        """
+        n_in, n_hid, n_out = self.layer_sizes
+        if n_hid & (n_hid - 1):
+            return None
+        a = self._splits[0]
+        x = self.dataset.features[case]
+        y = int(self.dataset.labels[case])
+        index = np.concatenate(
+            (np.arange(0, a, n_hid), np.arange(n_hid), np.arange(a, mu.shape[0]))
+        )
+        signs = walsh_signs(index, np.arange(k_start, k_start + n_pairs))
+        xc = signs[:, :n_in] * x
+        neg_row = -signs[:, n_in : n_in + n_hid]
+        rest_signs = signs[:, n_in + n_hid :]
+
+        # the nodes of b1, W2 and b2: (2, n_pairs, d - a), plus nodes first
+        step = sigma[a:] * rest_signs
+        rest = np.empty((2,) + step.shape)
+        np.add(mu[a:], step, out=rest[0])
+        np.subtract(mu[a:], step, out=rest[1])
+        b1 = rest[..., :n_hid]
+        w2 = rest[..., n_hid : n_hid * (1 + n_out)].reshape(2, n_pairs, n_hid, n_out)
+        b2 = rest[..., n_hid * (1 + n_out) :]
+
+        w1_step = xc @ sigma[:a].reshape(n_in, n_hid)
+        w1_step *= neg_row
+        mean_pre = x @ mu[:a].reshape(n_in, n_hid)
+        pre = np.empty((2, n_pairs, n_hid))
+        np.add(mean_pre, w1_step, out=pre[0])
+        np.subtract(mean_pre, w1_step, out=pre[1])
+        pre += b1
+        hidden = np.tanh(pre, out=pre)
+        logits = (hidden[..., None, :] @ w2)[..., 0, :]
+        logits += b2
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+        loss_sum = float((log_norm[..., 0] - shifted[..., y]).sum())
+
+        dlogits = np.exp(shifted - log_norm)
+        dlogits[..., y] -= 1.0
+        dhidden = (w2 @ dlogits[..., None])[..., 0]
+        dpre = 1.0 - hidden**2
+        dpre *= dhidden
+        # each node's gradient of b1, W2 and b2, laid out like rest
+        dw2 = hidden[..., None] * dlogits[..., None, :]
+        grads = np.concatenate((dpre, dw2.reshape(2, n_pairs, -1), dlogits), axis=2)
+        rest_sum = grads.sum(axis=(0, 1))
+        diff = grads[0] - grads[1]
+
+        # the prior's terms summed over a pair: |mu +- sigma*s|^2 adds to
+        # 2|mu|^2 + 2|sigma|^2, its gradients to 2*mu, their difference to
+        # 2*sigma*s
+        prior = self.h_prior / self.dataset.n_cases
+        loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
+        grad_sum = np.multiply(mu, 2 * n_pairs * prior)
+        # the outer product outer(x, sum of dpre) as a matrix product, which
+        # takes half the time of np.multiply.outer's n_hid-long rows
+        grad_sum[:a] += np.dot(x.reshape(n_in, 1), rest_sum[:n_hid].reshape(1, n_hid)).ravel()
+        grad_sum[a:] += rest_sum
+        curv_sum = np.multiply(sigma, 2 * n_pairs * prior)
+        curv_sum[:a] += (xc.T @ (diff[:, :n_hid] * neg_row)).ravel()
+        diff *= rest_signs
+        curv_sum[a:] += diff.sum(axis=0)
+        return loss_sum, grad_sum, curv_sum
 
     def predict(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2 = self._unpack(theta)

@@ -8,9 +8,12 @@ estimate is exactly the Hessian diagonal for any quadratic loss; a single
 pair sees it contaminated by off-diagonal terms, bounded coordinate-wise by
 ``sum_j |A_ij| sigma_j / sigma_i``.
 
-A model with ``evaluate_nodes`` (the logistic model) is evaluated on each
-case's whole block of nodes in one call; any other model (the MLP, the
-quadratic oracle) one ``evaluate`` call per node.
+The summary needs only three sums over the pairs: of the losses, of the
+gradients ``g+ + g-``, and of the signed differences ``(g+ - g-) * s_k``
+(the Hadamard-probe diagonal estimator of Bekas, Kokiopoulou and Saad,
+2007).  A model with ``pair_sums`` (the logistic model, and the MLP when
+its hidden size is a power of two) forms them itself; any other model is
+evaluated one ``evaluate`` call per node.
 """
 
 from __future__ import annotations
@@ -103,11 +106,9 @@ def quadratic_approx(
 
     Coordinates with ``sigma == 0`` are never displaced and get curvature 0.
 
-    A model with ``evaluate_nodes`` gets the ``(2 * n_pairs, d)`` block of
-    nodes, plus nodes first, in one call, and the sums are formed over the
-    block.  Any other model is evaluated node by node, pair by pair, keeping
-    at most three of its gradients alive.  Both paths add each pair's terms
-    in pair order into zeroed sums, so they give the same bits.
+    The sums come from ``model.pair_sums`` where the model has it and it
+    does not return None.  Otherwise the nodes are evaluated one by one,
+    pair by pair, keeping at most three of the model's gradients alive.
 
     A non-finite evaluation makes the sums non-finite, so one check of the
     summary covers every node.  Only when it fails are the nodes evaluated
@@ -118,61 +119,57 @@ def quadratic_approx(
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    d = mu.shape[0]
+    if mu.shape != sigma.shape:
+        raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
+    if (sigma < 0).any():
+        raise ValueError("sigma must be nonnegative")
 
-    signs, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
-    loss_sum = 0.0
-    grad_sum = np.zeros(d)
-    curv_sum = np.zeros(d)
-    evaluate_nodes = getattr(model, "evaluate_nodes", None)
+    pair_sums = getattr(model, "pair_sums", None)
     # Overflow and NaN are caught by the summary check below, not warned of.
     with np.errstate(over="ignore", invalid="ignore"):
-        if evaluate_nodes is None:
-            # Each new plus node is evaluated while the last pair's gradients
-            # are alive, so at most three are: a fourth d = 25,450 gradient
-            # moves the heap top and costs the MLP minor page faults on every
-            # case.
-            pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
-            for s, plus, minus in zip(signs, nodes[0], nodes[1]):
-                loss_p, grad_p = model.evaluate(plus, case)
-                loss_m, grad_m = model.evaluate(minus, case)
-                loss_sum += float(loss_p) + float(loss_m)
-                grad_sum += np.add(grad_p, grad_m, out=pair)
-                np.subtract(grad_p, grad_m, out=pair)
-                curv_sum += np.multiply(pair, s, out=pair)
-        else:
-            # The same sums over the whole block: each pair's row is added
-            # in turn into the zeroed sums, as above.
-            losses, grads = evaluate_nodes(nodes.reshape(2 * n_pairs, d), case)
-            for loss in (losses[:n_pairs] + losses[n_pairs:]).tolist():
-                loss_sum += loss
-            plus, minus = grads[:n_pairs], grads[n_pairs:]
-            for row in plus + minus:
-                grad_sum += row
-            diff = plus - minus
-            diff *= signs
-            for row in diff:
-                curv_sum += row
-            pair = diff[0]  # scratch for the lines below
+        sums = None if pair_sums is None else pair_sums(case, mu, sigma, k_start, n_pairs)
+        if sums is None:
+            sums = _node_sums(model, case, mu, sigma, k_start, n_pairs)
+        loss_sum, grad_sum, curv_sum = sums
 
-        # The returned arrays are allocated last, so they sit above this
-        # call's temporaries in the heap.  Were they below, freeing the node
-        # block on return would leave a large free heap top, which glibc's
-        # malloc gives back to the kernel, and the next case would fault
-        # those pages in again (about 400 minor page faults per case at
-        # d = 25,450, a third of its time).
+        # the sums are fresh arrays, so grad and hess are formed in them:
+        # scratch is the only other long array of a pair_sums case
         n_evals = 2.0 * n_pairs
-        grad = grad_sum / n_evals
-        hess = np.divide(
-            curv_sum, np.multiply(sigma, n_evals, out=pair), out=np.zeros(d), where=sigma > 0
-        )
-        loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=pair))
+        scratch = np.multiply(sigma, n_evals)
+        grad = np.divide(grad_sum, n_evals, out=grad_sum)
+        displaced = sigma > 0
+        hess = np.divide(curv_sum, scratch, out=curv_sum, where=displaced)
+        np.copyto(hess, 0.0, where=~displaced)
+        loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=scratch))
         try:
             return QuadraticSummary(loss, grad, hess)
         except ValueError as err:
-            for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, d):
+            _, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
+            for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, -1):
                 _evaluate(model, node, case)
             # every node is finite, but the sums overflowed
             raise EvaluationError(
                 f"non-finite quadratic summary around mean {_one_line(mu)}", mu
             ) from err
+
+
+def _node_sums(model, case, mu, sigma, k_start, n_pairs):
+    """The three sums of ``quadratic_approx`` from one ``evaluate`` call per
+    node, added pair by pair in order into zeroed sums."""
+    d = mu.shape[0]
+    signs, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
+    loss_sum = 0.0
+    grad_sum = np.zeros(d)
+    curv_sum = np.zeros(d)
+    # Each new plus node is evaluated while the last pair's gradients are
+    # alive, so at most three are: a fourth long gradient moves the heap top
+    # and costs minor page faults on every case.
+    pair = np.empty(d)  # grad_p + grad_m, then (grad_p - grad_m) * s
+    for s, plus, minus in zip(signs, nodes[0], nodes[1]):
+        loss_p, grad_p = model.evaluate(plus, case)
+        loss_m, grad_m = model.evaluate(minus, case)
+        loss_sum += float(loss_p) + float(loss_m)
+        grad_sum += np.add(grad_p, grad_m, out=pair)
+        np.subtract(grad_p, grad_m, out=pair)
+        curv_sum += np.multiply(pair, s, out=pair)
+    return loss_sum, grad_sum, curv_sum

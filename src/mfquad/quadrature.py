@@ -25,6 +25,7 @@ __all__ = [
     "AntitheticPair",
     "cross_polytope_signs",
     "sign_sequence",
+    "walsh_signs",
     "exactness_period",
     "reflected_nodes",
     "antithetic_pair",
@@ -115,7 +116,17 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     # reduced to them.
     mask = (1 << int(d - 1).bit_length()) - 1
     k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
-    parity = np.bitwise_count(np.arange(d) & k[:, None])
+    return walsh_signs(np.arange(d), k)
+
+
+def walsh_signs(index: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Coordinates ``index`` of the sign vectors numbered ``k``.
+
+    Returns the ``(len(k), len(index))`` array ``2*parity(index & k) - 1``:
+    row ``r`` holds entries ``index`` of ``cross_polytope_signs(d, k[r])``
+    for any ``d`` above every index.
+    """
+    parity = np.bitwise_count(index & k[:, None])
     parity &= 1
     signs = parity.astype(np.float64)
     signs *= 2.0

@@ -54,6 +54,14 @@ CHECKPOINT_FORMAT = "mfvi-ckpt-2"
 _FORMAT_1 = "mfvi-ckpt-1"  # float lists with the derived mu/sigma; still loads
 
 
+def _power(x: float, exponent: int) -> float:
+    """``x ** exponent`` in float arithmetic, inf where it overflows."""
+    try:
+        return float(x) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of the sparsifying trainer."""
@@ -87,8 +95,19 @@ class TrainConfig:
             )
         if not 0 < self.lr_init <= self.lr_max:
             raise ValueError("need 0 < lr_init <= lr_max")
+        # the initial curvature 1/lr_init, and the prior precision
+        # slab_std_max**-2 (formed as 1/slab_std_max**2 too), must be finite
+        # and positive
+        if not 1.0 / self.lr_init < math.inf:
+            raise ValueError(f"lr_init {self.lr_init!r} is too small: 1/lr_init overflows")
         if self.slab_std_max <= 0:
             raise ValueError("slab_std_max must be positive")
+        if not (0 < _power(self.slab_std_max, -2) < math.inf
+                and 0 < _power(self.slab_std_max, 2) < math.inf):
+            raise ValueError(
+                f"slab_std_max {self.slab_std_max!r} is out of range: its prior "
+                f"precision slab_std_max**-2 is not a finite positive number"
+            )
         if not 0 <= self.frac_zero_target <= 1 or not 0 <= self.frac_held_target <= 1:
             raise ValueError("sparsity fractions must lie in [0, 1]")
         if self.frac_zero_target + self.frac_held_target > 1:

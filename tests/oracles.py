@@ -5,9 +5,17 @@ form: a full stable sort for the sieve, a shift-XOR bit parity for the
 signs, one shuffle call per block for the blocked simplex rule, one checked
 model call per node, fresh arrays for every intermediate result.  The fast
 paths must agree with them bit for bit, because they keep the same
-floating-point operations (and random draws) in the same order.  ``patch_all`` swaps every hot-path oracle into the
-package for a whole training run.  ``save_checkpoint_v1`` keeps the writer
-of the first checkpoint format, which ``load_checkpoint`` still reads.
+floating-point operations (and random draws) in the same order.
+``patch_all`` swaps every hot-path oracle into the package for a whole
+training run.
+
+Two references are not restatements.  ``quadratic_approx`` evaluates every
+node one by one, the definition the models' ``pair_sums`` reorganize; they
+agree with it up to rounding.  ``block_sums`` sums a block of nodes that
+one ``evaluate_nodes`` call evaluates (``logistic_evaluate_nodes`` for the
+logistic model) in the per-node loop's order, so bit for bit.
+``save_checkpoint_v1`` keeps the writer of the first checkpoint format,
+which ``load_checkpoint`` still reads.
 """
 
 import json
@@ -110,10 +118,10 @@ def reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}, signs {signs.shape}"
         )
-    if np.any(sigma < 0):
+    if (sigma < 0).any():
         raise ValueError("sigma must be nonnegative")
     step = sigma * signs
-    return np.stack([mu + step, mu - step])
+    return np.array((mu + step, mu - step))
 
 
 def spike_slab_moments(p_nonzero, slab_mean, slab_std):
@@ -179,31 +187,164 @@ def logistic_evaluate(self, theta: np.ndarray, case: int):
     return float(loss), grad
 
 
-def quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
-    """``projection.quadratic_approx`` with a checked ``evaluate`` call per
-    node and fresh arrays for every sum."""
+def logistic_evaluate_nodes(self, nodes: np.ndarray, case: int):
+    """``LogisticModel.evaluate`` at every row of the ``(m, d)`` block
+    ``nodes``, row for row bit-identical to ``logistic_evaluate``."""
+    x = self.dataset.features[case]
+    y = float(self.dataset.labels[case])
+    # One dot per row, as ``x @ t`` takes it (a matrix-vector product
+    # rounds differently).
+    z = np.vecdot(nodes, x)
+    # softplus(z) - y*z, stable on both tails
+    losses = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - y * z
+    n = self.dataset.n_cases
+    losses += 0.5 * self.h_prior / n * np.vecdot(nodes, nodes)
+    grads = np.multiply.outer(sigmoid(z) - y, x)
+    grads += (self.h_prior / n) * nodes
+    return losses, grads
+
+
+def _pairs(mu, sigma, k_start, n_pairs):
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    d = mu.shape[0]
-    signs = sign_sequence(d, k_start, n_pairs)
-    nodes = reflect(mu, sigma, signs)
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+    return mu, sigma, signs, reflect(mu, sigma, signs)
+
+
+def summary(sums, sigma, n_pairs) -> QuadraticSummary:
+    """The quadratic of ``projection.quadratic_approx`` from its three sums."""
+    loss_sum, grad_sum, curv_sum = sums
+    n_evals = 2.0 * n_pairs
+    grad = grad_sum / n_evals
+    hess = np.divide(curv_sum, n_evals * sigma, out=np.zeros(sigma.size), where=sigma > 0)
+    loss = loss_sum / n_evals - 0.5 * float(hess @ sigma**2)
+    return QuadraticSummary(loss, grad, hess)
+
+
+def node_sums(model, case, mu, sigma, k_start, n_pairs):
+    """The three sums from a checked ``evaluate`` call per node, pair by
+    pair, plus node first."""
+    mu, sigma, signs, nodes = _pairs(mu, sigma, k_start, n_pairs)
     loss_sum = 0.0
-    grad_sum = np.zeros(d)
-    curv_sum = np.zeros(d)
+    grad_sum = np.zeros(mu.shape[0])
+    curv_sum = np.zeros(mu.shape[0])
     for s, plus, minus in zip(signs, nodes[0], nodes[1]):
         loss_p, grad_p = _evaluate(model, plus, case)
         loss_m, grad_m = _evaluate(model, minus, case)
         loss_sum += loss_p + loss_m
         grad_sum += grad_p + grad_m
         curv_sum += (grad_p - grad_m) * s
+    return loss_sum, grad_sum, curv_sum
 
-    n_evals = 2.0 * n_pairs
-    grad = grad_sum / n_evals
-    hess = np.divide(curv_sum, n_evals * sigma, out=np.zeros(d), where=sigma > 0)
-    loss = loss_sum / n_evals - 0.5 * float(hess @ sigma**2)
-    return QuadraticSummary(loss, grad, hess)
+
+def block_sums(evaluate_nodes, case, mu, sigma, k_start, n_pairs):
+    """The three sums from one ``evaluate_nodes`` call on the ``(2 *
+    n_pairs, d)`` block, plus nodes first, each pair's row added in turn
+    into zeroed sums as ``node_sums`` adds them."""
+    mu, sigma, signs, nodes = _pairs(mu, sigma, k_start, n_pairs)
+    d = mu.shape[0]
+    losses, grads = evaluate_nodes(nodes.reshape(2 * n_pairs, d), case)
+    loss_sum = 0.0
+    for loss in (losses[:n_pairs] + losses[n_pairs:]).tolist():
+        loss_sum += loss
+    plus, minus = grads[:n_pairs], grads[n_pairs:]
+    grad_sum = np.zeros(d)
+    for row in plus + minus:
+        grad_sum += row
+    curv_sum = np.zeros(d)
+    for row in (plus - minus) * signs:
+        curv_sum += row
+    return loss_sum, grad_sum, curv_sum
+
+
+def quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
+    """``projection.quadratic_approx`` by its definition: a checked
+    ``evaluate`` call per node and fresh arrays for every sum, whether or
+    not the model has ``pair_sums``."""
+    sigma = np.asarray(sigma, dtype=np.float64).ravel()
+    return summary(node_sums(model, case, mu, sigma, k_start, n_pairs), sigma, n_pairs)
+
+
+def pair_quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
+    """``projection.quadratic_approx`` with fresh arrays for every step:
+    the sums of ``model.pair_sums`` where it gives them, else ``node_sums``."""
+    mu = np.asarray(mu, dtype=np.float64).ravel()
+    sigma = np.asarray(sigma, dtype=np.float64).ravel()
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
+    pair_sums = getattr(model, "pair_sums", None)
+    sums = None if pair_sums is None else pair_sums(case, mu, sigma, k_start, n_pairs)
+    if sums is None:
+        sums = node_sums(model, case, mu, sigma, k_start, n_pairs)
+    return summary(sums, sigma, n_pairs)
+
+
+def mlp_pair_sums(self, case, mu, sigma, k_start, n_pairs):
+    """``MlpModel.pair_sums`` with fresh arrays for every step, its signs
+    cut from whole sign vectors, whose W1 blocks are checked to be the
+    rank-one products the package relies on."""
+    n_in, n_hid, n_out = self.layer_sizes
+    if n_hid & (n_hid - 1):
+        return None
+    a = n_in * n_hid
+    x = self.dataset.features[case]
+    y = int(self.dataset.labels[case])
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+    w1_signs = signs[:, :a].reshape(n_pairs, n_in, n_hid)
+    col, row = w1_signs[:, :, 0], w1_signs[:, 0, :]
+    assert np.array_equal(w1_signs, -col[:, :, None] * row[:, None, :])
+    rest_signs = signs[:, a:]
+
+    step = sigma[a:] * rest_signs
+    rest = np.stack([mu[a:] + step, mu[a:] - step])
+    b1 = rest[..., :n_hid]
+    w2 = rest[..., n_hid : n_hid * (1 + n_out)].reshape(2, n_pairs, n_hid, n_out)
+    b2 = rest[..., n_hid * (1 + n_out) :]
+    w1_step = ((col * x) @ sigma[:a].reshape(n_in, n_hid)) * -row
+    mean_pre = x @ mu[:a].reshape(n_in, n_hid)
+    hidden = np.tanh(np.stack([mean_pre + w1_step, mean_pre - w1_step]) + b1)
+    logits = (hidden[..., None, :] @ w2)[..., 0, :] + b2
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    loss_sum = float((log_norm[..., 0] - shifted[..., y]).sum())
+
+    dlogits = np.exp(shifted - log_norm)
+    dlogits[..., y] -= 1.0
+    dhidden = (w2 @ dlogits[..., None])[..., 0]
+    dpre = (1.0 - hidden**2) * dhidden
+    dw2 = hidden[..., None] * dlogits[..., None, :]
+    grads = np.concatenate((dpre, dw2.reshape(2, n_pairs, -1), dlogits), axis=2)
+    rest_sum = grads.sum(axis=(0, 1))
+    diff = grads[0] - grads[1]
+
+    prior = self.h_prior / self.dataset.n_cases
+    loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
+    grad_w1 = np.dot(x.reshape(n_in, 1), rest_sum[:n_hid].reshape(1, n_hid))
+    grad_sum = mu * (2 * n_pairs * prior) + np.concatenate([grad_w1.ravel(), rest_sum])
+    curv_w1 = (col * x).T @ (diff[:, :n_hid] * -row)
+    curv_sum = sigma * (2 * n_pairs * prior) + np.concatenate(
+        [curv_w1.ravel(), (diff * rest_signs).sum(axis=0)]
+    )
+    return loss_sum, grad_sum, curv_sum
+
+
+def logistic_pair_sums(self, case, mu, sigma, k_start, n_pairs):
+    """``LogisticModel.pair_sums`` with fresh arrays for every step."""
+    x = self.dataset.features[case]
+    y = float(self.dataset.labels[case])
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+    dz = signs @ (sigma * x)
+    z0 = x @ mu
+    z = np.stack([z0 + dz, z0 - dz])
+    slopes = sigmoid(z) - y
+    prior = self.h_prior / self.dataset.n_cases
+    loss_sum = float(np.logaddexp(0.0, z).sum()) - y * float(z.sum())
+    loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
+    grad_sum = mu * (2 * n_pairs * prior) + float(slopes.sum()) * x
+    curv_sum = sigma * (2 * n_pairs * prior) + ((slopes[0] - slopes[1]) @ signs) * x
+    return loss_sum, grad_sum, curv_sum
 
 
 def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
@@ -295,7 +436,7 @@ def patch_all(monkeypatch) -> None:
         (mfquad.trainer, "sieve_map", sieve_map),
         (mfquad.trainer, "zero_logits", zero_logits),
         (mfquad.trainer, "variational_update", variational_update),
-        (mfquad.trainer, "quadratic_approx", quadratic_approx),
+        (mfquad.trainer, "quadratic_approx", pair_quadratic_approx),
         (mfquad.trainer, "spike_slab_moments", spike_slab_moments),
         (mfquad.meanfield, "spike_slab_moments", spike_slab_moments),
         (mfquad.quadrature, "sign_sequence", sign_sequence),
@@ -305,6 +446,8 @@ def patch_all(monkeypatch) -> None:
         (Accumulator, "reset", accumulator_reset),
         (MlpModel, "evaluate", mlp_evaluate),
         (LogisticModel, "evaluate", logistic_evaluate),
+        (MlpModel, "pair_sums", mlp_pair_sums),
+        (LogisticModel, "pair_sums", logistic_pair_sums),
         (mfquad.models, "_sigmoid", sigmoid),
     ):
         monkeypatch.setattr(module, name, oracle)

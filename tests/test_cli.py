@@ -346,6 +346,24 @@ def test_train_config_errors(tmp_path, capsys):
                      "--out", out]) == 2, doc
 
 
+@pytest.mark.parametrize("doc", [
+    {"slab_std_max": 1e-200},  # slab_std_max**2 underflows to 0
+    {"slab_std_max": 1e200},  # slab_std_max**2 overflows
+    {"lr_init": 1e-320, "n_epochs": 2},  # 1/lr_init overflows
+])
+def test_train_out_of_range_config_exits_2_on_one_line(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    args = ["train", "--config", str(config), "--data", "synth:d=8,k=2,n=40,nval=5",
+            "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def make_idx_dir(root, n_train=24, n_val=8, side=7, n_classes=3, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     root.mkdir(parents=True, exist_ok=True)

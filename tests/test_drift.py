@@ -3,11 +3,13 @@
 The sieve ranks the coordinates, so a change in the last bits of one update
 can hand a run a different zero set and with it another validation
 accuracy: a bound on each run cannot hold.  These tests instead train short
-seeded logistic and MLP runs twice, through the package and through
-``oracles.variational_update`` with the update's earlier formulas for the
-keep-probability (``exp(-logaddexp(0, z))``) and the slab deviation
-(``hess_hat**-0.5``), and bound the shift of the seed means of the
-validation accuracy and of the exact-zero fraction.
+seeded logistic and MLP runs through the package and through a reference
+path, and bound the shift of the seed means of the validation accuracy and
+of the exact-zero fraction.  One reference is ``oracles.variational_update``
+with the update's earlier formulas for the keep-probability
+(``exp(-logaddexp(0, z))``) and the slab deviation (``hess_hat**-0.5``);
+the other projects every case through ``oracles.quadratic_approx``, one
+``evaluate`` call per node, in place of the models' ``pair_sums``.
 
 Each bound was set from measurements of these same runs: five harmless
 perturbations of the package's update (``p`` scaled by ``1 ± 1e-12``, the
@@ -88,7 +90,16 @@ def _planted_shift(patch):
                   lambda z: keep_probability(z + PLANTED_LOGIT_SHIFT))
 
 
-PATHS = {"package": _package, "earlier": _earlier_formulas, "planted": _planted_shift}
+def _per_node(patch):
+    patch.setattr(mfquad.trainer, "quadratic_approx", oracles.quadratic_approx)
+
+
+PATHS = {
+    "package": _package,
+    "earlier": _earlier_formulas,
+    "planted": _planted_shift,
+    "per_node": _per_node,
+}
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +135,14 @@ def test_update_formulas_drift_within_budget(workload, seed_metrics):
     # the two paths really differ: some seed's run moved
     assert not np.array_equal(package, earlier)
     assert _violations(workload, package, earlier) == []
+
+
+@pytest.mark.parametrize("workload", ["logistic", "mlp"])
+def test_pair_sums_drift_within_budget(workload, seed_metrics):
+    package = seed_metrics(workload, "package")
+    per_node = seed_metrics(workload, "per_node")
+    assert not np.array_equal(package, per_node)
+    assert _violations(workload, package, per_node) == []
 
 
 def test_planted_shift_exceeds_the_budget(seed_metrics):

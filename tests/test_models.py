@@ -112,12 +112,14 @@ _MARGINS = st.one_of(
     ),
 )
 def test_logistic_evaluate_nodes_rows_match_scalar_oracle(labels, case, margins):
+    # the block oracle's rows, the scalar oracle and the model's evaluate
+    # give the same bits on both tails
     rng = np.random.Generator(np.random.Philox(7))
     feats = rng.standard_normal((3, 5))
     model = LogisticModel(Dataset(feats, np.array(labels)), h_prior=2.0)
     x = feats[case]
     nodes = np.array([z / (x @ x) * x for z in margins])
-    losses, grads = model.evaluate_nodes(nodes, case)
+    losses, grads = oracles.logistic_evaluate_nodes(model, nodes, case)
     assert losses.shape == (len(margins),) and grads.shape == nodes.shape
     for z, node, loss, grad in zip(margins, nodes, losses, grads):
         margin = x @ node
@@ -142,11 +144,13 @@ def test_logistic_evaluate_nodes_rows_on_non_contiguous_blocks(layout):
     else:
         block = np.repeat(nodes, 2, axis=1)[:, ::2]
     assert not block.flags.c_contiguous and np.array_equal(block, nodes)
-    losses, grads = model.evaluate_nodes(block, 4)
+    losses, grads = oracles.logistic_evaluate_nodes(model, block, 4)
     for row, loss, grad in zip(block, losses, grads):
         want_loss, want_grad = oracles.logistic_evaluate(model, row, 4)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+        one_loss, one_grad = model.evaluate(row, 4)
+        assert one_loss == want_loss and one_grad.tobytes() == want_grad.tobytes()
 
 
 def test_sigmoid_matches_mask_oracle():
@@ -218,6 +222,46 @@ def test_mlp_evaluate_matches_concatenating_oracle():
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
         assert not np.shares_memory(grad, theta)
+
+
+def _pair_sums_models():
+    rng = np.random.Generator(np.random.Philox(13))
+    models = {"logistic": small_logistic(), "mlp-12-8-5": small_mlp()}
+    for sizes in [(13, 1, 2), (7, 4, 3), (5, 16, 2)]:
+        data = Dataset(rng.random((6, sizes[0])), rng.integers(0, sizes[2], size=6))
+        models["mlp-%d-%d-%d" % sizes] = MlpModel(data, layer_sizes=sizes, h_prior=3.0)
+    return models
+
+
+@pytest.mark.parametrize("name", list(_pair_sums_models()))
+@pytest.mark.parametrize("k_start", [0, 3, 77, 2**15 + 5, 2**40 + 1])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_pair_sums_match_node_sums(name, k_start, n_pairs):
+    # one evaluate per node, summed pair by pair, is the definition; the
+    # model's pair sums reorganize it and agree to rounding, and match
+    # their allocating oracle bit for bit
+    model = _pair_sums_models()[name]
+    rng = np.random.Generator(np.random.Philox(k_start + n_pairs))
+    mu = 0.5 * rng.standard_normal(model.n_params)
+    sigma = rng.uniform(0.0, 0.4, size=model.n_params)
+    sigma[::5] = 0.0
+    loss, grad, curv = model.pair_sums(2, mu, sigma, k_start, n_pairs)
+    want_loss, want_grad, want_curv = oracles.node_sums(model, 2, mu, sigma, k_start, n_pairs)
+    assert loss == pytest.approx(want_loss, rel=1e-14)
+    assert_allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
+    assert_allclose(curv, want_curv, rtol=0, atol=1e-14 * np.abs(want_curv).max())
+    fresh = oracles.logistic_pair_sums if name == "logistic" else oracles.mlp_pair_sums
+    same_loss, same_grad, same_curv = fresh(model, 2, mu, sigma, k_start, n_pairs)
+    assert loss == same_loss
+    assert grad.tobytes() == same_grad.tobytes() and curv.tobytes() == same_curv.tobytes()
+
+
+def test_mlp_pair_sums_need_a_power_of_two_hidden_size():
+    data = Dataset(np.ones((2, 4)), np.array([0, 1]))
+    for n_hid, factored in [(1, True), (2, True), (3, False), (6, False), (8, True)]:
+        model = MlpModel(data, layer_sizes=(4, n_hid, 2))
+        zeros = np.zeros(model.n_params)
+        assert (model.pair_sums(0, zeros, zeros, 0, 1) is not None) == factored
 
 
 def test_mlp_gradient_check_small_scale():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mfquad.models import Dataset, LogisticModel, QuadraticOracleModel
+from mfquad.models import Dataset, LogisticModel, MlpModel, QuadraticOracleModel
 from mfquad.projection import (
     EvaluationError,
     QuadraticSummary,
@@ -170,9 +170,10 @@ def _block_models():
 @pytest.mark.parametrize("name", ["logistic", "bowl"])
 @pytest.mark.parametrize("n_pairs", [1, 2, 3, 5])
 def test_block_sums_match_per_node_oracle(name, n_pairs, monkeypatch):
-    # A model with evaluate_nodes has its block summed whole, row by row into
-    # zeroed sums: the per-node loop's order, so every bit and every signed
-    # zero matches, at zero features, zero means and undisplaced coordinates.
+    # A block of nodes evaluated in one call and summed whole, row by row
+    # into zeroed sums, keeps the per-node loop's order, so every bit and
+    # every signed zero matches, at zero features, zero means and
+    # undisplaced coordinates; the model's own pair_sums agrees to rounding.
     model = _block_models()[name]
     rng = np.random.Generator(np.random.Philox(n_pairs))
     mu = rng.standard_normal(7)
@@ -180,7 +181,12 @@ def test_block_sums_match_per_node_oracle(name, n_pairs, monkeypatch):
     mu[[2, 4]] = 0.0
     mu[5] = -0.0
     sigma[[2, 5, 6]] = 0.0
-    got = quadratic_approx(model, 1, mu, sigma, 6, n_pairs)
+    if name == "logistic":
+        evaluate_nodes = lambda nodes, case: oracles.logistic_evaluate_nodes(model, nodes, case)
+    else:
+        evaluate_nodes = model.evaluate_nodes
+    sums = oracles.block_sums(evaluate_nodes, 1, mu, sigma, 6, n_pairs)
+    got = oracles.summary(sums, sigma, n_pairs)
     # the oracle calls evaluate node by node, the logistic model's in scalar
     # arithmetic
     monkeypatch.setattr(LogisticModel, "evaluate", oracles.logistic_evaluate)
@@ -188,6 +194,11 @@ def test_block_sums_match_per_node_oracle(name, n_pairs, monkeypatch):
     assert np.float64(got.loss).tobytes() == np.float64(want.loss).tobytes()
     assert got.grad.tobytes() == want.grad.tobytes()
     assert got.hess.tobytes() == want.hess.tobytes()
+    fast = quadratic_approx(model, 1, mu, sigma, 6, n_pairs)
+    assert fast.loss == pytest.approx(want.loss, rel=1e-14)
+    np.testing.assert_allclose(fast.grad, want.grad, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(fast.hess, want.hess, rtol=1e-14, atol=1e-15)
+    assert np.all(fast.hess[[2, 5, 6]] == 0.0)
 
 
 def test_zero_sigma_coordinate_gets_zero_curvature():
@@ -234,11 +245,11 @@ def test_overflowing_summary_is_an_evaluation_error():
 
 
 class TwoBadNodes:
-    """Finite bowl except at two nodes; evaluates single nodes or blocks."""
+    """Finite bowl except at two nodes; its pair sums come from one block."""
 
     def __init__(self, bad):
         self.bad = bad
-        self.block_calls = 0
+        self.pair_sums_calls = 0
 
     def evaluate(self, theta, case):
         if any(np.array_equal(theta, b) for b in self.bad):
@@ -246,14 +257,17 @@ class TwoBadNodes:
         return float(theta @ theta), 2.0 * theta
 
     def evaluate_nodes(self, nodes, case):
-        self.block_calls += 1
         losses, grads = zip(*(self.evaluate(t, case) for t in nodes))
         return np.array(losses), np.array(grads)
 
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+        self.pair_sums_calls += 1
+        return oracles.block_sums(self.evaluate_nodes, case, mu, sigma, k_start, n_pairs)
+
 
 def test_batched_error_names_the_node_of_the_per_node_loop():
-    # the block lists every plus node before every minus node; the error
-    # must still name the first bad node in pair order, plus before minus
+    # the pair sums see every node at once; the error must still name the
+    # first bad node in pair order, plus before minus
     rng = np.random.default_rng(4)
     mu, sigma = rng.standard_normal(5), rng.uniform(0.5, 1.5, size=5)
     _, nodes = reflected_nodes(mu, sigma, 3, 3)
@@ -262,11 +276,30 @@ def test_batched_error_names_the_node_of_the_per_node_loop():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="non-finite loss evaluation") as got:
             quadratic_approx(model, None, mu, sigma, 3, 3)
-    assert model.block_calls == 1
+    assert model.pair_sums_calls == 1
     with pytest.raises(EvaluationError) as want:
         oracles.quadratic_approx(model, None, mu, sigma, 3, 3)
     assert got.value.node.tobytes() == want.value.node.tobytes() == nodes[1, 1].tobytes()
     assert str(got.value) == str(want.value)
+
+
+def test_non_finite_mlp_pair_sums_name_the_first_bad_node(monkeypatch):
+    # an MLP whose pair sums are not finite is re-evaluated node by node,
+    # and the error names the node that the per-node oracle names
+    rng = np.random.Generator(np.random.Philox(12))
+    data = Dataset(rng.random((4, 6)), np.array([0, 1, 2, 1]))
+    model = MlpModel(data, layer_sizes=(6, 4, 3))
+    mu = rng.standard_normal(model.n_params)
+    sigma = rng.uniform(0.1, 0.5, size=model.n_params)
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda z, **kw: tanh(np.where(z > 1.6, np.nan, z), **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite loss evaluation") as got:
+            quadratic_approx(model, 2, mu, sigma, 5, 2)
+    with pytest.raises(EvaluationError) as want:
+        oracles.quadratic_approx(model, 2, mu, sigma, 5, 2)
+    assert got.value.node.tobytes() == want.value.node.tobytes()
 
 
 def test_summary_validation():

@@ -348,6 +348,16 @@ def test_config_validation():
         TrainConfig(lr_init=0.2, lr_max=0.1)
     with pytest.raises(ValueError, match="slab_std_max"):
         TrainConfig(slab_std_max=0.0)
+    # the prior precision slab_std_max**-2 and the first curvature 1/lr_init
+    # must be finite and positive, and 1/slab_std_max**2 with them
+    for value in (1e-200, 7e-155, 1.35e154, 1e200, np.float64(1e-160)):
+        with pytest.raises(ValueError, match="slab_std_max"):
+            TrainConfig(slab_std_max=value)
+    for value in (1e-154, 1e154):
+        assert 0 < 1.0 / TrainConfig(slab_std_max=value).slab_std_max**2 < math.inf
+    with pytest.raises(ValueError, match="lr_init"):
+        TrainConfig(lr_init=1e-320)
+    assert TrainConfig(lr_init=1e-308).lr_init == 1e-308
     with pytest.raises(ValueError, match="<= 1"):
         TrainConfig(frac_zero_target=0.9, frac_held_target=0.2)
     with pytest.raises(ValueError, match="p_sieve"):
@@ -722,10 +732,10 @@ def _state_buffers(state):
     return named
 
 
-def _small_mlp(n_cases=64):
+def _small_mlp(n_cases=64, n_hid=4):
     rng = np.random.Generator(np.random.Philox(21))
     data = Dataset(rng.random((n_cases, 784)), rng.integers(0, 10, size=n_cases))
-    return MlpModel(data, layer_sizes=(784, 4, 10))
+    return MlpModel(data, layer_sizes=(784, n_hid, 10))
 
 
 def _small_logistic(n_cases=64):
@@ -798,18 +808,25 @@ def test_run_epoch_derives_the_marginal_once_per_case(monkeypatch):
         assert calls == {"moments": 16 * epoch, "mu": 0}
 
 
+def _small_mlp_3(n_cases=64):
+    return _small_mlp(n_cases, n_hid=3)
+
+
 @pytest.mark.parametrize(
-    "make_model, n_pairs", [(_small_logistic, 2), (_small_mlp, 2), (_small_mlp, 3)]
+    "make_model, n_pairs",
+    [(_small_logistic, 2), (_small_mlp, 2), (_small_mlp, 3), (_small_mlp_3, 2), (_small_mlp_3, 3)],
 )
 def test_run_epoch_model_calls_per_case(make_model, n_pairs, monkeypatch):
-    # The logistic model evaluates each case's reflected pairs in one
-    # batched call; the MLP, which has no batched form, makes one evaluate
-    # call per node.
+    # The logistic model and an MLP whose hidden size is a power of two give
+    # each case's pair sums in one call, with no evaluate call; an MLP with
+    # three hidden units returns None from pair_sums, and the case is then
+    # evaluated one node at a time.
     model = make_model(n_cases=16)
     cf = TrainConfig(n_epochs=2, n_pairs_per_case=n_pairs)
     rng = np.random.Generator(np.random.Philox(5))
     state = init_state(model, 16, cf, rng)
-    calls = {"evaluate": 0, "evaluate_nodes": 0}
+    factored = model.pair_sums(0, state.mu, state.sigma, 0, 1) is not None
+    calls = {"evaluate": 0, "pair_sums": 0}
 
     def counted(name, method):
         def counting(self, *args):
@@ -819,13 +836,13 @@ def test_run_epoch_model_calls_per_case(make_model, n_pairs, monkeypatch):
         return counting
 
     for name in calls:
-        if hasattr(type(model), name):
-            monkeypatch.setattr(type(model), name, counted(name, getattr(type(model), name)))
+        monkeypatch.setattr(type(model), name, counted(name, getattr(type(model), name)))
     run_epoch(state, model, 16, cf, 1, rng)
-    if isinstance(model, LogisticModel):
-        assert calls == {"evaluate": 0, "evaluate_nodes": 16}
+    if factored:
+        assert calls == {"evaluate": 0, "pair_sums": 16}
     else:
-        assert calls == {"evaluate": 16 * 2 * n_pairs, "evaluate_nodes": 0}
+        assert calls == {"evaluate": 16 * 2 * n_pairs, "pair_sums": 16}
+    assert factored != (make_model is _small_mlp_3)
 
 
 def test_per_case_path_calls_no_numpy_wrapper():
