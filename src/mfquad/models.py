@@ -201,6 +201,12 @@ class MlpModel:
         self.layer_sizes = (int(n_in), int(n_hid), int(n_out))
         self.h_prior = float(h_prior)
         self._splits = np.cumsum([n_in * n_hid, n_hid, n_hid * n_out])
+        # pair_sums' parameter indices whose signs it builds: W1's first
+        # column and first row, then every parameter after W1
+        a = int(self._splits[0])
+        self._sign_index = np.concatenate(
+            (np.arange(0, a, n_hid), np.arange(n_hid), np.arange(a, self.n_params))
+        )
 
     @property
     def n_params(self) -> int:
@@ -274,10 +280,7 @@ class MlpModel:
         a = self._splits[0]
         x = self.dataset.features[case]
         y = int(self.dataset.labels[case])
-        index = np.concatenate(
-            (np.arange(0, a, n_hid), np.arange(n_hid), np.arange(a, mu.shape[0]))
-        )
-        signs = walsh_signs(index, np.arange(k_start, k_start + n_pairs))
+        signs = walsh_signs(self._sign_index, np.arange(k_start, k_start + n_pairs))
         xc = signs[:, :n_in] * x
         neg_row = -signs[:, n_in : n_in + n_hid]
         rest_signs = signs[:, n_in + n_hid :]

@@ -104,7 +104,8 @@ def quadratic_approx(
     quadratic with matching diagonal the returned triple reproduces the
     loss value, gradient, and curvature at ``mu`` exactly.
 
-    Coordinates with ``sigma == 0`` are never displaced and get curvature 0.
+    Coordinates with ``sigma == 0`` are never displaced and get curvature 0;
+    only the displaced ones are divided.
 
     The sums come from ``model.pair_sums`` where the model has it and it
     does not return None.  Otherwise the nodes are evaluated one by one,
@@ -121,7 +122,9 @@ def quadratic_approx(
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     if mu.shape != sigma.shape:
         raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
-    if (sigma < 0).any():
+    displaced = sigma > 0
+    every = displaced.all()
+    if not every and (sigma < 0).any():
         raise ValueError("sigma must be nonnegative")
 
     pair_sums = getattr(model, "pair_sums", None)
@@ -137,9 +140,16 @@ def quadratic_approx(
         n_evals = 2.0 * n_pairs
         scratch = np.multiply(sigma, n_evals)
         grad = np.divide(grad_sum, n_evals, out=grad_sum)
-        displaced = sigma > 0
-        hess = np.divide(curv_sum, scratch, out=curv_sum, where=displaced)
-        np.copyto(hess, 0.0, where=~displaced)
+        # the division runs only where sigma > 0: a masked pass over a
+        # mostly false mask costs more than gathering its few true entries
+        hess = curv_sum
+        if every:
+            np.divide(hess, scratch, out=hess)
+        else:
+            idx = displaced.nonzero()[0]
+            hess_displaced = hess[idx] / scratch[idx]
+            hess.fill(0.0)
+            hess[idx] = hess_displaced
         loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=scratch))
         try:
             return QuadraticSummary(loss, grad, hess)

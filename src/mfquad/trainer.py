@@ -10,7 +10,8 @@ zero-vs-keep logits.  A rank-based "sieve" rescales those logits so that a
 scheduled fraction of coordinates becomes confidently zero while a held
 fraction stays confidently nonzero, annealing toward the target sparsity
 over the epochs.  The final epoch freezes the zero/nonzero decisions and
-polishes the surviving slab means.
+polishes the surviving slab means: its updates run on the survivors'
+entries alone, while the coordinates decided zero sit at ``mu = sigma = 0``.
 
 All per-coordinate state lives in flat arrays indexed like the model's
 parameter vector.
@@ -500,6 +501,37 @@ def variational_update(
     cur.recenter(delta)
 
 
+def _gather(state: TrainState, keep: np.ndarray) -> TrainState:
+    """A state of its own holding copies of ``state``'s entries ``keep``."""
+    def acc(a: Accumulator) -> Accumulator:
+        return Accumulator(a.n, a.grad[keep], a.hess[keep])
+
+    return TrainState(
+        slab_mean=state.slab_mean[keep],
+        slab_std=state.slab_std[keep],
+        zero_logit=state.zero_logit[keep],
+        p_nonzero=state.p_nonzero[keep],
+        realized_nonzero=state.realized_nonzero[keep],
+        prev=acc(state.prev),
+        cur=acc(state.cur),
+        seq_index=state.seq_index,
+        hess_min=state.hess_min,
+        n_cases=state.n_cases,
+    )
+
+
+def _scatter(part: TrainState, state: TrainState, keep: np.ndarray) -> None:
+    """Write the final epoch's survivors ``part`` back into ``state`` at
+    ``keep``, and round every keep probability to its frozen decision."""
+    np.copyto(state.p_nonzero, state.realized_nonzero)
+    state.slab_mean[keep] = part.slab_mean
+    state.slab_std[keep] = part.slab_std
+    for src, dst in ((part.prev, state.prev), (part.cur, state.cur)):
+        dst.n = src.n
+        dst.grad[keep] = src.grad
+        dst.hess[keep] = src.hess
+
+
 def run_epoch(
     state: TrainState,
     model,
@@ -513,26 +545,56 @@ def run_epoch(
     The current accumulator restarts (promoting itself to the completed
     pass) every ``anneal_target(epoch, ...)`` snapshots.  In the final
     epoch the zero/nonzero decisions freeze to the rounded ``p_nonzero``
-    before any case is visited.
+    before any case is visited; its first case still expands around the
+    unrounded marginal, and that case's update does the rounding.  The
+    epoch's updates run on a gathered copy of the survivors' entries,
+    written back when it ends.  The update is elementwise, so each survivor
+    ends bit for bit where an update of every coordinate would leave it; a
+    dead coordinate keeps the slab parameters and completed-pass sums it
+    had at the freeze, and an empty current pass.  An overflow, invalid
+    operation or division by zero in a case raises FloatingPointError.
     """
     st, cf = state, config
     st.cur.reset()
     target = anneal_target(epoch, cf.n_epochs, n_cases)
     final = epoch == cf.n_epochs
+    part, keep = st, None  # the state the update runs on, and its entries
     if final:
         st.realized_nonzero = (st.p_nonzero >= 0.5).astype(np.float64)
+        keep = st.realized_nonzero.nonzero()[0]
+        part = _gather(st, keep)
 
     epoch_loss = 0.0
-    for i, case in enumerate(rng.permutation(n_cases).tolist()):
-        mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
-        snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
-        st.seq_index += cf.n_pairs_per_case
-        epoch_loss += snap.loss
-        t = (epoch - 1) + i / n_cases
-        variational_update(st, cf, snap.grad, snap.hess, mu, t, final)
-        if st.cur.n == target:
-            st.prev, st.cur = st.cur, st.prev
-            st.cur.reset()
+    # the deliberate overflows are ignored where they happen
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for i, case in enumerate(rng.permutation(n_cases).tolist()):
+            if keep is None or i == 0:
+                # The final epoch's first case expands around the unrounded
+                # marginal too: its update rounds p_nonzero.
+                mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
+                center = mu if keep is None else mu[keep]
+            else:
+                if i == 1:  # from here on the coordinates decided zero sit at 0
+                    mu.fill(0.0)
+                    sigma.fill(0.0)
+                center, sigma_keep = spike_slab_moments(
+                    part.p_nonzero, part.slab_mean, part.slab_std
+                )
+                mu[keep] = center
+                sigma[keep] = sigma_keep
+            snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
+            st.seq_index += cf.n_pairs_per_case
+            epoch_loss += snap.loss
+            t = (epoch - 1) + i / n_cases
+            grad, hess = snap.grad, snap.hess
+            if keep is not None:
+                grad, hess = grad[keep], hess[keep]
+            variational_update(part, cf, grad, hess, center, t, final)
+            if part.cur.n == target:
+                part.prev, part.cur = part.cur, part.prev
+                part.cur.reset()
+    if keep is not None:
+        _scatter(part, st, keep)
 
     tol = 1e-12
     return EpochStats(
@@ -555,7 +617,9 @@ def train(
 
     ``callback(state, stats)``, if given, runs after every epoch.  After
     the final epoch, coordinates decided zero have exactly ``mu = 0`` and
-    ``sigma = 0``; survivors carry their polished slab mean and deviation.
+    ``sigma = 0`` (their slab parameters and completed-pass sums are the
+    ones they had when the decisions froze); survivors carry their polished
+    slab mean and deviation.
     ``start = (state, epoch, rng)`` continues a run whose first ``epoch``
     epochs are done (as ``load_resume`` returns it) in place of a fresh one
     from ``seed``; the run then ends bit-identical to the uninterrupted one.
@@ -638,7 +702,9 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
     and the current pass, which the next epoch empties, is not stored; the
     scalars are JSON numbers (``n_cases`` only when the state records it);
     ``epoch`` and the Philox state of ``rng``, the run's generator, let
-    ``load_resume`` continue the run.  Raises
+    ``load_resume`` continue the run.  After the final epoch, a coordinate
+    decided zero stores the slab parameters and completed-pass sums it had
+    when the decisions froze, since no step updates or reads them.  Raises
     FloatingPointError naming the first non-finite field before anything is
     written.  The file is written under a temporary name in the same
     directory and renamed over ``path``, so ``path`` holds either its old

@@ -15,7 +15,9 @@ agree with it up to rounding.  ``block_sums`` sums a block of nodes that
 one ``evaluate_nodes`` call evaluates (``logistic_evaluate_nodes`` for the
 logistic model) in the per-node loop's order, so bit for bit.
 ``save_checkpoint_v1`` keeps the writer of the first checkpoint format,
-which ``load_checkpoint`` still reads.
+which ``load_checkpoint`` still reads.  ``run_epoch`` keeps the final epoch
+that updates every coordinate; the package's, which updates the survivors
+alone, matches it on every value a later step reads.
 """
 
 import json
@@ -31,7 +33,14 @@ import mfquad.trainer
 from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
 from mfquad.quadrature import NodeSet, simplex_sigma_points
-from mfquad.trainer import Accumulator, _plain, hybrid_coeffs, sparsity_schedule
+from mfquad.trainer import (
+    Accumulator,
+    EpochStats,
+    _plain,
+    anneal_target,
+    hybrid_coeffs,
+    sparsity_schedule,
+)
 
 
 def sieve_map(
@@ -428,6 +437,40 @@ def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> N
     delta = st.mu - mu
     prev.recenter(delta)
     cur.recenter(delta)
+
+
+def run_epoch(state, model, n_cases, config, epoch, rng) -> EpochStats:
+    """``trainer.run_epoch`` with every case of the final epoch updating
+    every coordinate, the ones decided zero included, through the package's
+    moments, projection and update."""
+    st, cf = state, config
+    st.cur.reset()
+    target = anneal_target(epoch, cf.n_epochs, n_cases)
+    final = epoch == cf.n_epochs
+    if final:
+        st.realized_nonzero = (st.p_nonzero >= 0.5).astype(np.float64)
+
+    epoch_loss = 0.0
+    for i, case in enumerate(rng.permutation(n_cases).tolist()):
+        mu, sigma = mfquad.trainer.spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
+        snap = mfquad.trainer.quadratic_approx(
+            model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case
+        )
+        st.seq_index += cf.n_pairs_per_case
+        epoch_loss += snap.loss
+        t = (epoch - 1) + i / n_cases
+        mfquad.trainer.variational_update(st, cf, snap.grad, snap.hess, mu, t, final)
+        if st.cur.n == target:
+            st.prev, st.cur = st.cur, st.prev
+            st.cur.reset()
+
+    tol = 1e-12
+    return EpochStats(
+        epoch=epoch,
+        epoch_loss=epoch_loss,
+        frac_zero_realizable=float(np.mean(st.p_nonzero < 0.5)),
+        frac_held=float(np.mean(st.zero_logit <= cf.target_logit_one + tol)),
+    )
 
 
 def patch_all(monkeypatch) -> None:

@@ -364,6 +364,23 @@ def test_train_out_of_range_config_exits_2_on_one_line(tmp_path, capsys, doc):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("slab_std_max", [1e-154, 1e154])
+def test_train_overflowing_update_exits_4_on_one_line(tmp_path, capsys, slab_std_max):
+    # The config is in range, but the update's curvature overflows (or the
+    # sieve meets inf - inf): the epoch's floating-point errors raise, so
+    # the run ends with the one numerical-failure line and no warning.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"slab_std_max": slab_std_max, "n_epochs": 2}))
+    args = ["train", "--config", str(config), "--data", "synth:d=8,k=2,n=40,nval=5",
+            "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def make_idx_dir(root, n_train=24, n_val=8, side=7, n_classes=3, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     root.mkdir(parents=True, exist_ok=True)

@@ -142,6 +142,44 @@ def test_quadratic_approx_matches_allocating_oracle(n_pairs):
     assert np.all(got.hess[[1, 4]] == 0.0)
 
 
+class FixedSums:
+    """A model whose ``pair_sums`` gives the same three sums for every case."""
+
+    def __init__(self, loss_sum, grad_sum, curv_sum):
+        self.sums = loss_sum, grad_sum, curv_sum
+
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+        loss_sum, grad_sum, curv_sum = self.sums
+        return loss_sum, grad_sum.copy(), curv_sum.copy()
+
+
+@pytest.mark.parametrize("displaced", ["all", "none", "mixed", "one"])
+@pytest.mark.parametrize("n_pairs", [1, 3])
+def test_curvature_divides_where_sigma_is_positive(displaced, n_pairs):
+    # quadratic_approx divides all of the curvature sum when every sigma is
+    # positive and gathers the displaced entries otherwise; either way each
+    # entry gets the masked division of oracles.summary, bit for bit, and
+    # an undisplaced one +0.0 whatever its sum holds.
+    rng = np.random.Generator(np.random.Philox(40 + n_pairs))
+    d = 3000
+    sigma = 10.0 ** rng.uniform(-6.0, 2.0, size=d)
+    if displaced == "none":
+        sigma[:] = 0.0
+    elif displaced == "mixed":
+        sigma[rng.random(d) < 0.97] = 0.0
+    elif displaced == "one":
+        sigma[np.arange(d) != 1234] = 0.0
+    curv_sum = rng.standard_normal(d)
+    curv_sum[::7] = -0.0
+    model = FixedSums(rng.standard_normal(), rng.standard_normal(d), curv_sum)
+    got = quadratic_approx(model, 0, rng.standard_normal(d), sigma, 5, n_pairs)
+    want = oracles.summary(model.sums, sigma, n_pairs)
+    assert np.float64(got.loss).tobytes() == np.float64(want.loss).tobytes()
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert got.hess.tobytes() == want.hess.tobytes()
+    assert np.count_nonzero(got.hess) == np.count_nonzero(sigma[curv_sum != 0.0])
+
+
 class WeightedBowl:
     """loss = 0.5 * sum(w * theta**2), batched; a negative weight at a zero
     coordinate gives -0.0 gradients, whose pair sum stays -0.0."""

@@ -896,6 +896,54 @@ def test_restart_swap_keeps_accumulators_apart():
                 assert not np.shares_memory(a, b), (epoch, name_a, name_b)
 
 
+@pytest.mark.parametrize("make_model", [_small_mlp, _small_mlp_3, _small_logistic])
+@pytest.mark.parametrize("resume", [False, True])
+def test_final_epoch_matches_full_length_oracle(make_model, resume, tmp_path):
+    # The final epoch updates only the survivors.  Against the oracle that
+    # updates every coordinate it gives the same stats, keep probabilities,
+    # decisions and zero-logits bit for bit, the same marginal by value (a
+    # dead p * m may be -0.0), and the same survivor entries bit for bit;
+    # dead entries keep their values from the freeze.
+    model = make_model()
+    cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
+    rng = np.random.Generator(np.random.Philox(3))
+    frozen = init_state(model, 64, cf, rng)
+    for epoch in range(1, cf.n_epochs):
+        run_epoch(frozen, model, 64, cf, epoch, rng)
+    slow, slow_rng = copy.deepcopy(frozen), copy.deepcopy(rng)
+    if resume:
+        save_checkpoint(tmp_path / "ckpt.json", frozen, cf, cf.n_epochs - 1, rng)
+        state, _, epoch, resumed_rng = load_resume(tmp_path / "ckpt.json")
+        start = state, epoch, resumed_rng
+    else:
+        start = copy.deepcopy(frozen), cf.n_epochs - 1, copy.deepcopy(rng)
+    fast, fast_hist = train(model, 64, cf, start=start)
+    assert fast_hist == [oracles.run_epoch(slow, model, 64, cf, cf.n_epochs, slow_rng)]
+
+    for name in ("p_nonzero", "realized_nonzero", "zero_logit"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert_array_equal(fast.mu, slow.mu)
+    assert_array_equal(fast.sigma, slow.sigma)
+    keep = slow.realized_nonzero == 1.0
+    dead = ~keep
+    assert keep.any() and dead.any()
+    for name in ("slab_mean", "slab_std"):
+        a, b, before = getattr(fast, name), getattr(slow, name), getattr(frozen, name)
+        assert a[keep].tobytes() == b[keep].tobytes(), name
+        assert a[dead].tobytes() == before[dead].tobytes(), name
+    for acc in ("prev", "cur"):
+        a, b = getattr(fast, acc), getattr(slow, acc)
+        assert a.n == b.n, acc
+        for name in ("grad", "hess"):
+            assert getattr(a, name)[keep].tobytes() == getattr(b, name)[keep].tobytes(), acc
+    # dead entries: the completed pass as it was at the freeze, the current
+    # one empty
+    for name in ("grad", "hess"):
+        assert getattr(fast.prev, name)[dead].tobytes() == getattr(frozen.prev, name)[dead].tobytes()
+        assert_array_equal(getattr(fast.cur, name)[dead], 0.0)
+    assert fast.seq_index == slow.seq_index
+
+
 # ------------------------------------------------------------ checkpoints
 
 
