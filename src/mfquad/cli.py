@@ -64,6 +64,12 @@ __all__ = ["main", "ConfigError", "DataError"]
 BENCH_METHODS = ("mc", "qmc-mean", "qmc-var", "blocked-simplex", "cross-polytope")
 COUNT_METHODS = ("cross-polytope", "blocked-simplex")
 HISTOGRAM_BINS = 50
+# integrate-bench and exactness-count refuse, as a config error, a run whose
+# largest array would exceed this many bytes.  The estimate is made before
+# anything is allocated: numpy's allocations succeed under memory overcommit
+# and fail only when their pages are touched, by which time the kernel may
+# kill the process.  A run's peak is a small multiple of its largest array.
+MAX_ARRAY_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -102,6 +108,15 @@ def parse_basis(spec: str, d: int) -> list[tuple[int, int]]:
             raise ConfigError(f"basis coordinate {coord} outside dimension {d}")
         terms.append((coord, degree))
     return terms
+
+
+def _check_size(what: str, n_floats: int) -> None:
+    """ConfigError when ``n_floats`` float64 values exceed MAX_ARRAY_BYTES."""
+    if 8 * n_floats > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{what} would take {8 * n_floats / 2**30:.3g} GiB, over the "
+            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit of one array"
+        )
 
 
 def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
@@ -147,13 +162,15 @@ def cmd_integrate_bench(args) -> int:
     if args.d < 1:
         raise ConfigError(f"--d must be >= 1, got {args.d}")
     d = args.d
-    dist = preset(args.dist, d)
     terms = parse_basis(args.basis, d)
     max_degree = max(3, *(deg for _, deg in terms)) if terms else 3
+    budgets = _ladder(args.method, args.block_size, args.max_evals)
+    _check_size(f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d)
+    # the basis coefficients outgrow the 2 * max_degree + 1 raw moments
+    _check_size(f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2)
+    dist = preset(args.dist, d)
     basis = orthonormal_basis(dist, max_degree=max_degree)
     truth = basis_product_expectation(dist, basis, terms)
-
-    budgets = _ladder(args.method, args.block_size, args.max_evals)
 
     errors = np.empty((args.trials, len(budgets)))
     for trial in range(args.trials):
@@ -193,17 +210,19 @@ def cmd_integrate_bench(args) -> int:
 def cmd_exactness_count(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    rows = []
-    for n in _ladder(args.method, args.block_size, args.max_evals):
-        mean_pairs = count_exact_pairs(
-            args.d,
-            args.method,
-            n,
-            block_size=args.block_size,
-            n_trials=args.trials,
-            seed=args.seed,
-        )
-        rows.append([args.method, n, _fmt(mean_pairs), _fmt(mean_pairs / n)])
+    budgets = _ladder(args.method, args.block_size, args.max_evals)
+    _check_size(f"a second-moment matrix of dimension {args.d}", args.d**2)
+    new = max(n - prev for prev, n in zip([0] + budgets, budgets))
+    _check_size(f"a rung of {new} nodes of dimension {args.d}", new * args.d)
+    means = count_exact_pairs(
+        args.d,
+        args.method,
+        budgets,
+        block_size=args.block_size,
+        n_trials=args.trials,
+        seed=args.seed,
+    )
+    rows = [[args.method, n, _fmt(m), _fmt(m / n)] for n, m in zip(budgets, means)]
     _write_csv(
         args.out, ["method", "n_evals", "mean_exact_pairs", "exact_per_eval"], rows
     )

@@ -296,42 +296,72 @@ def moment_matched_nodes(
 def count_exact_pairs(
     d: int,
     method: str,
-    n_evals: int,
+    n_evals: int | list[int],
     *,
     block_size: int = 2,
     n_trials: int = 1,
     seed: int = 0,
-) -> float:
+) -> float | list[float]:
     """Mean number of coordinate pairs whose mixed second moment is exact.
 
     Builds the requested rule for a standardized measure (zero mean, unit
-    variance) as a NodeSet, forms its weighted second-moment matrix, and
-    counts unordered pairs ``i < j`` with ``|estimate| < 1e-10`` (the exact
-    value is 0).  For ``method='blocked-simplex'`` the count is averaged
-    over ``n_trials`` independent shuffles with per-trial seed ``seed +
-    trial``; the deterministic cross-polytope rule is counted once.
+    variance) and counts unordered pairs ``i < j`` whose mixed second
+    moment has ``|estimate| < 1e-10`` (the exact value is 0).  For
+    ``method='blocked-simplex'`` the count is averaged over ``n_trials``
+    independent shuffles with per-trial seed ``seed + trial``; the
+    deterministic cross-polytope rule is counted once.
 
-    ``n_evals`` must be a multiple of the rule's natural group size: 2 for
-    ``'cross-polytope'`` (one pair), ``block_size + 1`` per blocked group.
+    ``n_evals`` is one budget, which gives one float, or a strictly
+    increasing sequence of budgets (a ladder), which gives a list with one
+    mean per budget.  Every budget must be a multiple of the rule's natural
+    group size: 2 for ``'cross-polytope'`` (one pair), ``block_size + 1``
+    per blocked group.  A ladder is counted in one pass: each rung draws
+    only the nodes it adds to the previous rung's (the next reflected
+    pairs, or further groups from the trial's one generator), and adds
+    their unweighted ``nodes.T @ nodes`` to a running sum.  A rung's nodes
+    are therefore exactly those of a call at its budget alone.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
     group = {"cross-polytope": 2, "blocked-simplex": block_size + 1}.get(method)
     if group is None:
         raise ValueError(f"unknown method {method!r}")
-    if n_evals < group or n_evals % group:
-        raise ValueError(f"n_evals must be a positive multiple of {group}, got {n_evals}")
-
-    counts = []
-    for trial in range(n_trials if method == "blocked-simplex" else 1):
-        if method == "blocked-simplex":
-            ns = blocked_simplex_standard(
-                d, block_size, trial_rng(seed, trial), n_evals // group
+    scalar = np.ndim(n_evals) == 0
+    budgets = [n_evals] if scalar else list(n_evals)
+    if not budgets:
+        raise ValueError("need at least one budget")
+    for prev, n in zip([0] + budgets, budgets):
+        if n <= prev or n % group:
+            raise ValueError(
+                f"n_evals must be positive multiples of {group}, each above the last, "
+                f"got {n_evals}"
             )
-        else:
-            _, nodes = reflected_nodes(np.zeros(d), np.ones(d), 0, n_evals // 2)
-            ns = NodeSet(nodes.reshape(n_evals, d), np.full(n_evals, 1.0 / n_evals))
-        second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
-        off = np.abs(second[np.triu_indices(d, k=1)])
-        counts.append(int(np.count_nonzero(off < _EXACT_TOL)))
-    return float(np.mean(counts))
+
+    blocked = method == "blocked-simplex"
+    trials = n_trials if blocked else 1
+    counts = np.zeros(len(budgets))
+    # d x d work arrays, reused: fresh ones would fault in their pages anew
+    second, product, moment = np.empty((3, d, d))
+    exact = np.empty((d, d), dtype=bool)
+    for trial in range(trials):
+        rng = trial_rng(seed, trial) if blocked else None
+        second.fill(0.0)  # unweighted: the sum of x_i x_j over the nodes so far
+        prev = 0
+        for j, n in enumerate(budgets):
+            if blocked:
+                block = blocked_simplex_standard(d, block_size, rng, (n - prev) // group).nodes
+            else:
+                _, nodes = reflected_nodes(np.zeros(d), np.ones(d), prev // 2, (n - prev) // 2)
+                block = nodes.reshape(n - prev, d)
+            # A.T @ A runs BLAS's symmetric product, so the sum stays exactly
+            # symmetric and each pair i < j is counted twice.
+            np.matmul(block.T, block, out=product)
+            second += product
+            np.divide(second, n, out=moment)
+            np.less(np.abs(moment, out=moment), _EXACT_TOL, out=exact)
+            counts[j] += (np.count_nonzero(exact) - np.count_nonzero(exact.diagonal())) // 2
+            prev = n
+    means = (counts / trials).tolist()
+    return means[0] if scalar else means

@@ -552,7 +552,8 @@ def run_epoch(
     ends bit for bit where an update of every coordinate would leave it; a
     dead coordinate keeps the slab parameters and completed-pass sums it
     had at the freeze, and an empty current pass.  An overflow, invalid
-    operation or division by zero in a case raises FloatingPointError.
+    operation or division by zero in a case raises FloatingPointError,
+    whose message names the epoch and the case's position in it.
     """
     st, cf = state, config
     st.cur.reset()
@@ -565,34 +566,40 @@ def run_epoch(
         part = _gather(st, keep)
 
     epoch_loss = 0.0
+    i = 0
     # the deliberate overflows are ignored where they happen
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for i, case in enumerate(rng.permutation(n_cases).tolist()):
-            if keep is None or i == 0:
-                # The final epoch's first case expands around the unrounded
-                # marginal too: its update rounds p_nonzero.
-                mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
-                center = mu if keep is None else mu[keep]
-            else:
-                if i == 1:  # from here on the coordinates decided zero sit at 0
-                    mu.fill(0.0)
-                    sigma.fill(0.0)
-                center, sigma_keep = spike_slab_moments(
-                    part.p_nonzero, part.slab_mean, part.slab_std
-                )
-                mu[keep] = center
-                sigma[keep] = sigma_keep
-            snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
-            st.seq_index += cf.n_pairs_per_case
-            epoch_loss += snap.loss
-            t = (epoch - 1) + i / n_cases
-            grad, hess = snap.grad, snap.hess
-            if keep is not None:
-                grad, hess = grad[keep], hess[keep]
-            variational_update(part, cf, grad, hess, center, t, final)
-            if part.cur.n == target:
-                part.prev, part.cur = part.cur, part.prev
-                part.cur.reset()
+        try:
+            for i, case in enumerate(rng.permutation(n_cases).tolist()):
+                if keep is None or i == 0:
+                    # The final epoch's first case expands around the unrounded
+                    # marginal too: its update rounds p_nonzero.
+                    mu, sigma = spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
+                    center = mu if keep is None else mu[keep]
+                else:
+                    if i == 1:  # from here on the coordinates decided zero sit at 0
+                        mu.fill(0.0)
+                        sigma.fill(0.0)
+                    center, sigma_keep = spike_slab_moments(
+                        part.p_nonzero, part.slab_mean, part.slab_std
+                    )
+                    mu[keep] = center
+                    sigma[keep] = sigma_keep
+                snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
+                st.seq_index += cf.n_pairs_per_case
+                epoch_loss += snap.loss
+                t = (epoch - 1) + i / n_cases
+                grad, hess = snap.grad, snap.hess
+                if keep is not None:
+                    grad, hess = grad[keep], hess[keep]
+                variational_update(part, cf, grad, hess, center, t, final)
+                if part.cur.n == target:
+                    part.prev, part.cur = part.cur, part.prev
+                    part.cur.reset()
+        except FloatingPointError as err:
+            raise FloatingPointError(
+                f"epoch {epoch}, case {i + 1} of {n_cases}: {err}"
+            ) from err
     if keep is not None:
         _scatter(part, st, keep)
 
@@ -867,6 +874,17 @@ def _read_checkpoint(path):
         raise ValueError(
             f"checkpoint field 'epoch' must be an integer in [0, {config.n_epochs}], "
             f"got {epoch!r}"
+        )
+    # Only the final epoch freezes decisions, and it leaves p_nonzero equal to them.
+    if epoch < config.n_epochs and not np.all(state.realized_nonzero == 1.0):
+        raise ValueError(
+            f"checkpoint field 'realized_nonzero' must be all ones before the final "
+            f"epoch, but 'epoch' is {epoch} of {config.n_epochs}"
+        )
+    if epoch == config.n_epochs and not np.array_equal(state.p_nonzero, state.realized_nonzero):
+        raise ValueError(
+            "checkpoint field 'p_nonzero' must equal 'realized_nonzero' after the final "
+            f"epoch {epoch}"
         )
     return state, config, epoch, _checked_rng(raw)
 

@@ -17,7 +17,9 @@ logistic model) in the per-node loop's order, so bit for bit.
 ``save_checkpoint_v1`` keeps the writer of the first checkpoint format,
 which ``load_checkpoint`` still reads.  ``run_epoch`` keeps the final epoch
 that updates every coordinate; the package's, which updates the survivors
-alone, matches it on every value a later step reads.
+alone, matches it on every value a later step reads.  ``count_exact_pairs``
+builds every node of one budget anew, where the package counts a whole
+ladder in one pass; the counts are integers and must agree exactly.
 """
 
 import json
@@ -32,7 +34,13 @@ import mfquad.quadrature
 import mfquad.trainer
 from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
-from mfquad.quadrature import NodeSet, simplex_sigma_points
+from mfquad.quadrature import (
+    _EXACT_TOL,
+    NodeSet,
+    reflected_nodes,
+    simplex_sigma_points,
+    trial_rng,
+)
 from mfquad.trainer import (
     Accumulator,
     EpochStats,
@@ -119,6 +127,26 @@ def blocked_simplex_standard(d, block_size, rng, n_groups=1) -> NodeSet:
             size = min(block_size, d - start)
             group[:, start : start + size] = full[rng.permutation(m), :size]
     return NodeSet(nodes, np.full(total, 1.0 / total))
+
+
+def count_exact_pairs(d, method, n_evals, *, block_size=2, n_trials=1, seed=0) -> float:
+    """``quadrature.count_exact_pairs`` at one budget, every node built anew:
+    the weighted second-moment matrix of the whole rule, counted on its
+    strict upper triangle."""
+    group = {"cross-polytope": 2, "blocked-simplex": block_size + 1}[method]
+    counts = []
+    for trial in range(n_trials if method == "blocked-simplex" else 1):
+        if method == "blocked-simplex":
+            ns = mfquad.quadrature.blocked_simplex_standard(
+                d, block_size, trial_rng(seed, trial), n_evals // group
+            )
+        else:
+            _, nodes = reflected_nodes(np.zeros(d), np.ones(d), 0, n_evals // 2)
+            ns = NodeSet(nodes.reshape(n_evals, d), np.full(n_evals, 1.0 / n_evals))
+        second = ns.nodes.T @ (ns.weights[:, None] * ns.nodes)
+        off = np.abs(second[np.triu_indices(d, k=1)])
+        counts.append(int(np.count_nonzero(off < _EXACT_TOL)))
+    return float(np.mean(counts))
 
 
 def reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray:

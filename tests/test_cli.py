@@ -4,6 +4,7 @@ import base64
 import copy
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -233,6 +234,45 @@ def test_count_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["exactness-count", "--method", "cross-polytope", "--d", "3",
+      "--max-evals", "1000000000"], "a rung of 268435456 nodes"),
+    (["exactness-count", "--method", "blocked-simplex", "--d", "100000"],
+     "a second-moment matrix"),
+    (["integrate-bench", "--dist", "gauss", "--method", "mc", "--basis", "phi1:0",
+      "--d", "100000000"], "256 nodes of dimension 100000000"),
+    (["integrate-bench", "--dist", "gauss", "--method", "mc", "--basis", "phi1:0",
+      "--d", "1000", "--max-evals", "1000000000"], "nodes of dimension 1000"),
+    (["integrate-bench", "--dist", "laplace", "--method", "cross-polytope",
+      "--basis", "phi100000:0", "--d", "8", "--max-evals", "8"], "a degree-100000 basis"),
+])
+def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, argv, what):
+    # The size guard refuses from the flags alone: neither the rule nor the
+    # distribution is ever built.
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the size guard")
+
+    for name in ("count_exact_pairs", "preset", "mc_nodes", "reflected_nodes"):
+        monkeypatch.setattr(mfquad.cli, name, never)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert what in err and "GiB limit" in err, err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_size_guard_admits_the_largest_array_at_the_limit(tmp_path, monkeypatch):
+    # d**2 float64 values of exactly MAX_ARRAY_BYTES pass; one more coordinate fails.
+    calls = []
+    monkeypatch.setattr(mfquad.cli, "count_exact_pairs",
+                        lambda d, method, budgets, **kw: calls.append(d) or [0.0] * len(budgets))
+    monkeypatch.setattr(mfquad.cli, "MAX_ARRAY_BYTES", 8 * 64**2)
+    argv = ["exactness-count", "--method", "cross-polytope", "--max-evals", "64",
+            "--out", str(tmp_path / "count.csv")]
+    assert main(argv + ["--d", "64"]) == 0 and calls == [64]
+    assert main(argv + ["--d", "65"]) == 2 and calls == [64]
+
+
 # ------------------------------------------------------------------ train
 
 
@@ -378,6 +418,8 @@ def test_train_overflowing_update_exits_4_on_one_line(tmp_path, capsys, slab_std
         assert main(args) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+    # the message names where it happened: the epoch and the case's position
+    assert re.match(r"numerical failure: epoch [12], case \d+ of 40: ", err), err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
@@ -636,6 +678,39 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("edit, field", [
+    # a finished run relabelled as stopped before its final epoch, which
+    # would otherwise rerun that epoch from the final state
+    (lambda st: st.__setitem__("epoch", 2), "realized_nonzero"),
+    # a finished run whose probabilities no longer match its decisions
+    (lambda st: st.__setitem__(
+        "p_nonzero", base64.b64encode(np.full(8, 0.75, dtype="<f8").tobytes()).decode()),
+     "p_nonzero"),
+])
+def test_checkpoint_2_fields_must_agree_with_the_epoch(tmp_path, capsys, edit, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_epochs": 3}))
+    data, run = "synth:d=8,k=2,n=40,nval=5", tmp_path / "run"
+    argv = ["train", "--config", str(config), "--data", data,
+            "--out", str(tmp_path / "resumed"), "--resume"]
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
+    payload = json.loads((run / "checkpoint.json").read_text())
+    realized = np.frombuffer(base64.b64decode(payload["state"]["realized_nonzero"]), "<f8")
+    assert not realized.all()  # the final epoch decided some zeros
+    edit(payload["state"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert f"'{field}'" in err, err
+    assert not (tmp_path / "resumed").exists()
+    assert main(argv + [str(run / "checkpoint.json")]) == 0
+
+
 @pytest.mark.parametrize("field", ["hess_min", "slab_mean"])
 def test_train_non_finite_state_exits_4(tmp_path, monkeypatch, capsys, field):
     # A state the checkpoint writer refuses ends in one numerical failure
@@ -687,7 +762,7 @@ def test_unit_spans_keep_their_lookup_names(tmp_path, monkeypatch):
     assert code == 0 and calls == {"run_epoch": 3, "trial_rng": 5}
     assert main(["exactness-count", "--d", "16", "--method", "cross-polytope",
                  "--max-evals", "16", "--out", str(tmp_path / "count.csv")]) == 0
-    assert calls == {"run_epoch": 3, "trial_rng": 5, "count_exact_pairs": 3}
+    assert calls == {"run_epoch": 3, "trial_rng": 5, "count_exact_pairs": 1}
 
 
 def test_main_usage_errors():

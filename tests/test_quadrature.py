@@ -392,6 +392,48 @@ def test_count_exact_pairs_validation():
         count_exact_pairs(8, "metropolis", 4)
 
 
+def _ladders(group):
+    # doubling from the smallest budget, uneven steps, and a single budget
+    return ([group * 2**i for i in range(7)], [group, 3 * group, 4 * group, 9 * group],
+            [5 * group])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 37, 64, 100, 512])
+def test_count_exact_pairs_ladder_matches_per_budget_oracle(d):
+    # One pass over a ladder counts exactly what a rebuild of every node at
+    # each budget counts: the rungs add nodes to one continuing sequence.
+    cases = [("cross-polytope", 2, 1)] + [
+        ("blocked-simplex", block_size, trials)
+        for block_size in (1, 2, 3, 4) for trials in (1, 3)
+    ]
+    for method, block_size, trials in cases:
+        group = 2 if method == "cross-polytope" else block_size + 1
+        for ladder in _ladders(group):
+            if d == 512:
+                ladder = [n for n in ladder if n <= 128 * group]
+            for seed in (0, 11, 2**31 - 5):
+                got = count_exact_pairs(d, method, ladder, block_size=block_size,
+                                        n_trials=trials, seed=seed)
+                want = [oracles.count_exact_pairs(d, method, n, block_size=block_size,
+                                                  n_trials=trials, seed=seed)
+                        for n in ladder]
+                assert got == want, (method, block_size, trials, ladder, seed)
+                # the scalar form is the one-rung ladder
+                assert count_exact_pairs(d, method, ladder[-1], block_size=block_size,
+                                         n_trials=trials, seed=seed) == want[-1]
+
+
+def test_count_exact_pairs_ladder_validation():
+    for ladder in ([4, 4], [8, 4], [4, 6, 5], [0, 4], [-2, 4], []):
+        with pytest.raises(ValueError):
+            count_exact_pairs(8, "cross-polytope", ladder)
+    for ladder in ([3, 4], [3, 6, 10], [2]):
+        with pytest.raises(ValueError):
+            count_exact_pairs(8, "blocked-simplex", ladder, block_size=2)
+    with pytest.raises(ValueError):
+        count_exact_pairs(0, "cross-polytope", [2, 4])
+
+
 def test_trial_rng_is_counter_based_and_offsettable():
     a = trial_rng(100, 3).standard_normal(4)
     b = trial_rng(103, 0).standard_normal(4)
