@@ -238,30 +238,31 @@ class OrthonormalBasis:
 def orthonormal_basis(dist, max_degree: int = 3) -> OrthonormalBasis:
     """Gram-Schmidt basis for each marginal from its exact raw moments.
 
-    Factorizes the Hankel matrix H[a, b] = E[x**(a+b)] per coordinate; the
-    rows of the inverse Cholesky factor are the polynomial coefficients.
-    Raises for degenerate marginals (zero-variance coordinates make the
-    Hankel matrix singular).
+    Factorizes the Hankel matrices H[a, b] = E[x**(a+b)], windows of each
+    coordinate's moment row, in one batched call; the rows of the inverse
+    Cholesky factor are the polynomial coefficients.  Raises for degenerate
+    marginals (zero-variance coordinates make the Hankel matrix singular).
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    m = dist.raw_moments(2 * max_degree)
     n = max_degree + 1
-    coeffs = np.zeros((dist.dim, n, n))
-    for c in range(dist.dim):
-        hankel = np.empty((n, n))
-        for a in range(n):
-            hankel[a] = m[c, a : a + n]
-        try:
-            chol = np.linalg.cholesky(hankel)
-        except np.linalg.LinAlgError as err:
-            raise ValueError(
-                f"degenerate marginal at coordinate {c}: "
-                "moment matrix is not positive definite"
-            ) from err
-        # the inverse of a lower-triangular factor is lower-triangular;
-        # mask the numerical fuzz in the structural zeros
-        coeffs[c] = np.tril(np.linalg.inv(chol))
+    hankel = np.lib.stride_tricks.sliding_window_view(dist.raw_moments(2 * max_degree), n, axis=1)
+    try:
+        chol = np.linalg.cholesky(hankel)
+    except np.linalg.LinAlgError:
+        for c in range(dist.dim):  # one at a time, to name the first degenerate one
+            try:
+                np.linalg.cholesky(hankel[c])
+            except np.linalg.LinAlgError as err:
+                raise ValueError(
+                    f"degenerate marginal at coordinate {c}: "
+                    "moment matrix is not positive definite"
+                ) from err
+        raise
+    coeffs = np.linalg.inv(chol)
+    # the inverse of a lower-triangular factor is lower-triangular;
+    # zero the numerical fuzz in the structural zeros, in place
+    coeffs[:, ~np.tri(n, dtype=bool)] = 0.0
     return OrthonormalBasis(coeffs)
 
 

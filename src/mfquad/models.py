@@ -51,6 +51,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _prior_sums(model, mu, sigma, n_pairs):
+    """The prior's loss term and fresh gradient and curvature sums for
+    ``pair_sums``: ``|mu +- sigma*s|^2`` summed over a pair adds to
+    ``2|mu|^2 + 2|sigma|^2``, its gradients to 2*mu, their difference to 2*sigma*s."""
+    prior = model.h_prior / model.dataset.n_cases
+    loss = n_pairs * prior * float(mu @ mu + sigma @ sigma)
+    return loss, np.multiply(mu, 2 * n_pairs * prior), np.multiply(sigma, 2 * n_pairs * prior)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature rows with integer labels."""
@@ -159,14 +168,9 @@ class LogisticModel:
         slopes = _sigmoid(z)
         slopes -= y
         loss_sum = float(np.logaddexp(0.0, z).sum()) - y * float(z.sum())
-        # the prior's terms summed over a pair: |mu +- sigma*s|^2 adds to
-        # 2|mu|^2 + 2|sigma|^2, its gradients to 2*mu, their difference to
-        # 2*sigma*s
-        prior = self.h_prior / self.dataset.n_cases
-        loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
-        grad_sum = np.multiply(mu, 2 * n_pairs * prior)
+        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs)
+        loss_sum += prior_loss
         grad_sum += float(slopes.sum()) * x
-        curv_sum = np.multiply(sigma, 2 * n_pairs * prior)
         curv_sum += ((slopes[0] - slopes[1]) @ signs) * x
         return loss_sum, grad_sum, curv_sum
 
@@ -280,7 +284,8 @@ class MlpModel:
         a = self._splits[0]
         x = self.dataset.features[case]
         y = int(self.dataset.labels[case])
-        signs = walsh_signs(self._sign_index, np.arange(k_start, k_start + n_pairs))
+        k = k_start & ((1 << self.n_params.bit_length()) - 1)  # higher bits meet no index
+        signs = walsh_signs(self._sign_index, np.arange(k, k + n_pairs))
         xc = signs[:, :n_in] * x
         neg_row = -signs[:, n_in : n_in + n_hid]
         rest_signs = signs[:, n_in + n_hid :]
@@ -319,17 +324,12 @@ class MlpModel:
         rest_sum = grads.sum(axis=(0, 1))
         diff = grads[0] - grads[1]
 
-        # the prior's terms summed over a pair: |mu +- sigma*s|^2 adds to
-        # 2|mu|^2 + 2|sigma|^2, its gradients to 2*mu, their difference to
-        # 2*sigma*s
-        prior = self.h_prior / self.dataset.n_cases
-        loss_sum += n_pairs * prior * float(mu @ mu + sigma @ sigma)
-        grad_sum = np.multiply(mu, 2 * n_pairs * prior)
+        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs)
+        loss_sum += prior_loss
         # the outer product outer(x, sum of dpre) as a matrix product, which
         # takes half the time of np.multiply.outer's n_hid-long rows
         grad_sum[:a] += np.dot(x.reshape(n_in, 1), rest_sum[:n_hid].reshape(1, n_hid)).ravel()
         grad_sum[a:] += rest_sum
-        curv_sum = np.multiply(sigma, 2 * n_pairs * prior)
         curv_sum[:a] += (xc.T @ (diff[:, :n_hid] * neg_row)).ravel()
         diff *= rest_signs
         curv_sum[a:] += diff.sum(axis=0)

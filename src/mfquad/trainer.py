@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "mfvi-ckpt-2"
-_FORMAT_1 = "mfvi-ckpt-1"  # float lists with the derived mu/sigma; still loads
 
 
 def _power(x: float, exponent: int) -> float:
@@ -172,7 +171,7 @@ class TrainState:
     cur: Accumulator          # snapshots of the accumulating pass
     seq_index: int            # next sign-vector index to consume
     hess_min: float           # per-snapshot curvature floor scale
-    n_cases: int | None = None  # cases of the run's data; None if not recorded
+    n_cases: int              # cases of the run's data
 
     @property
     def mu(self) -> np.ndarray:
@@ -632,17 +631,14 @@ def train(
     from ``seed``; the run then ends bit-identical to the uninterrupted one.
     Raises ValueError when ``state.n_cases`` is not ``n_cases``, or when
     ``state.hess_min`` is not the one a fresh run on ``n_cases`` cases under
-    ``config`` starts with.  A state that records no case count (read from a
-    checkpoint written without one) takes ``n_cases``.
+    ``config`` starts with.
     """
     if start is None:
         rng = np.random.Generator(np.random.Philox(seed))
         start = (init_state(model, n_cases, config, rng), 0, rng)
     state, done, rng = start
     _, hess_min = _first_pass(n_cases, config)
-    if state.n_cases is None:
-        state.n_cases = n_cases
-    elif state.n_cases != n_cases:
+    if state.n_cases != n_cases:
         raise ValueError(
             f"the state is of a run on {state.n_cases} cases, not {n_cases}; "
             "resume on the run's own data"
@@ -674,9 +670,7 @@ _ARRAY_FIELDS = (
     "grad_prev",
     "hess_prev",
 )
-_SCALAR_FIELDS = ("n_prev", "seq_index", "hess_min")
-# Format 1 also stored the derived marginal, as float lists.
-_FORMAT_1_ARRAYS = ("mu", "sigma") + _ARRAY_FIELDS
+_SCALAR_FIELDS = ("n_prev", "seq_index", "hess_min", "n_cases")
 
 # Allowed entry ranges; every other array only needs finite entries.
 _ARRAY_RANGES = {
@@ -707,7 +701,7 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
     Format ``mfvi-ckpt-2``: each state array is base64 of its little-endian
     float64 bytes, so it loads bit for bit; ``mu``/``sigma`` are derived,
     and the current pass, which the next epoch empties, is not stored; the
-    scalars are JSON numbers (``n_cases`` only when the state records it);
+    scalars, among them the run's case count ``n_cases``, are JSON numbers;
     ``epoch`` and the Philox state of ``rng``, the run's generator, let
     ``load_resume`` continue the run.  After the final epoch, a coordinate
     decided zero stores the slab parameters and completed-pass sums it had
@@ -719,8 +713,6 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, epoch: int, rn
     """
     arrays = {k: _checkpoint_value(state, k) for k in _ARRAY_FIELDS}
     scalars = {k: _plain(_checkpoint_value(state, k)) for k in _SCALAR_FIELDS}
-    if state.n_cases is not None:
-        scalars["n_cases"] = _plain(state.n_cases)
     for key, value in (*arrays.items(), *scalars.items()):
         if type(value) is not int and not np.all(np.isfinite(value)):
             raise FloatingPointError(f"checkpoint field {key!r} holds a non-finite value")
@@ -772,14 +764,15 @@ def _decoded(raw: dict, key: str) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8").astype(np.float64)
 
 
-def _checked_state(arrays: dict, raw: dict) -> TrainState:
-    """TrainState from a checkpoint's decoded ``arrays`` and ``state`` object,
-    with an empty current pass.
+def _checked_state(raw: dict) -> TrainState:
+    """TrainState from a checkpoint's ``state`` object, with an empty current
+    pass.
 
     Raises ValueError naming the first field that is missing, mistyped, of
     the wrong length, non-finite or out of range.
     """
-    d = arrays["slab_mean"].size
+    arrays = {k: _decoded(raw, k) for k in _ARRAY_FIELDS}
+    d = int(np.median([a.size for a in arrays.values()]))  # a lone damaged field is outvoted
     for key, a in arrays.items():
         lo, hi = _ARRAY_RANGES.get(key, (-math.inf, math.inf))
         if a.shape != (d,) or not np.all(np.isfinite(a) & (a >= lo) & (a <= hi)):
@@ -788,17 +781,16 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
             )
     for key in _SCALAR_FIELDS:
         v = raw.get(key)
-        if key != "hess_min":
-            ok, want = type(v) is int and v >= 0, "a nonnegative integer"
+        if key == "hess_min":
+            ok, want = type(v) is float and math.isfinite(v), "a finite float"
+        elif key == "n_cases":
+            ok, want = type(v) is int and v >= 1, "a positive integer"
         else:
-            ok, want = type(v) in (int, float) and math.isfinite(v), "a finite number"
+            ok, want = type(v) is int and v >= 0, "a nonnegative integer"
         if not ok:
             raise ValueError(f"checkpoint field {key!r} must be {want}, got {v!r}")
-    n_cases = raw.get("n_cases")  # absent from files written before it was stored
-    if n_cases is not None and (type(n_cases) is not int or n_cases < 1):
-        raise ValueError(
-            f"checkpoint field 'n_cases' must be a positive integer, got {n_cases!r}"
-        )
+    if raw["n_prev"] > raw["n_cases"]:  # a completed pass holds one restart target
+        raise ValueError(f"checkpoint field 'n_prev' exceeds 'n_cases', got {raw['n_prev']!r}")
     return TrainState(
         slab_mean=arrays["slab_mean"],
         slab_std=arrays["slab_std"],
@@ -809,22 +801,8 @@ def _checked_state(arrays: dict, raw: dict) -> TrainState:
         cur=Accumulator(0, np.zeros(d), np.zeros(d)),
         seq_index=raw["seq_index"],
         hess_min=raw["hess_min"],
-        n_cases=n_cases,
+        n_cases=raw["n_cases"],
     )
-
-
-def _checked_format_1(raw: dict) -> TrainState:
-    """TrainState from a format-1 ``state`` object, whose stored ``mu`` and
-    ``sigma`` must equal the moments the slab parameters imply."""
-    arrays = {k: np.asarray(raw.get(k), dtype=np.float64) for k in _FORMAT_1_ARRAYS}
-    state = _checked_state(arrays, raw)
-    for key in ("mu", "sigma"):
-        if not np.array_equal(arrays[key], getattr(state, key)):
-            raise ValueError(
-                f"checkpoint field {key!r} differs from the moments of "
-                "p_nonzero, slab_mean and slab_std"
-            )
-    return state
 
 
 def _checked_rng(raw: dict) -> np.random.Generator:
@@ -848,16 +826,18 @@ def _checked_rng(raw: dict) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _read_checkpoint(path):
-    """``(state, config, epoch, rng)`` of a checkpoint file of either format;
-    ``epoch`` and ``rng`` are None for format 1, which has neither."""
+def load_resume(path) -> tuple[TrainState, TrainConfig, int, np.random.Generator]:
+    """A checkpoint as a run to continue: its state, config, completed epoch
+    count and generator (pass ``(state, epoch, rng)`` to ``train`` as
+    ``start``).  Raises ValueError naming the format tag or the first field
+    that is missing or invalid."""
     try:
         with open(path, "rb") as fh:
             payload = json.loads(fh.read())
     except ValueError as err:  # not JSON, or not text
         raise ValueError(f"{path}: not a JSON checkpoint ({err})") from err
     tag = payload.get("format") if isinstance(payload, dict) else None
-    if tag not in (CHECKPOINT_FORMAT, _FORMAT_1):
+    if tag != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format {tag!r}")
     try:
         config = TrainConfig(**payload["config"])
@@ -866,9 +846,7 @@ def _read_checkpoint(path):
     raw = payload.get("state")
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: checkpoint field 'state' must be a JSON object")
-    if tag == _FORMAT_1:
-        return _checked_format_1(raw), config, None, None
-    state = _checked_state({k: _decoded(raw, k) for k in _ARRAY_FIELDS}, raw)
+    state = _checked_state(raw)
     epoch = raw.get("epoch")
     if type(epoch) is not int or not 0 <= epoch <= config.n_epochs:
         raise ValueError(
@@ -883,25 +861,12 @@ def _read_checkpoint(path):
         )
     if epoch == config.n_epochs and not np.array_equal(state.p_nonzero, state.realized_nonzero):
         raise ValueError(
-            "checkpoint field 'p_nonzero' must equal 'realized_nonzero' after the final "
-            f"epoch {epoch}"
+            "checkpoint field 'p_nonzero' must equal 'realized_nonzero' when 'epoch' is "
+            f"the final {epoch}"
         )
     return state, config, epoch, _checked_rng(raw)
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    """Read and validate a checkpoint of either format."""
-    state, config, _, _ = _read_checkpoint(path)
-    return state, config
-
-
-def load_resume(path) -> tuple[TrainState, TrainConfig, int, np.random.Generator]:
-    """A format-2 checkpoint as a run to continue: its state, config,
-    completed epoch count and generator (pass ``(state, epoch, rng)`` to
-    ``train`` as ``start``)."""
-    state, config, epoch, rng = _read_checkpoint(path)
-    if rng is None:
-        raise ValueError(
-            f"{path}: a {_FORMAT_1} checkpoint stores no epoch or generator to resume from"
-        )
-    return state, config, epoch, rng
+    """The state and config of a checkpoint, validated as ``load_resume`` does."""
+    return load_resume(path)[:2]

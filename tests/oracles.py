@@ -14,17 +14,16 @@ node one by one, the definition the models' ``pair_sums`` reorganize; they
 agree with it up to rounding.  ``block_sums`` sums a block of nodes that
 one ``evaluate_nodes`` call evaluates (``logistic_evaluate_nodes`` for the
 logistic model) in the per-node loop's order, so bit for bit.
-``save_checkpoint_v1`` keeps the writer of the first checkpoint format,
-which ``load_checkpoint`` still reads.  ``run_epoch`` keeps the final epoch
-that updates every coordinate; the package's, which updates the survivors
-alone, matches it on every value a later step reads.  ``count_exact_pairs``
-builds every node of one budget anew, where the package counts a whole
-ladder in one pass; the counts are integers and must agree exactly.
+``run_epoch`` keeps the final epoch that updates every coordinate; the
+package's, which updates the survivors alone, matches it on every value a
+later step reads.  ``count_exact_pairs`` builds every node of one budget
+anew, where the package counts a whole ladder in one pass; the counts are
+integers and must agree exactly.  ``orthonormal_basis`` factors one
+coordinate's moment matrix at a time, where the package factors them all in
+one batched call, bit for bit.
 """
 
-import json
 import math
-from dataclasses import fields
 
 import numpy as np
 
@@ -32,6 +31,7 @@ import mfquad.meanfield
 import mfquad.models
 import mfquad.quadrature
 import mfquad.trainer
+from mfquad.meanfield import OrthonormalBasis
 from mfquad.models import LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate
 from mfquad.quadrature import (
@@ -44,7 +44,6 @@ from mfquad.quadrature import (
 from mfquad.trainer import (
     Accumulator,
     EpochStats,
-    _plain,
     anneal_target,
     hybrid_coeffs,
     sparsity_schedule,
@@ -524,32 +523,22 @@ def patch_all(monkeypatch) -> None:
         monkeypatch.setattr(module, name, oracle)
 
 
-# Format 1 stored both passes, their summed snapshot losses and the derived
-# marginal; the loader reads none of the current pass and no loss.
-_V1_ARRAYS = ("mu", "sigma", "slab_mean", "slab_std", "zero_logit", "p_nonzero",
-              "realized_nonzero", "grad_prev", "grad_cur", "hess_prev", "hess_cur")
-_V1_SCALARS = ("n_prev", "n_cur", "loss_prev", "loss_cur", "seq_index", "hess_min")
-
-
-def _v1_value(state, key):
-    name, _, acc = key.rpartition("_")
-    if acc not in ("prev", "cur"):
-        return getattr(state, key)
-    return 0.0 if name == "loss" else getattr(getattr(state, acc), name)
-
-
-def save_checkpoint_v1(path, state, config) -> None:
-    """Format ``mfvi-ckpt-1``: indented JSON float lists at full round-trip
-    precision, with the derived ``mu`` and ``sigma``, no epoch, no generator;
-    the losses, which the state no longer keeps, are written as 0."""
-    payload = {
-        "format": "mfvi-ckpt-1",
-        "config": {f.name: _plain(getattr(config, f.name)) for f in fields(config)},
-        "state": {
-            **{k: _v1_value(state, k).tolist() for k in _V1_ARRAYS},
-            **{k: _plain(_v1_value(state, k)) for k in _V1_SCALARS},
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+def orthonormal_basis(dist, max_degree: int = 3) -> OrthonormalBasis:
+    """``meanfield.orthonormal_basis`` by one Hankel build, ``cholesky`` and
+    ``inv`` per coordinate."""
+    m = dist.raw_moments(2 * max_degree)
+    n = max_degree + 1
+    coeffs = np.zeros((dist.dim, n, n))
+    for c in range(dist.dim):
+        hankel = np.empty((n, n))
+        for a in range(n):
+            hankel[a] = m[c, a : a + n]
+        try:
+            chol = np.linalg.cholesky(hankel)
+        except np.linalg.LinAlgError as err:
+            raise ValueError(
+                f"degenerate marginal at coordinate {c}: "
+                "moment matrix is not positive definite"
+            ) from err
+        coeffs[c] = np.tril(np.linalg.inv(chol))
+    return OrthonormalBasis(coeffs)

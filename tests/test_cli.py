@@ -9,11 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfquad.cli
 import mfquad.models
 import mfquad.trainer
-import oracles
 from mfquad.cli import (
     ConfigError,
     _build_model,
@@ -24,7 +25,14 @@ from mfquad.cli import (
 )
 from mfquad.meanfield import OrthonormalBasis, orthonormal_basis, preset
 from mfquad.models import write_idx
-from mfquad.trainer import TrainConfig, init_state, load_checkpoint, run_epoch, save_checkpoint
+from mfquad.trainer import (
+    TrainConfig,
+    init_state,
+    load_checkpoint,
+    load_resume,
+    run_epoch,
+    save_checkpoint,
+)
 
 
 def read_rows(path):
@@ -550,8 +558,6 @@ def test_train_resume_errors(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
     ckpt = str(run / "checkpoint.json")
     other = tmp_path / "other.json"
-    v1 = tmp_path / "v1.json"
-    oracles.save_checkpoint_v1(v1, *load_checkpoint(ckpt))
     base = ["train", "--data", data, "--out", str(tmp_path / "resumed")]
     cases = [
         # a config that differs from the checkpoint's, naming the field
@@ -562,8 +568,6 @@ def test_train_resume_errors(tmp_path, capsys):
         ({**json.loads(config.read_text()), "hidden_units": 5}, [], ckpt, "parameters"),
         # --resume with --epochs
         (json.loads(config.read_text()), ["--epochs", "2"], ckpt, "--epochs"),
-        # a format-1 checkpoint has nothing to resume from
-        (json.loads(config.read_text()), [], str(v1), "mfvi-ckpt-1"),
     ]
     for doc, extra, path, match in cases:
         other.write_text(json.dumps(doc))
@@ -579,8 +583,7 @@ def test_train_resume_rejects_other_data(tmp_path, capsys):
     # A checkpoint records its run's case count: data with another count
     # exits 2 with one line, also when it keeps the first restart target and
     # so hess_min (n = 71).  A file written before the count was stored
-    # still has hess_min checked, and resumes the run's own data to the
-    # bytes a file with the count gives.
+    # exits 2 naming the missing field, also on the run's own data.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_epochs": 4}))
     run, ckpt = tmp_path / "run", tmp_path / "run" / "checkpoint.json"
@@ -593,7 +596,8 @@ def test_train_resume_rejects_other_data(tmp_path, capsys):
     cases = [(ckpt, "n=71,nval=16,seed=5", "64 cases, not 71"),
              (ckpt, "n=32,nval=16", "64 cases, not 32"),
              (ckpt, "n=4,nval=16", "empty accumulator"),
-             (uncounted, "n=32,nval=16", "hess_min")]
+             (uncounted, "n=32,nval=16", "'n_cases'"),
+             (uncounted, "n=64,nval=16", "'n_cases'")]
     for path, spec, match in cases:
         capsys.readouterr()
         assert main(["train", "--config", str(config), "--data", f"synth:d=8,k=2,{spec}",
@@ -601,11 +605,42 @@ def test_train_resume_rejects_other_data(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert match in err, err
-    for path in (ckpt, uncounted):
-        out = tmp_path / f"from-{path.stem}"
+    out = tmp_path / "from-run"
+    assert main(["train", "--config", str(config), "--data", data,
+                 "--out", str(out), "--resume", str(ckpt)]) == 0
+    assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
+
+
+def test_retired_checkpoint_layouts_exit_2(tmp_path, capsys):
+    # Only format 2 with the case count loads.  A format-1 file (float lists
+    # that also hold the derived mu/sigma) and a format-2 file written
+    # before the count was stored raise ValueError naming the tag or the
+    # field, and --resume exits 2 with one config error line.
+    config, data = _resume_setup(tmp_path, "logistic", n_epochs=2)
+    run, ckpt = tmp_path / "run", tmp_path / "run" / "checkpoint.json"
+    assert main(["train", "--config", str(config), "--data", data, "--out", str(run)]) == 0
+    payload = json.loads(ckpt.read_text())
+    state, _ = load_checkpoint(ckpt)
+    arrays = ("slab_mean", "slab_std", "zero_logit", "p_nonzero", "realized_nonzero",
+              "grad_prev", "hess_prev")
+    format_1 = {"format": "mfvi-ckpt-1", "config": payload["config"], "state": {
+        "mu": state.mu.tolist(), "sigma": state.sigma.tolist(),
+        **{k: np.frombuffer(base64.b64decode(payload["state"][k]), "<f8").tolist()
+           for k in arrays},
+        **{k: payload["state"][k] for k in ("n_prev", "seq_index", "hess_min")}}}
+    uncounted = copy.deepcopy(payload)
+    del uncounted["state"]["n_cases"]
+    path = tmp_path / "retired.json"
+    for doc, match in ((format_1, "mfvi-ckpt-1"), (uncounted, "'n_cases'")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+        capsys.readouterr()
         assert main(["train", "--config", str(config), "--data", data,
-                     "--out", str(out), "--resume", str(path)]) == 0
-        assert (out / "checkpoint.json").read_bytes() == ckpt.read_bytes()
+                     "--out", str(tmp_path / "resumed"), "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert match in err, err
 
 
 def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
@@ -622,6 +657,11 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
 
     def put(key, value):
         return lambda st: st.__setitem__(key, value)
+
+    def set_entry(key, i, value):
+        a = np.frombuffer(base64.b64decode(payload["state"][key]), "<f8").copy()
+        a[i] = value
+        return put(key, b64(a))
 
     def rng_edit(edit):
         def apply(st):
@@ -640,6 +680,13 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
         (put("zero_logit", b64(nan_at_2)), "zero_logit"),
         (put("slab_mean", b64(np.full(d, np.inf))), "slab_mean"),
         (put("p_nonzero", b64(np.full(d, 7.0))), "p_nonzero"),
+        (set_entry("realized_nonzero", 1, -1.0), "realized_nonzero"),
+        (set_entry("slab_std", 3, -0.5), "slab_std"),
+        (put("hess_min", float("nan")), "hess_min"),
+        (put("hess_min", 10**400), "hess_min"),
+        (put("n_prev", 2.5), "n_prev"),
+        (put("n_prev", 97), "n_prev"),  # more than the run's 96 cases
+        (lambda st: st.pop("seq_index"), "seq_index"),
         (lambda st: st.pop("epoch"), "epoch"),
         (put("epoch", "2"), "epoch"),
         (put("epoch", 2.0), "epoch"),
@@ -676,6 +723,45 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
         assert f"'{field}'" in err, err
     path.write_text(json.dumps(payload))
     assert main(argv) == 0
+
+
+def test_checkpoint_fuzz_one_field(tmp_path, capsys):
+    # One state field of a real format-2 file, stopped after epoch 1 of 2,
+    # replaced by any JSON value: loading returns or raises ValueError
+    # naming the field, and --resume exits 0 or 2 with one stderr line.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_epochs": 2, "frac_zero_target": 0.5, "seed": 3}))
+    data, d = "synth:d=6,k=2,n=16,nval=8,seed=2", 6
+    head = tmp_path / "head.json"
+    _library_head(config, data, 1, head)
+    payload = json.loads(head.read_text())
+    path = tmp_path / "edited.json"
+    argv = ["train", "--config", str(config), "--data", data,
+            "--out", str(tmp_path / "resumed"), "--resume", str(path)]
+    wrong_length = st.binary(max_size=8 * d + 16).filter(lambda b: len(b) != 8 * d)
+    values = st.one_of(
+        st.integers(-2, 40), st.integers(-(2**70), 2**70), st.just(10**400),
+        st.floats(), st.just(float("nan")),
+        st.booleans(), st.text(max_size=8), st.lists(st.integers(-2, 2), max_size=3),
+        st.none(), wrong_length.map(lambda b: base64.b64encode(b).decode()),
+    )
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(field=st.sampled_from(sorted(payload["state"])), value=values)
+    def check(field, value):
+        doc = copy.deepcopy(payload)
+        doc["state"][field] = value
+        path.write_text(json.dumps(doc))
+        try:
+            load_resume(path)
+        except ValueError as err:
+            assert f"'{field}'" in str(err), (field, value, err)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2) and err.count("\n") == (code == 2), (field, value, err)
+
+    check()
 
 
 @pytest.mark.parametrize("edit, field", [

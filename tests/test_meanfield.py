@@ -165,6 +165,27 @@ def test_degenerate_marginal_raises():
         orthonormal_basis(GaussianMeanField([0.0, 1.0], [1.0, 0.0]))
     with pytest.raises(ValueError, match="degenerate"):
         orthonormal_basis(SpikeSlabMeanField([1.0], [2.0], [1.0]))
+    # the batched factorization names the first degenerate coordinate
+    sigma = np.ones(6)
+    sigma[[2, 4]] = 0.0
+    with pytest.raises(ValueError, match="degenerate marginal at coordinate 2:"):
+        orthonormal_basis(GaussianMeanField(np.zeros(6), sigma))
+
+
+def _random_fields(rng, d):
+    loc, scale = rng.normal(0.0, 2.0, d), rng.uniform(0.1, 3.0, d)
+    return [GaussianMeanField(loc, scale), LaplaceMeanField(loc, scale),
+            SpikeSlabMeanField(rng.uniform(0.0, 0.9, d), loc, scale)]
+
+
+@pytest.mark.parametrize("max_degree", range(1, 7))
+def test_batched_basis_matches_per_coordinate_oracle(max_degree):
+    # one batched cholesky and inv give the per-coordinate loop's bits
+    rng = np.random.Generator(np.random.Philox(max_degree))
+    for dist in [preset(name, 3) for name in PRESETS] + _random_fields(rng, 40):
+        got = orthonormal_basis(dist, max_degree).coeffs
+        want = oracles.orthonormal_basis(dist, max_degree).coeffs
+        assert got.tobytes() == want.tobytes(), (type(dist).__name__, max_degree)
 
 
 def test_basis_product_expectation():

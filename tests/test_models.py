@@ -256,6 +256,22 @@ def test_pair_sums_match_node_sums(name, k_start, n_pairs):
     assert grad.tobytes() == same_grad.tobytes() and curv.tobytes() == same_curv.tobytes()
 
 
+@pytest.mark.parametrize("k_start", [2**63 - 1, 2**64 + 5, 10**30 + 3])
+def test_mlp_pair_sums_take_sign_numbers_past_int64(k_start):
+    # Sign number k is vector k mod 2**b for any 2**b above every parameter
+    # index, so a number past int64, such as a damaged checkpoint's
+    # seq_index, gives the sums of the reduced number.
+    model = small_mlp()
+    rng = np.random.Generator(np.random.Philox(4))
+    mu = 0.5 * rng.standard_normal(model.n_params)
+    sigma = rng.uniform(0.0, 0.4, size=model.n_params)
+    loss, grad, curv = model.pair_sums(2, mu, sigma, k_start, 2)
+    reduced = k_start % 2 ** model.n_params.bit_length()
+    want_loss, want_grad, want_curv = model.pair_sums(2, mu, sigma, reduced, 2)
+    assert loss == want_loss
+    assert grad.tobytes() == want_grad.tobytes() and curv.tobytes() == want_curv.tobytes()
+
+
 def test_mlp_pair_sums_need_a_power_of_two_hidden_size():
     data = Dataset(np.ones((2, 4)), np.array([0, 1]))
     for n_hid, factored in [(1, True), (2, True), (3, False), (6, False), (8, True)]:
