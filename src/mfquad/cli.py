@@ -48,7 +48,6 @@ from .models import (
 )
 from .projection import EvaluationError, full_period
 from .quadrature import (
-    NodeSet,
     blocked_simplex_standard,
     count_exact_pairs,
     mc_nodes,
@@ -131,29 +130,39 @@ def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
 # -------------------------------------------------------- integrate-bench
 
 
-def _bench_nodes(method, dist, n, rng, block_size):
-    """Node set for one trial at one evaluation budget."""
-    if method == "mc":
-        return mc_nodes(dist, n, rng)
-    if method == "qmc-mean":
-        return mean_matched_nodes(dist, n, rng)
-    if method == "qmc-var":
-        return moment_matched_nodes(dist, n, rng)[0]
-    d = dist.dim
-    if method == "cross-polytope":
-        n_pairs = n // 2
-        n_windows = max(full_period(d) // n_pairs, 1)
-        k_start = int(rng.integers(n_windows)) * n_pairs
-        _, nodes = reflected_nodes(dist.mean, dist.std, k_start, n_pairs)
-        return NodeSet(
-            nodes.reshape(2 * n_pairs, d), np.full(2 * n_pairs, 0.5 / n_pairs)
-        )
+def _trial_nodes(method, dist, budgets, rng, block_size, index):
+    """Columns ``index`` of one trial's nodes at every budget of the ladder.
+
+    Returns a ``(sum(budgets), len(index))`` array holding each budget's
+    nodes in turn.  Each budget draws from ``rng`` what a full build of its
+    node set would, in ladder order, so every value is the full build's.
+    """
+    mean, std = dist.mean, dist.std
     if method == "blocked-simplex":
-        base = blocked_simplex_standard(
-            d, block_size, rng, n_groups=n // (block_size + 1)
-        )
-        return NodeSet(dist.mean + dist.std * base.nodes, base.weights)
-    raise ConfigError(f"unknown method {method!r}")
+        # Groups are shuffled one after another from the one generator, so
+        # a single call draws every budget's groups in turn.
+        n_groups = sum(budgets) // (block_size + 1)
+        base = blocked_simplex_standard(dist.dim, block_size, rng, n_groups, index)
+        return mean[index] + std[index] * base.nodes
+    nodes = np.empty((sum(budgets), index.size))
+    start = 0
+    for n in budgets:
+        cell = nodes[start:start + n]
+        start += n
+        if method == "cross-polytope":
+            n_pairs = n // 2
+            n_windows = max(full_period(dist.dim) // n_pairs, 1)
+            k_start = int(rng.integers(n_windows)) * n_pairs
+            cell[...] = reflected_nodes(mean, std, k_start, n_pairs, index)[1].reshape(n, -1)
+        elif method == "mc":  # the samplers draw every coordinate
+            cell[...] = mc_nodes(dist, n, rng).nodes[:, index]
+        elif method == "qmc-mean":
+            cell[...] = mean_matched_nodes(dist, n, rng).nodes[:, index]
+        elif method == "qmc-var":
+            cell[...] = moment_matched_nodes(dist, n, rng)[0].nodes[:, index]
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+    return nodes
 
 
 def cmd_integrate_bench(args) -> int:
@@ -165,27 +174,45 @@ def cmd_integrate_bench(args) -> int:
     terms = parse_basis(args.basis, d)
     max_degree = max(3, *(deg for _, deg in terms)) if terms else 3
     budgets = _ladder(args.method, args.block_size, args.max_evals)
+    # the nodes are built only in the coordinates the basis reads (np.unique
+    # would import numpy.ma, about 1 MB of the run's peak memory)
+    index = np.array(sorted({coord for coord, _ in terms}))
     _check_size(f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d)
+    _check_size(
+        f"a trial's {sum(budgets)} x {index.size} node block", sum(budgets) * index.size
+    )
+    if args.method == "blocked-simplex":  # a shuffled row order per node and block
+        n_blocks = -(-d // args.block_size)
+        _check_size(
+            f"a trial's {sum(budgets)} x {n_blocks} block shuffle", sum(budgets) * n_blocks
+        )
     # the basis coefficients outgrow the 2 * max_degree + 1 raw moments
     _check_size(f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2)
     dist = preset(args.dist, d)
     basis = orthonormal_basis(dist, max_degree=max_degree)
     truth = basis_product_expectation(dist, basis, terms)
+    column = {coord: j for j, coord in enumerate(index.tolist())}
+    # every rule weighs a budget's n nodes alike; 0.5 / n_pairs is the same double
+    weights = [np.full(n, 1.0 / n) for n in budgets]
 
     errors = np.empty((args.trials, len(budgets)))
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
-        for j, n in enumerate(budgets):
-            ns = _bench_nodes(args.method, dist, n, rng, args.block_size)
-            vals = np.ones(ns.n_nodes)
-            for coord, degree in terms:
-                vals *= basis.evaluate(coord, degree, ns.nodes[:, coord])
-            estimate = float(ns.weights @ vals)
+        nodes = _trial_nodes(args.method, dist, budgets, rng, args.block_size, index)
+        vals = np.ones(nodes.shape[0])
+        for coord, degree in terms:
+            vals *= basis.evaluate(coord, degree, nodes[:, column[coord]])
+        start = 0
+        for j, (n, w) in enumerate(zip(budgets, weights)):
+            # each budget's own slice, summed as its node set alone would be
+            estimate = float(w @ vals[start:start + n])
             if not math.isfinite(estimate):
                 raise EvaluationError(
-                    f"non-finite estimate at n_evals={n}, trial {trial}", ns.nodes
+                    f"non-finite estimate at n_evals={n}, trial {trial}",
+                    nodes[start:start + n],
                 )
             errors[trial, j] = estimate - truth
+            start += n
 
     t = args.trials
     rows = []

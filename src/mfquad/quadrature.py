@@ -102,11 +102,23 @@ class AntitheticPair:
         return NodeSet(np.stack([self.plus, self.minus]), [self.weight, self.weight])
 
 
-def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
+def _coordinates(index, d: int) -> np.ndarray:
+    """``index`` as an integer array of coordinates in ``0 .. d - 1``."""
+    index = np.asarray(index)
+    if index.ndim != 1 or (
+        index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= d)
+    ):
+        raise ValueError(f"index must be a list of coordinates in 0..{d - 1}")
+    return index.astype(np.intp, copy=False)
+
+
+def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarray:
     """Consecutive sign vectors ``k_start .. k_start + n_vectors - 1``.
 
     Returns an ``(n_vectors, d)`` array with entries in {-1.0, +1.0}.
-    Row ``r`` is ``cross_polytope_signs(d, k_start + r)``.
+    Row ``r`` is ``cross_polytope_signs(d, k_start + r)``.  With ``index``,
+    a list of coordinates below ``d``, only those columns are built, in that
+    order: the result is the full one's ``[:, index]``.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -116,7 +128,7 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     # reduced to them.
     mask = (1 << int(d - 1).bit_length()) - 1
     k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
-    return walsh_signs(np.arange(d), k)
+    return walsh_signs(np.arange(d) if index is None else _coordinates(index, d), k)
 
 
 def walsh_signs(index: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -181,7 +193,7 @@ def _reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray
 
 
 def reflected_nodes(
-    mu: np.ndarray, sigma: np.ndarray, k_start: int, n_pairs: int
+    mu: np.ndarray, sigma: np.ndarray, k_start: int, n_pairs: int, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reflected pairs ``mu +- sigma * s_k`` for ``k = k_start .. k_start + n_pairs - 1``.
 
@@ -189,9 +201,15 @@ def reflected_nodes(
     n_pairs)`` and ``nodes`` has shape ``(2, n_pairs, d)``, the plus nodes
     ``mu + sigma * signs`` first and the minus nodes second.  ``mu`` and
     ``sigma`` are float arrays of length ``d``; ``sigma`` must be
-    nonnegative.
+    nonnegative.  With ``index``, a list of coordinates below ``d``, only
+    those columns are built, in that order, with the values of the full
+    build's ``[..., index]``; ``sigma`` is then checked on them alone.
     """
-    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs, index)
+    if index is not None:
+        if mu.shape != sigma.shape:
+            raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
+        mu, sigma = mu[index], sigma[index]
     return signs, _reflect(mu, sigma, signs)
 
 
@@ -231,6 +249,7 @@ def blocked_simplex_standard(
     block_size: int,
     rng: np.random.Generator,
     n_groups: int = 1,
+    index=None,
 ) -> NodeSet:
     """Blocked simplex rule for a standardized ``d``-dimensional measure.
 
@@ -242,19 +261,33 @@ def blocked_simplex_standard(
     block of size ``r < block_size`` takes the first ``r`` columns of the
     full-size point set, which keeps zero mean and identity second moment
     while matching the shared node count.  ``n_groups`` independent
-    replicates are pooled with equal weights.
+    replicates are pooled with equal weights.  The groups are shuffled one
+    after another from ``rng``, so one call for ``g1 + g2`` groups gives the
+    nodes of a call for ``g1`` followed by one for ``g2``.  With ``index``,
+    a list of coordinates below ``d``, only those columns are built, in
+    that order; every block is still shuffled, so the nodes and the
+    generator's state are those of the full build.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be positive, got {n_groups}")
     if d < 1 or block_size < 1:
         raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
+    if index is None:
+        blocks, columns = slice(None), slice(0, d)
+    else:
+        index = _coordinates(index, d)
+        # the gathered blocks are index // block_size, each block_size wide
+        blocks = index // block_size
+        columns = np.arange(index.size) * block_size + index % block_size
     full = simplex_sigma_points(block_size).nodes
     m = full.shape[0]
     total, n_blocks = n_groups * m, -(-d // block_size)
     # Row g * n_blocks + b shuffles block b of group g, as rng.permutation(m) would.
     order = rng.permuted(np.broadcast_to(np.arange(m), (n_groups * n_blocks, m)), axis=1)
-    nodes = full[order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)].reshape(total, -1)
-    return NodeSet(nodes[:, :d], np.full(total, 1.0 / total))
+    rows = order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)[:, :, blocks]
+    # np.take copies each row of block_size floats far faster than fancy indexing
+    nodes = np.take(full, rows, axis=0).reshape(total, -1)[:, columns]
+    return NodeSet(nodes, np.full(total, 1.0 / total))
 
 
 def mc_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:

@@ -672,11 +672,15 @@ _ARRAY_FIELDS = (
 )
 _SCALAR_FIELDS = ("n_prev", "seq_index", "hess_min", "n_cases")
 
-# Allowed entry ranges; every other array only needs finite entries.
+# Allowed entry ranges, "(" excluding the low end; every other array only
+# needs finite entries.  The completed-pass curvature starts at 1 / lr_init
+# and is floored at slab_std_max**-2, and slab_std = 1 / sqrt(hess_hat), so
+# no run writes a curvature or a slab deviation that is not positive.
 _ARRAY_RANGES = {
-    "p_nonzero": (0.0, 1.0),
-    "realized_nonzero": (0.0, 1.0),
-    "slab_std": (0.0, math.inf),
+    "p_nonzero": ("[", 0.0, 1.0),
+    "realized_nonzero": ("[", 0.0, 1.0),
+    "slab_std": ("(", 0.0, math.inf),
+    "hess_prev": ("(", 0.0, math.inf),
 }
 
 
@@ -774,10 +778,11 @@ def _checked_state(raw: dict) -> TrainState:
     arrays = {k: _decoded(raw, k) for k in _ARRAY_FIELDS}
     d = int(np.median([a.size for a in arrays.values()]))  # a lone damaged field is outvoted
     for key, a in arrays.items():
-        lo, hi = _ARRAY_RANGES.get(key, (-math.inf, math.inf))
-        if a.shape != (d,) or not np.all(np.isfinite(a) & (a >= lo) & (a <= hi)):
+        low_end, lo, hi = _ARRAY_RANGES.get(key, ("[", -math.inf, math.inf))
+        above = a > lo if low_end == "(" else a >= lo
+        if a.shape != (d,) or not np.all(np.isfinite(a) & above & (a <= hi)):
             raise ValueError(
-                f"checkpoint field {key!r} must hold {d} finite values in [{lo}, {hi}]"
+                f"checkpoint field {key!r} must hold {d} finite values in {low_end}{lo}, {hi}]"
             )
     for key in _SCALAR_FIELDS:
         v = raw.get(key)

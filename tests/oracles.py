@@ -20,23 +20,30 @@ later step reads.  ``count_exact_pairs`` builds every node of one budget
 anew, where the package counts a whole ladder in one pass; the counts are
 integers and must agree exactly.  ``orthonormal_basis`` factors one
 coordinate's moment matrix at a time, where the package factors them all in
-one batched call, bit for bit.
+one batched call, bit for bit.  ``cmd_integrate_bench`` builds every column
+of every (trial, budget) cell's node set and evaluates each cell apart,
+where the package builds only the columns the basis reads and evaluates a
+trial's whole ladder at once; the CSVs must agree byte for byte.
 """
 
 import math
 
 import numpy as np
 
+import mfquad.cli as cli
 import mfquad.meanfield
 import mfquad.models
 import mfquad.quadrature
 import mfquad.trainer
-from mfquad.meanfield import OrthonormalBasis
+from mfquad.meanfield import OrthonormalBasis, basis_product_expectation, preset
 from mfquad.models import LogisticModel, MlpModel
-from mfquad.projection import QuadraticSummary, _evaluate
+from mfquad.projection import QuadraticSummary, _evaluate, full_period
 from mfquad.quadrature import (
     _EXACT_TOL,
     NodeSet,
+    mc_nodes,
+    mean_matched_nodes,
+    moment_matched_nodes,
     reflected_nodes,
     simplex_sigma_points,
     trial_rng,
@@ -101,8 +108,9 @@ def _bit_parity(x: np.ndarray) -> np.ndarray:
     return (x & np.uint64(1)).astype(np.int64)
 
 
-def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
-    """``quadrature.sign_sequence`` through a shift-XOR parity of ``i & k``."""
+def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarray:
+    """``quadrature.sign_sequence`` through a shift-XOR parity of ``i & k``,
+    every column built and ``index`` sliced out of them."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if k_start < 0 or n_vectors < 0:
@@ -110,7 +118,8 @@ def sign_sequence(d: int, k_start: int, n_vectors: int) -> np.ndarray:
     i = np.arange(d, dtype=np.uint64)
     k = (np.uint64(k_start) + np.arange(n_vectors, dtype=np.uint64))[:, None]
     parity = _bit_parity(i[None, :] & k)
-    return (2.0 * parity - 1.0).astype(np.float64)
+    signs = (2.0 * parity - 1.0).astype(np.float64)
+    return signs if index is None else signs[:, index]
 
 
 def blocked_simplex_standard(d, block_size, rng, n_groups=1) -> NodeSet:
@@ -542,3 +551,65 @@ def orthonormal_basis(dist, max_degree: int = 3) -> OrthonormalBasis:
             ) from err
         coeffs[c] = np.tril(np.linalg.inv(chol))
     return OrthonormalBasis(coeffs)
+
+
+def _bench_nodes(method, dist, n, rng, block_size):
+    """Every column of one trial's node set at one evaluation budget."""
+    if method == "mc":
+        return mc_nodes(dist, n, rng)
+    if method == "qmc-mean":
+        return mean_matched_nodes(dist, n, rng)
+    if method == "qmc-var":
+        return moment_matched_nodes(dist, n, rng)[0]
+    d = dist.dim
+    if method == "cross-polytope":
+        n_pairs = n // 2
+        n_windows = max(full_period(d) // n_pairs, 1)
+        k_start = int(rng.integers(n_windows)) * n_pairs
+        _, nodes = reflected_nodes(dist.mean, dist.std, k_start, n_pairs)
+        return NodeSet(
+            nodes.reshape(2 * n_pairs, d), np.full(2 * n_pairs, 0.5 / n_pairs)
+        )
+    base = mfquad.quadrature.blocked_simplex_standard(
+        d, block_size, rng, n_groups=n // (block_size + 1)
+    )
+    return NodeSet(dist.mean + dist.std * base.nodes, base.weights)
+
+
+def cmd_integrate_bench(args) -> int:
+    """``cli.cmd_integrate_bench`` one (trial, budget) cell at a time: a full
+    ``d``-column node set per cell and one ``basis.evaluate`` call per term
+    and cell."""
+    d = args.d
+    terms = cli.parse_basis(args.basis, d)
+    max_degree = max(3, *(deg for _, deg in terms))
+    budgets = cli._ladder(args.method, args.block_size, args.max_evals)
+    dist = preset(args.dist, d)
+    basis = mfquad.meanfield.orthonormal_basis(dist, max_degree=max_degree)
+    truth = basis_product_expectation(dist, basis, terms)
+
+    errors = np.empty((args.trials, len(budgets)))
+    for trial in range(args.trials):
+        rng = trial_rng(args.seed, trial)
+        for j, n in enumerate(budgets):
+            ns = _bench_nodes(args.method, dist, n, rng, args.block_size)
+            vals = np.ones(ns.n_nodes)
+            for coord, degree in terms:
+                vals *= basis.evaluate(coord, degree, ns.nodes[:, coord])
+            errors[trial, j] = float(ns.weights @ vals) - truth
+
+    t = args.trials
+    rows = []
+    for j, n in enumerate(budgets):
+        signed = np.sort(errors[:, j])
+        rows.append(
+            [
+                n,
+                cli._fmt(signed[math.floor(0.05 * t)]),
+                cli._fmt(signed[math.floor(0.5 * t)]),
+                cli._fmt(signed[min(math.ceil(0.95 * t), t - 1)]),
+                cli._fmt(np.mean(np.abs(signed))),
+            ]
+        )
+    cli._write_csv(args.out, ["n_evals", "q05", "q50", "q95", "mean_abs_err"], rows)
+    return 0

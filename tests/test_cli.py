@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import mfquad.cli
 import mfquad.models
 import mfquad.trainer
+import oracles
 from mfquad.cli import (
     ConfigError,
     _build_model,
@@ -182,6 +183,51 @@ def test_bench_non_finite_estimate_exits_4(tmp_path, monkeypatch, capsys):
     assert err.startswith("numerical failure:") and err.count("\n") == 1, err
 
 
+def _bench_grid(method):
+    """integrate-bench argument lists over presets, block sizes 1-3,
+    dimensions 1, 3, 7 and 64 and two seeds, cycling through a one-factor
+    basis, a three-factor one and one with a repeated coordinate."""
+    for d in (1, 3, 7, 64):
+        bases = (f"phi3:{d - 1}", f"phi1:0*phi2:{d // 2}*phi1:{d - 1}",
+                 f"phi2:{d // 2}*phi1:{d // 2}")
+        for i, (dist, block_size, seed) in enumerate(
+            (dist, b, s) for dist in ("gauss", "laplace", "spikeslab")
+            for b in (1, 2, 3) for s in (0, 5)
+        ):
+            yield ["integrate-bench", "--dist", dist, "--method", method, "--d", str(d),
+                   "--basis", bases[i % 3], "--trials", "4", "--max-evals", "48",
+                   "--seed", str(seed), "--block-size", str(block_size)]
+
+
+@pytest.mark.parametrize("method", mfquad.cli.BENCH_METHODS)
+def test_bench_matches_the_per_cell_oracle(tmp_path, method):
+    # Only the basis's columns, and one evaluation per trial, give the CSV
+    # that full node sets evaluated one (trial, budget) cell at a time give.
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    for argv in _bench_grid(method):
+        assert main(argv + ["--out", str(fast)]) == 0
+        args = mfquad.cli.build_parser().parse_args(argv + ["--out", str(slow)])
+        oracles.cmd_integrate_bench(args)
+        assert fast.read_bytes() == slow.read_bytes(), argv
+
+
+def test_bench_evaluates_each_term_once_per_trial(tmp_path, monkeypatch):
+    calls = []
+    evaluate = OrthonormalBasis.evaluate
+
+    def counted(self, coord, degree, x):
+        calls.append((coord, degree, np.shape(x)))
+        return evaluate(self, coord, degree, x)
+
+    monkeypatch.setattr(OrthonormalBasis, "evaluate", counted)
+    code, _ = bench(tmp_path, "--dist", "laplace", "--method", "blocked-simplex",
+                    "--d", "9", "--basis", "phi1:7*phi2:2*phi1:7", "--trials", "5",
+                    "--max-evals", "24", "--block-size", "2")
+    assert code == 0
+    # the ladder 3, 6, 12, 24 is 45 nodes a trial
+    assert calls == [(7, 1, (45,)), (2, 2, (45,)), (7, 1, (45,))] * 5
+
+
 def test_train_non_finite_node_exits_4_on_one_line(tmp_path, monkeypatch, capsys):
     # a NaN gradient at every node with margin above 1: the snapshot check
     # fails, and the error names the first such node, with no warning
@@ -253,6 +299,13 @@ def test_count_deterministic(tmp_path):
       "--d", "1000", "--max-evals", "1000000000"], "nodes of dimension 1000"),
     (["integrate-bench", "--dist", "laplace", "--method", "cross-polytope",
       "--basis", "phi100000:0", "--d", "8", "--max-evals", "8"], "a degree-100000 basis"),
+    # the largest rung's 2**27 x 1 nodes fit; a trial's ladder of them does not
+    (["integrate-bench", "--dist", "gauss", "--method", "mc", "--basis", "phi1:0",
+      "--d", "1", "--max-evals", str(2**27)], "a trial's 268435454 x 1 node block"),
+    # one blocked call shuffles every block of the trial's 2**18 - 2 nodes
+    (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--block-size", "1",
+      "--basis", "phi1:0", "--d", "1024", "--max-evals", str(2**17)],
+     "a trial's 262142 x 1024 block shuffle"),
 ])
 def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, argv, what):
     # The size guard refuses from the flags alone: neither the rule nor the
@@ -682,6 +735,10 @@ def test_checkpoint_2_rejects_invalid_state(tmp_path, capsys):
         (put("p_nonzero", b64(np.full(d, 7.0))), "p_nonzero"),
         (set_entry("realized_nonzero", 1, -1.0), "realized_nonzero"),
         (set_entry("slab_std", 3, -0.5), "slab_std"),
+        # a curvature or slab deviation that no run writes
+        (put("hess_prev", b64(np.full(d, -1.0))), "hess_prev"),
+        (put("hess_prev", b64(np.zeros(d))), "hess_prev"),
+        (put("slab_std", b64(np.zeros(d))), "slab_std"),
         (put("hess_min", float("nan")), "hess_min"),
         (put("hess_min", 10**400), "hess_min"),
         (put("n_prev", 2.5), "n_prev"),
