@@ -40,7 +40,7 @@ from .models import (
     LogisticModel,
     MlpModel,
     QuadraticOracleModel,
-    gradient_check,
+    idx_shape,
     read_idx,
     synth_sparse_logistic,
     write_idx,

@@ -43,6 +43,7 @@ from .models import (
     IdxFormatError,
     LogisticModel,
     MlpModel,
+    idx_shape,
     read_idx,
     synth_sparse_logistic,
 )
@@ -329,7 +330,11 @@ def _parse_synth_spec(spec: str) -> dict:
     return out
 
 
-def _load_mnist_dir(directory) -> tuple[Dataset, Dataset]:
+def _load_mnist_dir(directory, limit=None) -> tuple[Dataset, Dataset]:
+    """The training and validation splits of an IDX directory, the training
+    split cut to its first ``limit`` cases.  Every file's header and length
+    are checked, and the splits checked against each other, before any
+    file is decoded; training rows past ``limit`` are never decoded."""
     directory = Path(directory)
     names = {
         "train_images": "train-images-idx3-ubyte",
@@ -337,28 +342,39 @@ def _load_mnist_dir(directory) -> tuple[Dataset, Dataset]:
         "val_images": "t10k-images-idx3-ubyte",
         "val_labels": "t10k-labels-idx1-ubyte",
     }
-    arrays = {}
-    for key, name in names.items():
-        path = directory / name
+    paths = {key: directory / name for key, name in names.items()}
+    shapes = {}
+    for key, path in paths.items():
         if not path.exists():
             raise DataError(f"missing IDX file {path}")
-        try:
-            arrays[key] = read_idx(path)
-        except IdxFormatError as err:
-            raise DataError(str(err)) from err
-    train = Dataset(
-        arrays["train_images"].reshape(arrays["train_images"].shape[0], -1),
-        arrays["train_labels"],
-    )
-    val = Dataset(
-        arrays["val_images"].reshape(arrays["val_images"].shape[0], -1),
-        arrays["val_labels"],
-    )
-    return train, val
+        shapes[key] = shape = idx_shape(path)
+        kind = key.partition("_")[2]
+        if len(shape) != (3 if kind == "images" else 1) or 0 in shape:
+            raise DataError(f"{path}: no {kind} in a file of shape {shape}")
+    for split in ("train", "val"):
+        images, labels = f"{split}_images", f"{split}_labels"
+        if shapes[images][0] != shapes[labels][0]:
+            raise DataError(
+                f"{paths[images]} holds {shapes[images][0]} images but {paths[labels]} "
+                f"holds {shapes[labels][0]} labels"
+            )
+    if shapes["val_images"][1:] != shapes["train_images"][1:]:
+        raise DataError(
+            f"{paths['val_images']}: images of shape {shapes['val_images'][1:]}, but the "
+            f"training images are {shapes['train_images'][1:]}"
+        )
+
+    def split(prefix, limit):
+        images = read_idx(paths[f"{prefix}_images"], limit)
+        labels = read_idx(paths[f"{prefix}_labels"], limit)
+        return Dataset(images.reshape(images.shape[0], -1), labels)
+
+    return split("train", limit), split("val", None)
 
 
-def _resolve_data(data_arg: str) -> tuple[Dataset, Dataset, str]:
-    """Returns (train, validation, default model kind)."""
+def _resolve_data(data_arg: str, max_cases=None) -> tuple[Dataset, Dataset, str]:
+    """Returns (train, validation, default model kind); the training split
+    holds at most ``max_cases`` cases."""
     kind, _, rest = data_arg.partition(":")
     if kind == "synth":
         spec = _parse_synth_spec(rest)
@@ -370,11 +386,12 @@ def _resolve_data(data_arg: str) -> tuple[Dataset, Dataset, str]:
             noise=spec["noise"],
             seed=spec["seed"],
         )
-        return data.subset(0, spec["n"]), data.subset(spec["n"], total), "logistic"
+        n_train = spec["n"] if max_cases is None else min(max_cases, spec["n"])
+        return data.subset(0, n_train), data.subset(spec["n"], total), "logistic"
     if kind == "mnist":
         if not rest:
             raise ConfigError("mnist data needs a directory: --data mnist:DIR")
-        train, val = _load_mnist_dir(rest)
+        train, val = _load_mnist_dir(rest, max_cases)
         return train, val, "mlp"
     raise ConfigError(f"unknown data source {data_arg!r}; use synth:SPEC or mnist:DIR")
 
@@ -421,9 +438,7 @@ def cmd_train(args) -> int:
                 f"{args.resume}: the run's config differs from the checkpoint's in "
                 + ", ".join(differ)
             )
-    train_data, val_data, default_model = _resolve_data(args.data)
-    if run["max_cases"] is not None:
-        train_data = train_data.subset(0, min(run["max_cases"], train_data.n_cases))
+    train_data, val_data, default_model = _resolve_data(args.data, run["max_cases"])
     model = _build_model(
         run["model"] or default_model, train_data, val_data,
         config.slab_std_max, run["hidden_units"],

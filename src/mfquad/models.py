@@ -4,19 +4,21 @@ Every model satisfies one contract: ``evaluate(theta, case) -> (loss, grad)``
 where ``case`` indexes a training example (models that hold no data ignore
 it).  Per-case losses include the continuous prior component
 ``h_prior/(2*N) * |theta|^2`` so that summing over the dataset reproduces
-the full regularized objective.  Gradients are hand-derived; a central
-finite-difference checker validates them.
+the full regularized objective.  Gradients are hand-derived; the tests
+check them against central finite differences.
 
 A model may also offer one optional method,
-``pair_sums(case, mu, sigma, k_start, n_pairs) -> (loss_sum, grad_sum,
-curv_sum)``.  Over the reflected pairs ``mu +- sigma * s_k`` of the sign
-vectors ``k = k_start .. k_start + n_pairs - 1`` it returns the three sums
-that ``projection.quadratic_approx`` reduces the evaluations to: the
-summed losses, the summed gradients ``sum(g+ + g-)``, and the signed
+``pair_sums(case, mu, sigma, k_start, n_pairs, index=None) -> (loss_sum,
+grad_sum, curv_sum)``.  Over the reflected pairs ``mu +- sigma * s_k`` of
+the sign vectors ``k = k_start .. k_start + n_pairs - 1`` it returns the
+three sums that ``projection.quadratic_approx`` reduces the evaluations to:
+the summed losses, the summed gradients ``sum(g+ + g-)``, and the signed
 gradient differences ``sum((g+ - g-) * s_k)``, as a float and two fresh
-length-``d`` arrays.  They equal the sums of ``evaluate`` at the nodes up to
-rounding, not bit for bit.  Taking ``k_start`` rather than the signs lets a
-model build only the signs it needs.  ``pair_sums`` may return None, and
+length-``d`` arrays.  With ``index``, a list of coordinates, the two arrays
+hold only those entries, bit for bit the full sums' ``[index]``.  They equal
+the sums of ``evaluate`` at the nodes up to rounding, not bit for bit.
+Taking ``k_start`` rather than the signs lets a model build only the signs
+it needs.  ``pair_sums`` may return None, and
 the caller then evaluates the nodes one by one.  ``LogisticModel`` and
 ``MlpModel`` have it; ``MlpModel`` returns None unless its hidden size is a
 power of two.
@@ -24,6 +26,8 @@ power of two.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -37,7 +41,7 @@ __all__ = [
     "LogisticModel",
     "MlpModel",
     "synth_sparse_logistic",
-    "gradient_check",
+    "idx_shape",
     "read_idx",
     "write_idx",
     "IdxFormatError",
@@ -51,12 +55,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _prior_sums(model, mu, sigma, n_pairs):
+def _prior_sums(model, mu, sigma, n_pairs, index=None):
     """The prior's loss term and fresh gradient and curvature sums for
-    ``pair_sums``: ``|mu +- sigma*s|^2`` summed over a pair adds to
-    ``2|mu|^2 + 2|sigma|^2``, its gradients to 2*mu, their difference to 2*sigma*s."""
+    ``pair_sums``, the sums at ``index`` only when it is given:
+    ``|mu +- sigma*s|^2`` summed over a pair adds to ``2|mu|^2 +
+    2|sigma|^2``, its gradients to 2*mu, their difference to 2*sigma*s."""
     prior = model.h_prior / model.dataset.n_cases
     loss = n_pairs * prior * float(mu @ mu + sigma @ sigma)
+    if index is not None:
+        mu, sigma = mu[index], sigma[index]
     return loss, np.multiply(mu, 2 * n_pairs * prior), np.multiply(sigma, 2 * n_pairs * prior)
 
 
@@ -151,7 +158,7 @@ class LogisticModel:
         grad += (self.h_prior / n) * theta
         return float(loss), grad
 
-    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs, index=None):
         """``pair_sums`` of the module's contract for this case.
 
         The margins of the nodes are ``x @ mu +- (sigma * x) @ s_k``, one
@@ -168,10 +175,13 @@ class LogisticModel:
         slopes = _sigmoid(z)
         slopes -= y
         loss_sum = float(np.logaddexp(0.0, z).sum()) - y * float(z.sum())
-        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs)
+        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs, index)
         loss_sum += prior_loss
+        signed = (slopes[0] - slopes[1]) @ signs
+        if index is not None:
+            x, signed = x[index], signed[index]
         grad_sum += float(slopes.sum()) * x
-        curv_sum += ((slopes[0] - slopes[1]) @ signs) * x
+        curv_sum += signed * x
         return loss_sum, grad_sum, curv_sum
 
     def predict(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -263,7 +273,7 @@ class MlpModel:
         grad += (self.h_prior / n) * theta
         return float(loss), grad
 
-    def pair_sums(self, case, mu, sigma, k_start, n_pairs):
+    def pair_sums(self, case, mu, sigma, k_start, n_pairs, index=None):
         """``pair_sums`` of the module's contract for this case, or None
         unless the hidden size is a power of two.
 
@@ -276,7 +286,9 @@ class MlpModel:
         W1 curvature sum ``sum_k outer(x, dpre+ - dpre-) * S_k`` is
         ``(x * C).T @ ((dpre+ - dpre-) * -R)``: W1's d-length signs are
         never built.  Every parameter after W1 is evaluated as a small
-        block of nodes.
+        block of nodes.  With ``index`` the W1 gradient sum is formed only
+        at those entries; the curvature product stays whole, since its
+        summation order depends on its shape.
         """
         n_in, n_hid, n_out = self.layer_sizes
         if n_hid & (n_hid - 1):
@@ -324,15 +336,25 @@ class MlpModel:
         rest_sum = grads.sum(axis=(0, 1))
         diff = grads[0] - grads[1]
 
-        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs)
+        prior_loss, grad_sum, curv_sum = _prior_sums(self, mu, sigma, n_pairs, index)
         loss_sum += prior_loss
-        # the outer product outer(x, sum of dpre) as a matrix product, which
-        # takes half the time of np.multiply.outer's n_hid-long rows
-        grad_sum[:a] += np.dot(x.reshape(n_in, 1), rest_sum[:n_hid].reshape(1, n_hid)).ravel()
-        grad_sum[a:] += rest_sum
-        curv_sum[:a] += (xc.T @ (diff[:, :n_hid] * neg_row)).ravel()
+        w1_curv = (xc.T @ (diff[:, :n_hid] * neg_row)).ravel()
         diff *= rest_signs
-        curv_sum[a:] += diff.sum(axis=0)
+        rest_curv = diff.sum(axis=0)
+        if index is None:
+            # the outer product outer(x, sum of dpre) as a matrix product,
+            # which takes half the time of np.multiply.outer's n_hid-long rows
+            grad_sum[:a] += np.dot(x.reshape(n_in, 1), rest_sum[:n_hid].reshape(1, n_hid)).ravel()
+            grad_sum[a:] += rest_sum
+            curv_sum[:a] += w1_curv
+            curv_sum[a:] += rest_curv
+        else:  # each outer-product entry is one rounded product, as above
+            in_w1 = index < a
+            w1, rest = index[in_w1], index[~in_w1] - a
+            grad_sum[in_w1] += x[w1 // n_hid] * rest_sum[w1 % n_hid]
+            grad_sum[~in_w1] += rest_sum[rest]
+            curv_sum[in_w1] += w1_curv[w1]
+            curv_sum[~in_w1] += rest_curv[rest]
         return loss_sum, grad_sum, curv_sum
 
     def predict(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -370,33 +392,6 @@ def synth_sparse_logistic(
     return Dataset(features, labels), w
 
 
-def gradient_check(
-    model, case=0, n_probes: int = 3, seed: int = 0, scale: float = 1.0
-) -> float:
-    """Max mixed deviation of the analytic gradient from central differences.
-
-    Steps are ``1e-5 * (1 + |theta_i|)`` per coordinate; the deviation is
-    ``|fd - grad| / (1 + |grad|)``, so absolute near zero and relative for
-    large entries.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    worst = 0.0
-    for _ in range(n_probes):
-        theta = scale * rng.standard_normal(model.n_params)
-        _, grad = model.evaluate(theta, case)
-        fd = np.empty_like(grad)
-        for i in range(theta.size):
-            step = 1e-5 * (1.0 + abs(theta[i]))
-            up, down = theta.copy(), theta.copy()
-            up[i] += step
-            down[i] -= step
-            fd[i] = (model.evaluate(up, case)[0] - model.evaluate(down, case)[0]) / (
-                2.0 * step
-            )
-        worst = max(worst, float(np.max(np.abs(fd - grad) / (1.0 + np.abs(grad)))))
-    return worst
-
-
 # ------------------------------------------------------------------ IDX i/o
 
 
@@ -408,44 +403,58 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def read_idx(path) -> np.ndarray:
+def idx_shape(path) -> tuple[int, ...]:
+    """Shape of what ``read_idx(path)`` returns, from the file's header:
+    ``(n, rows, cols)`` for images, ``(n,)`` for labels.  Checks the magic,
+    the header and the exact file length, and decodes nothing."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(16)
+
+    def need(count: int) -> None:
+        if count > size:
+            raise IdxFormatError(f"{path}: truncated at byte {size}, needed {count} bytes")
+
+    need(4)
+    (magic,) = struct.unpack(">I", header[:4])
+    ndim = {_IDX_IMAGES_MAGIC: 3, _IDX_LABELS_MAGIC: 1}.get(magic)
+    if ndim is None:
+        raise IdxFormatError(
+            f"{path}: bad magic 0x{magic:08x} at byte 0; expected "
+            f"0x{_IDX_IMAGES_MAGIC:08x} (images) or 0x{_IDX_LABELS_MAGIC:08x} (labels)"
+        )
+    need(4 + 4 * ndim)
+    shape = struct.unpack(f">{ndim}I", header[4 : 4 + 4 * ndim])
+    expected = 4 + 4 * ndim + math.prod(shape)
+    need(expected)
+    if size != expected:
+        raise IdxFormatError(f"{path}: {size} bytes, expected {expected}")
+    return shape
+
+
+def read_idx(path, limit=None) -> np.ndarray:
     """Parse one IDX file of unsigned bytes.
 
     Image files (magic 0x00000803) return ``(n, rows, cols)`` float64 arrays
     scaled to [0, 1]; label files (magic 0x00000801) return ``(n,)`` int64.
     All header integers are big-endian.  Truncated or mislabeled input
-    raises ``IdxFormatError`` naming the byte offset.
+    raises ``IdxFormatError`` naming the byte offset.  With ``limit`` only
+    the first ``limit`` items are read and decoded; the header and the
+    length of the whole file are checked all the same.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-
-    def take(offset: int, count: int) -> bytes:
-        if offset + count > len(raw):
-            raise IdxFormatError(
-                f"{path}: truncated at byte {len(raw)}, "
-                f"needed {offset + count} bytes"
-            )
-        return raw[offset : offset + count]
-
-    (magic,) = struct.unpack(">I", take(0, 4))
-    if magic == _IDX_IMAGES_MAGIC:
-        n, rows, cols = struct.unpack(">III", take(4, 12))
-        data = np.frombuffer(take(16, n * rows * cols), dtype=np.uint8)
-        if len(raw) != 16 + n * rows * cols:
-            raise IdxFormatError(
-                f"{path}: {len(raw)} bytes, expected {16 + n * rows * cols}"
-            )
-        return data.reshape(n, rows, cols).astype(np.float64) / 255.0
-    if magic == _IDX_LABELS_MAGIC:
-        (n,) = struct.unpack(">I", take(4, 4))
-        data = np.frombuffer(take(8, n), dtype=np.uint8)
-        if len(raw) != 8 + n:
-            raise IdxFormatError(f"{path}: {len(raw)} bytes, expected {8 + n}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    n, *item = idx_shape(path)
+    n = n if limit is None else min(limit, n)
+    count = n * math.prod(item)
+    data = np.fromfile(path, dtype=np.uint8, count=count, offset=4 + 4 * (1 + len(item)))
+    if data.size != count:  # the file shrank after the check
+        raise IdxFormatError(f"{path}: truncated while reading")
+    if not item:
         return data.astype(np.int64)
-    raise IdxFormatError(
-        f"{path}: bad magic 0x{magic:08x} at byte 0; expected "
-        f"0x{_IDX_IMAGES_MAGIC:08x} (images) or 0x{_IDX_LABELS_MAGIC:08x} (labels)"
-    )
+    images = data.reshape(n, *item).astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def write_idx(path, array: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import reflected_nodes
+from .quadrature import _coordinates, reflected_nodes
 
 __all__ = ["QuadraticSummary", "EvaluationError", "quadratic_approx", "full_period"]
 
@@ -93,6 +93,7 @@ def quadratic_approx(
     sigma: np.ndarray,
     k_start: int,
     n_pairs: int,
+    index=None,
 ) -> QuadraticSummary:
     """Project one case's loss onto a diagonal quadratic around ``mu``.
 
@@ -107,9 +108,15 @@ def quadratic_approx(
     Coordinates with ``sigma == 0`` are never displaced and get curvature 0;
     only the displaced ones are divided.
 
+    With ``index``, a list of coordinates, ``grad`` and ``hess`` hold only
+    those entries, bit for bit the full summary's ``[index]``, and the loss
+    is the full summary's.  Every coordinate outside ``index`` must then
+    have ``sigma == 0`` (ValueError otherwise), so that its curvature is 0.
+
     The sums come from ``model.pair_sums`` where the model has it and it
     does not return None.  Otherwise the nodes are evaluated one by one,
-    pair by pair, keeping at most three of the model's gradients alive.
+    pair by pair, keeping at most three of the model's gradients alive,
+    and the full sums are gathered at ``index``.
 
     A non-finite evaluation makes the sums non-finite, so one check of the
     summary covers every node.  Only when it fails are the nodes evaluated
@@ -126,19 +133,31 @@ def quadratic_approx(
     every = displaced.all()
     if not every and (sigma < 0).any():
         raise ValueError("sigma must be nonnegative")
+    part = sigma  # sigma at the summary's coordinates
+    if index is not None:
+        index = _coordinates(index, sigma.shape[0])
+        displaced[index] = False
+        if displaced.any():
+            raise ValueError("sigma must be 0 at every coordinate outside index")
+        part = sigma[index]
+        displaced = part > 0
+        every = displaced.all()
 
     pair_sums = getattr(model, "pair_sums", None)
     # Overflow and NaN are caught by the summary check below, not warned of.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = None if pair_sums is None else pair_sums(case, mu, sigma, k_start, n_pairs)
+        args = (case, mu, sigma, k_start, n_pairs) + (() if index is None else (index,))
+        sums = None if pair_sums is None else pair_sums(*args)
         if sums is None:
             sums = _node_sums(model, case, mu, sigma, k_start, n_pairs)
+            if index is not None:
+                sums = sums[0], sums[1][index], sums[2][index]
         loss_sum, grad_sum, curv_sum = sums
 
         # the sums are fresh arrays, so grad and hess are formed in them:
         # scratch is the only other long array of a pair_sums case
         n_evals = 2.0 * n_pairs
-        scratch = np.multiply(sigma, n_evals)
+        scratch = np.multiply(part, n_evals)
         grad = np.divide(grad_sum, n_evals, out=grad_sum)
         # the division runs only where sigma > 0: a masked pass over a
         # mostly false mask costs more than gathering its few true entries
@@ -150,7 +169,12 @@ def quadratic_approx(
             hess_displaced = hess[idx] / scratch[idx]
             hess.fill(0.0)
             hess[idx] = hess_displaced
-        loss = loss_sum / n_evals - 0.5 * float(hess @ np.square(sigma, out=scratch))
+        if index is None:
+            full_hess, square = hess, np.square(sigma, out=scratch)
+        else:  # a dot over all of d sums in the full summary's order
+            full_hess, square = np.zeros(sigma.shape[0]), np.square(sigma)
+            full_hess[index] = hess
+        loss = loss_sum / n_evals - 0.5 * float(full_hess @ square)
         try:
             return QuadraticSummary(loss, grad, hess)
         except ValueError as err:

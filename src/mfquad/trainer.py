@@ -547,7 +547,8 @@ def run_epoch(
     before any case is visited; its first case still expands around the
     unrounded marginal, and that case's update does the rounding.  The
     epoch's updates run on a gathered copy of the survivors' entries,
-    written back when it ends.  The update is elementwise, so each survivor
+    written back when it ends, and from its second case on the projection
+    forms its summary at the survivors alone.  The update is elementwise, so each survivor
     ends bit for bit where an update of every coordinate would leave it; a
     dead coordinate keeps the slab parameters and completed-pass sums it
     had at the freeze, and an empty current pass.  An overflow, invalid
@@ -570,6 +571,7 @@ def run_epoch(
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             for i, case in enumerate(rng.permutation(n_cases).tolist()):
+                index = None  # the coordinates whose summary the update reads
                 if keep is None or i == 0:
                     # The final epoch's first case expands around the unrounded
                     # marginal too: its update rounds p_nonzero.
@@ -584,12 +586,15 @@ def run_epoch(
                     )
                     mu[keep] = center
                     sigma[keep] = sigma_keep
-                snap = quadratic_approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case)
+                    index = keep
+                snap = quadratic_approx(
+                    model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case, index
+                )
                 st.seq_index += cf.n_pairs_per_case
                 epoch_loss += snap.loss
                 t = (epoch - 1) + i / n_cases
                 grad, hess = snap.grad, snap.hess
-                if keep is not None:
+                if keep is not None and index is None:
                     grad, hess = grad[keep], hess[keep]
                 variational_update(part, cf, grad, hess, center, t, final)
                 if part.cur.n == target:

@@ -24,9 +24,15 @@ one batched call, bit for bit.  ``cmd_integrate_bench`` builds every column
 of every (trial, budget) cell's node set and evaluates each cell apart,
 where the package builds only the columns the basis reads and evaluates a
 trial's whole ladder at once; the CSVs must agree byte for byte.
+``read_idx`` reads and decodes a whole IDX file, where the package decodes
+only the items a run asks for; the items must agree bit for bit.
+
+``gradient_check`` is no restatement but a test tool: it compares a model's
+analytic gradient with central finite differences.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -36,7 +42,7 @@ import mfquad.models
 import mfquad.quadrature
 import mfquad.trainer
 from mfquad.meanfield import OrthonormalBasis, basis_product_expectation, preset
-from mfquad.models import LogisticModel, MlpModel
+from mfquad.models import IdxFormatError, LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate, full_period
 from mfquad.quadrature import (
     _EXACT_TOL,
@@ -304,17 +310,20 @@ def block_sums(evaluate_nodes, case, mu, sigma, k_start, n_pairs):
     return loss_sum, grad_sum, curv_sum
 
 
-def quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
+def quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
     """``projection.quadratic_approx`` by its definition: a checked
     ``evaluate`` call per node and fresh arrays for every sum, whether or
-    not the model has ``pair_sums``."""
+    not the model has ``pair_sums``; with ``index``, the full summary's
+    grad and hess gathered there."""
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    return summary(node_sums(model, case, mu, sigma, k_start, n_pairs), sigma, n_pairs)
+    full = summary(node_sums(model, case, mu, sigma, k_start, n_pairs), sigma, n_pairs)
+    return full if index is None else _gathered(full, index)
 
 
-def pair_quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> QuadraticSummary:
+def pair_quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
     """``projection.quadratic_approx`` with fresh arrays for every step:
-    the sums of ``model.pair_sums`` where it gives them, else ``node_sums``."""
+    the sums of ``model.pair_sums`` where it gives them, else ``node_sums``;
+    with ``index``, the full summary's grad and hess gathered there."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if n_pairs < 1:
@@ -323,7 +332,12 @@ def pair_quadratic_approx(model, case, mu, sigma, k_start, n_pairs) -> Quadratic
     sums = None if pair_sums is None else pair_sums(case, mu, sigma, k_start, n_pairs)
     if sums is None:
         sums = node_sums(model, case, mu, sigma, k_start, n_pairs)
-    return summary(sums, sigma, n_pairs)
+    full = summary(sums, sigma, n_pairs)
+    return full if index is None else _gathered(full, index)
+
+
+def _gathered(full: QuadraticSummary, index) -> QuadraticSummary:
+    return QuadraticSummary(full.loss, full.grad[index], full.hess[index])
 
 
 def mlp_pair_sums(self, case, mu, sigma, k_start, n_pairs):
@@ -613,3 +627,64 @@ def cmd_integrate_bench(args) -> int:
         )
     cli._write_csv(args.out, ["n_evals", "q05", "q50", "q95", "mean_abs_err"], rows)
     return 0
+
+
+def read_idx(path) -> np.ndarray:
+    """``models.read_idx`` reading and decoding the whole file at once."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+
+    def take(offset: int, count: int) -> bytes:
+        if offset + count > len(raw):
+            raise IdxFormatError(
+                f"{path}: truncated at byte {len(raw)}, "
+                f"needed {offset + count} bytes"
+            )
+        return raw[offset : offset + count]
+
+    (magic,) = struct.unpack(">I", take(0, 4))
+    if magic == 0x00000803:
+        n, rows, cols = struct.unpack(">III", take(4, 12))
+        data = np.frombuffer(take(16, n * rows * cols), dtype=np.uint8)
+        if len(raw) != 16 + n * rows * cols:
+            raise IdxFormatError(
+                f"{path}: {len(raw)} bytes, expected {16 + n * rows * cols}"
+            )
+        return data.reshape(n, rows, cols).astype(np.float64) / 255.0
+    if magic == 0x00000801:
+        (n,) = struct.unpack(">I", take(4, 4))
+        data = np.frombuffer(take(8, n), dtype=np.uint8)
+        if len(raw) != 8 + n:
+            raise IdxFormatError(f"{path}: {len(raw)} bytes, expected {8 + n}")
+        return data.astype(np.int64)
+    raise IdxFormatError(
+        f"{path}: bad magic 0x{magic:08x} at byte 0; expected "
+        f"0x{0x00000803:08x} (images) or 0x{0x00000801:08x} (labels)"
+    )
+
+
+def gradient_check(
+    model, case=0, n_probes: int = 3, seed: int = 0, scale: float = 1.0
+) -> float:
+    """Max mixed deviation of the analytic gradient from central differences.
+
+    Steps are ``1e-5 * (1 + |theta_i|)`` per coordinate; the deviation is
+    ``|fd - grad| / (1 + |grad|)``, so absolute near zero and relative for
+    large entries.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    worst = 0.0
+    for _ in range(n_probes):
+        theta = scale * rng.standard_normal(model.n_params)
+        _, grad = model.evaluate(theta, case)
+        fd = np.empty_like(grad)
+        for i in range(theta.size):
+            step = 1e-5 * (1.0 + abs(theta[i]))
+            up, down = theta.copy(), theta.copy()
+            up[i] += step
+            down[i] -= step
+            fd[i] = (model.evaluate(up, case)[0] - model.evaluate(down, case)[0]) / (
+                2.0 * step
+            )
+        worst = max(worst, float(np.max(np.abs(fd - grad) / (1.0 + np.abs(grad)))))
+    return worst

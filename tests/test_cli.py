@@ -524,6 +524,83 @@ def test_train_mnist_missing_file(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("damage, needle", [
+    # label and image counts differ, in either split, with or without max_cases
+    (lambda d: write_idx(d / "train-labels-idx1-ubyte", np.zeros(23, int)), "23 labels"),
+    (lambda d: write_idx(d / "t10k-labels-idx1-ubyte", np.zeros(9, int)), "9 labels"),
+    # files with no items
+    (lambda d: write_idx(d / "train-images-idx3-ubyte", np.zeros((0, 7, 7))), "no images"),
+    (lambda d: write_idx(d / "t10k-labels-idx1-ubyte", np.zeros(0, int)), "no labels"),
+    # validation images of another size than the training images
+    (lambda d: write_idx(d / "t10k-images-idx3-ubyte", np.zeros((8, 3, 3))), "(3, 3)"),
+    (lambda d: write_idx(d / "t10k-images-idx3-ubyte", np.zeros((8, 1, 49))), "(1, 49)"),
+    # a labels file where images belong, and the other way round
+    (lambda d: write_idx(d / "train-images-idx3-ubyte", np.zeros(24, int)), "no images in a file of shape (24,)"),
+    (lambda d: write_idx(d / "t10k-labels-idx1-ubyte", np.zeros((8, 2, 2))), "no labels in a file of shape (8, 2, 2)"),
+])
+@pytest.mark.parametrize("max_cases", [None, 5])
+def test_idx_data_faults_exit_3_before_training(tmp_path, capsys, damage, needle, max_cases):
+    data_dir = tmp_path / "idx"
+    make_idx_dir(data_dir)
+    damage(data_dir)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hidden_units": 4, "max_cases": max_cases}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", f"mnist:{data_dir}",
+                 "--out", str(out), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert needle in err, err
+    assert not out.exists()  # refused while loading, before any epoch
+
+
+def test_idx_corpus_fuzz_exits_0_or_3(tmp_path, capsys):
+    # One file of a tiny IDX corpus truncated, extended, or with one byte or
+    # one header count changed: the run succeeds or exits 3 with one line.
+    # Damage to the header or the length is refused even where it lies past
+    # max_cases; a changed pixel or label is data like any other.
+    data_dir = tmp_path / "idx"
+    make_idx_dir(data_dir, n_train=6, n_val=3, side=2, n_classes=2)
+    files = {p.name: p.read_bytes() for p in sorted(data_dir.iterdir())}
+    config = tmp_path / "config.json"
+    argv = ["train", "--config", str(config), "--data", f"mnist:{data_dir}",
+            "--out", str(tmp_path / "run"), "--epochs", "1"]
+    counts = st.integers(0, 2**32 - 1) | st.integers(0, 40)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(files)), max_cases=st.sampled_from([None, 1, 4]),
+           op=st.sampled_from(["truncate", "extend", "byte", "count"]),
+           where=st.integers(0, 2**16), value=counts, extra=st.binary(min_size=1, max_size=9))
+    def check(name, max_cases, op, where, value, extra):
+        raw = files[name]
+        header = 16 if "images" in name else 8
+        if op == "truncate":
+            new = raw[: where % len(raw)]
+        elif op == "extend":
+            new = raw + extra
+        elif op == "byte":
+            at = where % len(raw)
+            new = raw[:at] + bytes([value % 256]) + raw[at + 1:]
+        else:  # one big-endian count of the header
+            at = 4 + 4 * (where % ((header - 4) // 4))
+            new = raw[:at] + value.to_bytes(4, "big") + raw[at + 4:]
+        for other, data in files.items():
+            (data_dir / other).write_bytes(new if other == name else data)
+        config.write_text(json.dumps({"hidden_units": 2, "max_cases": max_cases}))
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        changed = [i for i, (a, b) in enumerate(zip(raw, new)) if a != b]
+        damaged = len(new) != len(raw) or any(i < header for i in changed)
+        assert code == (3 if damaged else 0), (name, op, max_cases, code, err)
+        if code:
+            assert err.startswith("data error:") and err.count("\n") == 1, err
+        else:
+            assert err == "", err
+
+    check()
+
+
 def test_train_logistic_rejects_multiclass(tmp_path):
     data_dir = tmp_path / "idx"
     make_idx_dir(data_dir)

@@ -16,7 +16,7 @@ from mfquad.models import (
     LogisticModel,
     MlpModel,
     QuadraticOracleModel,
-    gradient_check,
+    idx_shape,
     read_idx,
     synth_sparse_logistic,
     write_idx,
@@ -59,7 +59,7 @@ def test_quadratic_gradient_check():
     model = QuadraticOracleModel(
         c=0.3, b=[1.0, -1.0, 2.0], a=np.diag([1.0, 2.0, 3.0]) + 0.25
     )
-    assert gradient_check(model, n_probes=3, seed=1) < 1e-9
+    assert oracles.gradient_check(model, n_probes=3, seed=1) < 1e-9
 
 
 def test_quadratic_shape_mismatch():
@@ -93,7 +93,7 @@ def test_logistic_extreme_margin_stable():
 
 
 def test_logistic_gradient_check():
-    assert gradient_check(small_logistic(), case=3, n_probes=3, seed=2) < 1e-6
+    assert oracles.gradient_check(small_logistic(), case=3, n_probes=3, seed=2) < 1e-6
 
 
 # margins z = x.theta of exactly +0, or of |z| >= 700 where exp(-|z|) is
@@ -181,7 +181,7 @@ def test_gradient_check_catches_wrong_gradient():
         def evaluate(self, theta, case):
             return float(theta @ theta), 2.02 * theta  # 1% off
 
-    assert gradient_check(Broken(), n_probes=2, seed=0) > 1e-3
+    assert oracles.gradient_check(Broken(), n_probes=2, seed=0) > 1e-3
 
 
 # ------------------------------------------------------------------- mlp
@@ -208,7 +208,7 @@ def test_mlp_zero_params_frozen():
 
 
 def test_mlp_gradient_check():
-    assert gradient_check(small_mlp(), case=7, n_probes=2, seed=3) < 1e-4
+    assert oracles.gradient_check(small_mlp(), case=7, n_probes=2, seed=3) < 1e-4
 
 
 def test_mlp_evaluate_matches_concatenating_oracle():
@@ -281,7 +281,7 @@ def test_mlp_pair_sums_need_a_power_of_two_hidden_size():
 
 
 def test_mlp_gradient_check_small_scale():
-    assert gradient_check(small_mlp(), case=0, n_probes=1, seed=4, scale=0.05) < 1e-4
+    assert oracles.gradient_check(small_mlp(), case=0, n_probes=1, seed=4, scale=0.05) < 1e-4
 
 
 def test_mlp_predict_matches_loss_argmin():
@@ -407,6 +407,49 @@ def test_read_idx_trailing_bytes(tmp_path):
     path.write_bytes(raw)
     with pytest.raises(IdxFormatError, match="11 bytes, expected 10"):
         read_idx(path)
+
+
+@pytest.mark.parametrize("kind", ["images", "labels"])
+def test_read_idx_limit_reads_the_first_items(tmp_path, kind):
+    # read_idx(path, limit) decodes only the first items, bit for bit those
+    # of the whole-file reader, and still checks the whole file's length
+    rng = np.random.Generator(np.random.Philox(5))
+    n = 7
+    array = rng.random((n, 3, 4)) if kind == "images" else rng.integers(0, 10, size=n)
+    path = tmp_path / f"{kind}.idx"
+    write_idx(path, array)
+    whole = oracles.read_idx(path)
+    assert idx_shape(path) == whole.shape
+    for limit in (1, n - 1, n, n + 5):
+        part = read_idx(path, limit)
+        want = whole[:limit]
+        assert part.dtype == want.dtype and part.shape == want.shape
+        assert part.tobytes() == want.tobytes()
+    assert read_idx(path).tobytes() == whole.tobytes()
+    assert read_idx(path, 0).shape == (0,) + whole.shape[1:]
+    with pytest.raises(ValueError, match="limit"):
+        read_idx(path, -1)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(IdxFormatError, match="expected"):
+        read_idx(path, 1)
+
+
+@pytest.mark.parametrize("raw", [
+    struct.pack(">II", 0x00000807, 3),
+    struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes([1, 2, 3]),
+    struct.pack(">II", 0x00000801, 2) + bytes([1, 2, 3]),
+    struct.pack(">I", 0x00000803) + bytes(5),
+    bytes(2),
+])
+def test_read_idx_messages_match_the_whole_file_reader(tmp_path, raw):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(raw)
+    with pytest.raises(IdxFormatError) as want:
+        oracles.read_idx(path)
+    for read in (read_idx, idx_shape, lambda p: read_idx(p, 1)):
+        with pytest.raises(IdxFormatError) as got:
+            read(path)
+        assert str(got.value) == str(want.value)
 
 
 def test_idx_roundtrip(tmp_path):

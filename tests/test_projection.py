@@ -239,6 +239,54 @@ def test_block_sums_match_per_node_oracle(name, n_pairs, monkeypatch):
     assert np.all(fast.hess[[2, 5, 6]] == 0.0)
 
 
+def _index_models():
+    """A logistic model, a power-of-two MLP (pair sums) and an MLP whose
+    hidden size is no power of two (evaluated node by node)."""
+    rng = np.random.Generator(np.random.Philox(21))
+    data = Dataset(rng.random((6, 9)), np.array([0, 1, 1, 0, 1, 0]))
+    multi = Dataset(rng.random((6, 9)), np.array([0, 2, 1, 2, 1, 0]))
+    return {
+        "logistic": LogisticModel(data, h_prior=3.0),
+        "mlp": MlpModel(multi, layer_sizes=(9, 4, 3)),
+        "mlp-per-node": MlpModel(multi, layer_sizes=(9, 3, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["logistic", "mlp", "mlp-per-node"])
+@pytest.mark.parametrize("n_pairs", [1, 3])
+def test_indexed_summary_is_the_full_one_gathered(name, n_pairs):
+    # The final epoch asks only for the survivors' entries: they, and the
+    # loss, are bit for bit those of the full summary.  Coordinates outside
+    # the index sit at sigma = 0; some inside it do too.
+    model = _index_models()[name]
+    d = model.n_params
+    rng = np.random.Generator(np.random.Philox(n_pairs))
+    for trial in range(4):
+        index = rng.permutation(d)[: max(1, d // 4)]  # unsorted, W1 and later
+        mu = np.zeros(d)
+        sigma = np.zeros(d)
+        mu[index] = rng.standard_normal(index.size)
+        sigma[index] = rng.uniform(0.05, 0.5, index.size) * (rng.random(index.size) < 0.9)
+        k_start = int(rng.integers(0, 2**40))
+        full = quadratic_approx(model, trial, mu, sigma, k_start, n_pairs)
+        part = quadratic_approx(model, trial, mu, sigma, k_start, n_pairs, index)
+        assert part.loss == full.loss
+        assert part.grad.tobytes() == full.grad[index].tobytes()
+        assert part.hess.tobytes() == full.hess[index].tobytes()
+
+
+def test_indexed_summary_needs_every_displaced_coordinate():
+    model = _index_models()["mlp"]
+    sigma = np.full(model.n_params, 0.1)
+    sigma[5:] = 0.0
+    mu = np.zeros(model.n_params)
+    quadratic_approx(model, 0, mu, sigma, 0, 1, np.arange(7))
+    with pytest.raises(ValueError, match="outside index"):
+        quadratic_approx(model, 0, mu, sigma, 0, 1, np.arange(1, 7))
+    with pytest.raises(ValueError, match="index"):
+        quadratic_approx(model, 0, mu, sigma, 0, 1, np.array([0, model.n_params]))
+
+
 def test_zero_sigma_coordinate_gets_zero_curvature():
     model = DenseQuadratic(0.0, [0.0, 0.0], np.diag([2.0, 3.0]))
     s = quadratic_approx(model, None, np.zeros(2), np.array([1.0, 0.0]), 0, 2)

@@ -73,10 +73,10 @@ def trajectories():
             model, config, every = WORKLOADS[workload]()
             states = []
 
-            def recording(model_, case, mu, sigma, k_start, n_pairs):
+            def recording(model_, case, mu, sigma, k_start, n_pairs, *index):
                 if (k_start // n_pairs) % every == 0:
                     states.append((case, mu.copy(), sigma.copy(), k_start))
-                return quadratic_approx(model_, case, mu, sigma, k_start, n_pairs)
+                return quadratic_approx(model_, case, mu, sigma, k_start, n_pairs, *index)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(mfquad.trainer, "quadratic_approx", recording)
