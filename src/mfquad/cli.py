@@ -49,12 +49,12 @@ from .models import (
 )
 from .projection import EvaluationError, full_period
 from .quadrature import (
+    _reflect,
     blocked_simplex_standard,
     count_exact_pairs,
-    mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
-    reflected_nodes,
+    sign_sequence,
     trial_rng,
 )
 from .trainer import TrainConfig, init_state, load_resume, save_checkpoint, train
@@ -64,11 +64,11 @@ __all__ = ["main", "ConfigError", "DataError"]
 BENCH_METHODS = ("mc", "qmc-mean", "qmc-var", "blocked-simplex", "cross-polytope")
 COUNT_METHODS = ("cross-polytope", "blocked-simplex")
 HISTOGRAM_BINS = 50
-# integrate-bench and exactness-count refuse, as a config error, a run whose
-# largest array would exceed this many bytes.  The estimate is made before
-# anything is allocated: numpy's allocations succeed under memory overcommit
-# and fail only when their pages are touched, by which time the kernel may
-# kill the process.  A run's peak is a small multiple of its largest array.
+# Every command refuses, as a config error, a run whose largest array would
+# exceed this many bytes.  The estimate is made before anything is
+# allocated: numpy's allocations succeed under memory overcommit and fail
+# only when their pages are touched, by which time the kernel may kill the
+# process.  A run's peak is a small multiple of its largest array.
 MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -110,13 +110,15 @@ def parse_basis(spec: str, d: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _check_size(what: str, n_floats: int) -> None:
-    """ConfigError when ``n_floats`` float64 values exceed MAX_ARRAY_BYTES."""
-    if 8 * n_floats > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"{what} would take {8 * n_floats / 2**30:.3g} GiB, over the "
-            f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit of one array"
-        )
+def _check_size(*arrays: tuple[str, int]) -> None:
+    """ConfigError naming the first ``(what, n_floats)`` array whose float64
+    values would exceed MAX_ARRAY_BYTES."""
+    for what, n_floats in arrays:
+        if 8 * n_floats > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"{what} would take {8 * n_floats / 2**30:.3g} GiB, over the "
+                f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit of one array"
+            )
 
 
 def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
@@ -131,38 +133,70 @@ def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
 # -------------------------------------------------------- integrate-bench
 
 
-def _trial_nodes(method, dist, budgets, rng, block_size, index):
-    """Columns ``index`` of one trial's nodes at every budget of the ladder.
+def _trial_ladder(method, dist, budgets, block_size, index):
+    """The function ``nodes(rng)`` giving columns ``index`` of one trial's
+    nodes at every budget of the ladder.
 
-    Returns a ``(sum(budgets), len(index))`` array holding each budget's
+    It returns a ``(sum(budgets), len(index))`` array holding each budget's
     nodes in turn.  Each budget draws from ``rng`` what a full build of its
     node set would, in ladder order, so every value is the full build's.
+    What does not depend on the trial is built here, once per command.
     """
-    mean, std = dist.mean, dist.std
+    mean, std = dist.mean[index], dist.std[index]
     if method == "blocked-simplex":
         # Groups are shuffled one after another from the one generator, so
         # a single call draws every budget's groups in turn.
         n_groups = sum(budgets) // (block_size + 1)
-        base = blocked_simplex_standard(dist.dim, block_size, rng, n_groups, index)
-        return mean[index] + std[index] * base.nodes
-    nodes = np.empty((sum(budgets), index.size))
-    start = 0
-    for n in budgets:
-        cell = nodes[start:start + n]
-        start += n
-        if method == "cross-polytope":
-            n_pairs = n // 2
-            n_windows = max(full_period(dist.dim) // n_pairs, 1)
-            k_start = int(rng.integers(n_windows)) * n_pairs
-            cell[...] = reflected_nodes(mean, std, k_start, n_pairs, index)[1].reshape(n, -1)
-        elif method == "mc":  # the samplers draw every coordinate
-            cell[...] = mc_nodes(dist, n, rng).nodes[:, index]
-        elif method == "qmc-mean":
-            cell[...] = mean_matched_nodes(dist, n, rng).nodes[:, index]
-        elif method == "qmc-var":
-            cell[...] = moment_matched_nodes(dist, n, rng)[0].nodes[:, index]
-        else:
-            raise ConfigError(f"unknown method {method!r}")
+        return lambda rng: mean + std * blocked_simplex_standard(
+            dist.dim, block_size, rng, n_groups, index
+        ).nodes
+    if method == "cross-polytope":
+        return _reflected_ladder(mean, std, dist.dim, budgets, index)
+    if method == "mc":  # the variates of every coordinate, transformed at index only
+        return lambda rng: np.concatenate([dist.sample(n, rng, index) for n in budgets])
+    if method == "qmc-mean":
+        def sampler(n, rng):
+            return mean_matched_nodes(dist, n, rng)
+    elif method == "qmc-var":
+        def sampler(n, rng):
+            return moment_matched_nodes(dist, n, rng)[0]
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+    # the sample moments are reduced over every coordinate: a reduction over
+    # the basis's columns alone rounds differently
+    return lambda rng: np.concatenate([sampler(n, rng).nodes[:, index] for n in budgets])
+
+
+def _reflected_ladder(mean, std, d, budgets, index):
+    """``_trial_ladder``'s reflected rule: each budget of ``n`` nodes is a
+    window of ``n // 2`` consecutive sign vectors at a start drawn from
+    ``rng``, its plus nodes followed by its minus nodes.
+
+    Every window is a run of rows of one period of the sign sequence, which
+    is built once.  A trial gathers all its windows' rows with one index
+    and reflects them in one call of ``reflected_nodes``' kernel, so every
+    node is the same double as in a per-budget ``reflected_nodes`` call.
+    """
+    period = full_period(d)
+    signs = sign_sequence(d, 0, period, index)
+    pairs = [n // 2 for n in budgets]
+    offsets = np.concatenate([np.arange(p) for p in pairs])
+    # the kernel stacks every window's plus nodes over every minus node;
+    # order puts each budget's plus block, then its minus block, in turn
+    total = sum(pairs)
+    order = np.concatenate([
+        np.r_[first:first + p, total + first:total + first + p]
+        for first, p in zip(np.cumsum([0] + pairs[:-1]).tolist(), pairs)
+    ])
+
+    def nodes(rng):
+        starts = [int(rng.integers(max(period // p, 1))) * p for p in pairs]
+        rows = np.repeat(starts, pairs)
+        rows += offsets
+        rows &= period - 1
+        stacked = _reflect(mean, std, np.take(signs, rows, axis=0))
+        return np.take(stacked.reshape(2 * total, -1), order, axis=0)
+
     return nodes
 
 
@@ -178,28 +212,34 @@ def cmd_integrate_bench(args) -> int:
     # the nodes are built only in the coordinates the basis reads (np.unique
     # would import numpy.ma, about 1 MB of the run's peak memory)
     index = np.array(sorted({coord for coord, _ in terms}))
-    _check_size(f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d)
-    _check_size(
-        f"a trial's {sum(budgets)} x {index.size} node block", sum(budgets) * index.size
-    )
+    arrays = [
+        (f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d),
+        (f"a trial's {sum(budgets)} x {index.size} node block", sum(budgets) * index.size),
+    ]
     if args.method == "blocked-simplex":  # a shuffled row order per node and block
         n_blocks = -(-d // args.block_size)
-        _check_size(
-            f"a trial's {sum(budgets)} x {n_blocks} block shuffle", sum(budgets) * n_blocks
+        arrays.append(
+            (f"a trial's {sum(budgets)} x {n_blocks} block shuffle", sum(budgets) * n_blocks)
+        )
+    if args.method == "cross-polytope":  # one period of signs, at the basis's columns
+        arrays.append(
+            (f"a {full_period(d)} x {index.size} sign table", full_period(d) * index.size)
         )
     # the basis coefficients outgrow the 2 * max_degree + 1 raw moments
-    _check_size(f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2)
+    arrays.append((f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2))
+    _check_size(*arrays)
     dist = preset(args.dist, d)
     basis = orthonormal_basis(dist, max_degree=max_degree)
     truth = basis_product_expectation(dist, basis, terms)
     column = {coord: j for j, coord in enumerate(index.tolist())}
+    trial_nodes = _trial_ladder(args.method, dist, budgets, args.block_size, index)
     # every rule weighs a budget's n nodes alike; 0.5 / n_pairs is the same double
     weights = [np.full(n, 1.0 / n) for n in budgets]
 
     errors = np.empty((args.trials, len(budgets)))
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
-        nodes = _trial_nodes(args.method, dist, budgets, rng, args.block_size, index)
+        nodes = trial_nodes(rng)
         vals = np.ones(nodes.shape[0])
         for coord, degree in terms:
             vals *= basis.evaluate(coord, degree, nodes[:, column[coord]])
@@ -239,9 +279,11 @@ def cmd_exactness_count(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     budgets = _ladder(args.method, args.block_size, args.max_evals)
-    _check_size(f"a second-moment matrix of dimension {args.d}", args.d**2)
     new = max(n - prev for prev, n in zip([0] + budgets, budgets))
-    _check_size(f"a rung of {new} nodes of dimension {args.d}", new * args.d)
+    _check_size(
+        (f"a second-moment matrix of dimension {args.d}", args.d**2),
+        (f"a rung of {new} nodes of dimension {args.d}", new * args.d),
+    )
     means = count_exact_pairs(
         args.d,
         args.method,
@@ -379,6 +421,7 @@ def _resolve_data(data_arg: str, max_cases=None) -> tuple[Dataset, Dataset, str]
     if kind == "synth":
         spec = _parse_synth_spec(rest)
         total = spec["n"] + spec["nval"]
+        _check_size((f"a {total} x {spec['d']} synth feature matrix", total * spec["d"]))
         data, _ = synth_sparse_logistic(
             d=spec["d"],
             k_true=spec["k"],
@@ -396,17 +439,31 @@ def _resolve_data(data_arg: str, max_cases=None) -> tuple[Dataset, Dataset, str]
     raise ConfigError(f"unknown data source {data_arg!r}; use synth:SPEC or mnist:DIR")
 
 
-def _build_model(kind, train_data, val_data, slab_std_max, hidden_units):
-    h_prior = 1.0 / slab_std_max**2
+def _build_model(kind, train_data, val_data, config, hidden_units):
+    """The model of ``kind`` on ``train_data``.  Its parameter count ``d`` is
+    taken from the layer sizes first, and a state array or a case's block
+    of sign vectors too large for one array is refused before the model is
+    built."""
+    n_in = train_data.n_features
     if kind == "logistic":
         if train_data.labels.max() > 1:
             raise ConfigError("logistic model needs binary labels; use model=mlp")
+        layers, d = None, n_in
+    elif kind == "mlp":
+        n_out = int(max(train_data.labels.max(), val_data.labels.max())) + 1
+        layers = (n_in, hidden_units, n_out)
+        d = n_in * hidden_units + hidden_units + hidden_units * n_out + n_out
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}; use logistic or mlp")
+    n_pairs = config.n_pairs_per_case
+    _check_size(
+        (f"a state array of {d} parameters", d),
+        (f"a block of {n_pairs} sign vectors of {d} parameters", n_pairs * d),
+    )
+    h_prior = 1.0 / config.slab_std_max**2
+    if layers is None:
         return LogisticModel(train_data, h_prior=h_prior)
-    if kind == "mlp":
-        n_classes = int(max(train_data.labels.max(), val_data.labels.max())) + 1
-        layers = (train_data.n_features, hidden_units, n_classes)
-        return MlpModel(train_data, layer_sizes=layers, h_prior=h_prior)
-    raise ConfigError(f"unknown model kind {kind!r}; use logistic or mlp")
+    return MlpModel(train_data, layer_sizes=layers, h_prior=h_prior)
 
 
 def _histogram_rows(epoch: int, p_nonzero: np.ndarray) -> list[list]:
@@ -440,8 +497,7 @@ def cmd_train(args) -> int:
             )
     train_data, val_data, default_model = _resolve_data(args.data, run["max_cases"])
     model = _build_model(
-        run["model"] or default_model, train_data, val_data,
-        config.slab_std_max, run["hidden_units"],
+        run["model"] or default_model, train_data, val_data, config, run["hidden_units"]
     )
     n_cases = train_data.n_cases
     if args.resume is None:

@@ -4,10 +4,12 @@ Three marginal families cover the integration experiments: Gaussian,
 Laplace, and a spike-slab mixture placing probability mass exactly at zero
 with a Gaussian slab elsewhere.  Every family exposes per-coordinate mean
 and standard deviation (the only inputs the quadrature constructions need),
-sampling, and exact raw moments.  From the raw moments a per-coordinate
-orthonormal polynomial basis is built by Cholesky factorization of the
-Hankel moment matrix; products of these basis polynomials are the test
-integrands throughout.
+sampling, and exact raw moments.  ``sample(n, rng, index)`` draws every
+coordinate's variates, so ``rng`` advances as in a full draw, but transforms
+only the columns ``index``: it returns ``sample(n, rng)[:, index]`` bit for
+bit.  From the raw moments a per-coordinate orthonormal polynomial basis is
+built by Cholesky factorization of the Hankel moment matrix; products of
+these basis polynomials are the test integrands throughout.
 """
 
 from __future__ import annotations
@@ -107,8 +109,11 @@ class GaussianMeanField:
     def std(self) -> np.ndarray:
         return self.sigma
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mu + self.sigma * rng.standard_normal((n, self.dim))
+    def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
+        z = rng.standard_normal((n, self.dim))
+        if index is None:
+            return self.mu + self.sigma * z
+        return self.mu[index] + self.sigma[index] * z[:, index]
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         return _gaussian_raw_moments(self.mu, self.sigma, max_power)
@@ -143,8 +148,13 @@ class LaplaceMeanField:
     def std(self) -> np.ndarray:
         return self.scale * np.sqrt(2.0)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.laplace(self.loc, self.scale, size=(n, self.dim))
+    def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
+        if index is None:
+            return rng.laplace(self.loc, self.scale, size=(n, self.dim))
+        # numpy's laplace is loc +- scale * log(...) per draw, so a standard
+        # draw scaled afterwards rounds alike and advances rng alike
+        z = rng.laplace(size=(n, self.dim))[:, index]
+        return self.loc[index] + self.scale[index] * z
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         # central moments: k! * scale^k for even k, zero for odd k
@@ -194,10 +204,14 @@ class SpikeSlabMeanField:
     def std(self) -> np.ndarray:
         return spike_slab_moments(1.0 - self.p_zero, self.slab_mean, self.slab_std)[1]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        slab = self.slab_mean + self.slab_std * rng.standard_normal((n, self.dim))
-        zero = rng.random((n, self.dim)) < self.p_zero
-        return np.where(zero, 0.0, slab)
+    def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
+        z = rng.standard_normal((n, self.dim))
+        u = rng.random((n, self.dim))
+        p_zero, slab_mean, slab_std = self.p_zero, self.slab_mean, self.slab_std
+        if index is not None:
+            z, u = z[:, index], u[:, index]
+            p_zero, slab_mean, slab_std = p_zero[index], slab_mean[index], slab_std[index]
+        return np.where(u < p_zero, 0.0, slab_mean + slab_std * z)
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         slab = _gaussian_raw_moments(self.slab_mean, self.slab_std, max_power)

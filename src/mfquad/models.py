@@ -371,14 +371,16 @@ def synth_sparse_logistic(
     Draws a weight vector with ``k_true`` unit-magnitude nonzeros on a random
     support, standard normal features, and Bernoulli labels through the
     logistic link on ``features @ w / noise``; ``noise = 0`` yields exactly
-    separable sign labels.  Returns the dataset and the true weights.
+    separable sign labels.  ``noise`` must be finite: an infinite one would
+    give labels that carry no signal.  Returns the dataset and the true
+    weights.
     """
     if n_cases < 1:
         raise ValueError(f"invalid dataset: need n_cases >= 1, got {n_cases}")
     if not 0 <= k_true <= d:
         raise ValueError(f"k_true must lie in 0..{d}, got {k_true}")
-    if not noise >= 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.Generator(np.random.Philox(seed))
     w = np.zeros(d)
     support = rng.choice(d, size=k_true, replace=False)

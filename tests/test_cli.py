@@ -228,6 +228,23 @@ def test_bench_evaluates_each_term_once_per_trial(tmp_path, monkeypatch):
     assert calls == [(7, 1, (45,)), (2, 2, (45,)), (7, 1, (45,))] * 5
 
 
+def test_bench_builds_one_sign_table_per_command(tmp_path, monkeypatch):
+    # Every trial's windows are rows of one period of signs, built once.
+    calls = []
+    sign_sequence = mfquad.cli.sign_sequence
+
+    def counted(*args):
+        calls.append(args[:3])
+        return sign_sequence(*args)
+
+    monkeypatch.setattr(mfquad.cli, "sign_sequence", counted)
+    code, _ = bench(tmp_path, "--dist", "gauss", "--method", "cross-polytope",
+                    "--d", "12", "--basis", "phi1:3*phi2:10", "--trials", "6",
+                    "--max-evals", "64")
+    assert code == 0
+    assert calls == [(12, 0, 16)]
+
+
 def test_train_non_finite_node_exits_4_on_one_line(tmp_path, monkeypatch, capsys):
     # a NaN gradient at every node with margin above 1: the snapshot check
     # fails, and the error names the first such node, with no warning
@@ -306,6 +323,11 @@ def test_count_deterministic(tmp_path):
     (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--block-size", "1",
       "--basis", "phi1:0", "--d", "1024", "--max-evals", str(2**17)],
      "a trial's 262142 x 1024 block shuffle"),
+    # the nodes (4 x 2**23) and the basis (2**23 x 16) fit; a period of signs
+    # at 17 coordinates does not
+    (["integrate-bench", "--dist", "gauss", "--method", "cross-polytope", "--d", str(2**23),
+      "--basis", "*".join(f"phi1:{i}" for i in range(17)), "--max-evals", "4"],
+     "a 8388608 x 17 sign table"),
 ])
 def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, argv, what):
     # The size guard refuses from the flags alone: neither the rule nor the
@@ -313,7 +335,7 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, 
     def never(*args, **kwargs):
         raise AssertionError("allocated past the size guard")
 
-    for name in ("count_exact_pairs", "preset", "mc_nodes", "reflected_nodes"):
+    for name in ("count_exact_pairs", "preset", "sign_sequence", "blocked_simplex_standard"):
         monkeypatch.setattr(mfquad.cli, name, never)
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
@@ -445,6 +467,46 @@ def test_train_config_errors(tmp_path, capsys):
         assert main(["train", "--config", str(out_of_range),
                      "--data", f"mnist:{tmp_path / 'no-such-dir'}",
                      "--out", out]) == 2, doc
+
+
+@pytest.mark.parametrize("noise", ["inf", "-inf", "nan", "-1"])
+def test_train_synth_noise_must_be_finite_and_nonnegative(tmp_path, capsys, noise):
+    out = tmp_path / "run"
+    assert main(["train", "--data", f"synth:d=8,k=2,n=40,nval=5,noise={noise}",
+                 "--epochs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "noise must be finite and nonnegative" in err, err
+    assert not out.exists()
+
+
+# Sizes past 2**47 bytes, which numpy refuses at once even without the guard.
+@pytest.mark.parametrize("doc, data, what", [
+    ({"hidden_units": 10**15, "model": "mlp"}, "synth:d=8,k=2,n=40,nval=5",
+     "a state array of 11000000000000002 parameters"),
+    ({"n_pairs_per_case": 10**15}, "synth:d=8,k=2,n=40,nval=5",
+     "a block of 1000000000000000 sign vectors of 8 parameters"),
+    ({}, "synth:d=100000000,n=100000000",
+     "a 100000500 x 100000000 synth feature matrix"),
+])
+def test_oversized_train_exits_2_before_allocating(tmp_path, monkeypatch, capsys,
+                                                   doc, data, what):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the size guard")
+
+    for name in ("LogisticModel", "MlpModel", "init_state", "train"):
+        monkeypatch.setattr(mfquad.cli, name, never)
+    if not doc:  # the refused array is the data itself
+        monkeypatch.setattr(mfquad.cli, "synth_sparse_logistic", never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", data,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert what in err and "GiB limit" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -648,8 +710,8 @@ def _library_head(config, data, k, path):
     """Epochs 1..k of the run the CLI makes of ``config`` and ``data``, saved."""
     cf, run = load_run_config(config)
     train_data, val_data, default = _resolve_data(data)
-    model = _build_model(run["model"] or default, train_data, val_data,
-                         cf.slab_std_max, run["hidden_units"])
+    model = _build_model(run["model"] or default, train_data, val_data, cf,
+                         run["hidden_units"])
     rng = np.random.Generator(np.random.Philox(run["seed"]))
     state = init_state(model, train_data.n_cases, cf, rng)
     for epoch in range(1, k + 1):

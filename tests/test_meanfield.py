@@ -89,6 +89,33 @@ def test_sampling_matches_moments(name):
     assert np.all(np.abs(x.std(axis=0) - dist.std) < 0.02)
 
 
+def _random_families(d, seed):
+    """One field of each family with varied per-coordinate parameters."""
+    r = np.random.default_rng(seed)
+    scale = r.choice([1e-3, 1.0, 1e3], size=d)
+    return [
+        GaussianMeanField(r.normal(size=d) * scale, r.exponential(size=d) * scale),
+        LaplaceMeanField(r.normal(size=d) * scale, r.exponential(size=d) * scale),
+        SpikeSlabMeanField(r.uniform(size=d), r.normal(size=d) * scale,
+                           r.exponential(size=d) * scale),
+    ]
+
+
+@pytest.mark.parametrize("family", range(3))
+@pytest.mark.parametrize("index", [[5], [0, 63], [40, 3, 40, 17], list(range(63, -1, -1))])
+def test_sample_at_index_is_the_full_sample_gathered(family, index):
+    # Columns `index` only, in that order and with repeats, bit for bit the
+    # full draw's, and the generator left where the full draw leaves it.
+    dist = _random_families(64, seed=family)[family]
+    for n in (1, 2, 37, 256):
+        full_rng, rng = trial_rng(11, n), trial_rng(11, n)
+        full = dist.sample(n, full_rng)
+        part = dist.sample(n, rng, np.array(index))
+        assert part.shape == (n, len(index))
+        assert part.tobytes() == full[:, index].tobytes()
+        assert rng.random(8).tobytes() == full_rng.random(8).tobytes()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         GaussianMeanField([0.0, 0.0], [1.0])

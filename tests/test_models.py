@@ -361,8 +361,9 @@ def test_synth_validation():
         synth_sparse_logistic(d=4, k_true=2, n_cases=0, noise=1.0, seed=0)
     with pytest.raises(ValueError, match="noise"):
         synth_sparse_logistic(d=4, k_true=2, n_cases=3, noise=-1.0, seed=0)
-    with pytest.raises(ValueError, match="noise"):
-        synth_sparse_logistic(d=4, k_true=2, n_cases=3, noise=float("nan"), seed=0)
+    for noise in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="noise"):
+            synth_sparse_logistic(d=4, k_true=2, n_cases=3, noise=float(noise), seed=0)
 
 
 # ------------------------------------------------------------------- idx
