@@ -16,7 +16,6 @@ from .quadrature import (
     sign_sequence,
     simplex_sigma_points,
     trial_rng,
-    walsh_signs,
 )
 from .meanfield import (
     GaussianMeanField,

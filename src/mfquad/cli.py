@@ -124,6 +124,8 @@ def _check_size(*arrays: tuple[str, int]) -> None:
 def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
     """Budgets group, 2*group, 4*group, ... up to max_evals, where group is the
     method's smallest: two reflected pairs, one blocked group, or two samples."""
+    if method == "blocked-simplex" and block_size < 1:
+        raise ConfigError(f"--block-size must be >= 1, got {block_size}")
     group = {"cross-polytope": 4, "blocked-simplex": block_size + 1}.get(method, 2)
     if max_evals < group:
         raise ConfigError(f"max-evals {max_evals} below the smallest budget {group}")
@@ -154,17 +156,15 @@ def _trial_ladder(method, dist, budgets, block_size, index):
         return _reflected_ladder(mean, std, dist.dim, budgets, index)
     if method == "mc":  # the variates of every coordinate, transformed at index only
         return lambda rng: np.concatenate([dist.sample(n, rng, index) for n in budgets])
-    if method == "qmc-mean":
-        def sampler(n, rng):
-            return mean_matched_nodes(dist, n, rng)
-    elif method == "qmc-var":
-        def sampler(n, rng):
-            return moment_matched_nodes(dist, n, rng)[0]
-    else:
+    if method not in ("qmc-mean", "qmc-var"):
         raise ConfigError(f"unknown method {method!r}")
     # the sample moments are reduced over every coordinate: a reduction over
     # the basis's columns alone rounds differently
-    return lambda rng: np.concatenate([sampler(n, rng).nodes[:, index] for n in budgets])
+    return lambda rng: np.concatenate([
+        (mean_matched_nodes(dist, n, rng) if method == "qmc-mean"
+         else moment_matched_nodes(dist, n, rng)[0]).nodes[:, index]
+        for n in budgets
+    ])
 
 
 def _reflected_ladder(mean, std, d, budgets, index):

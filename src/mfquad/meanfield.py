@@ -110,10 +110,9 @@ class GaussianMeanField:
         return self.sigma
 
     def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        if index is None:
-            return self.mu + self.sigma * z
-        return self.mu[index] + self.sigma[index] * z[:, index]
+        at = slice(None) if index is None else index
+        z = rng.standard_normal((n, self.dim))[:, at]
+        return self.mu[at] + self.sigma[at] * z
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         return _gaussian_raw_moments(self.mu, self.sigma, max_power)
@@ -149,12 +148,11 @@ class LaplaceMeanField:
         return self.scale * np.sqrt(2.0)
 
     def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
-        if index is None:
-            return rng.laplace(self.loc, self.scale, size=(n, self.dim))
         # numpy's laplace is loc +- scale * log(...) per draw, so a standard
         # draw scaled afterwards rounds alike and advances rng alike
-        z = rng.laplace(size=(n, self.dim))[:, index]
-        return self.loc[index] + self.scale[index] * z
+        at = slice(None) if index is None else index
+        z = rng.laplace(size=(n, self.dim))[:, at]
+        return self.loc[at] + self.scale[at] * z
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         # central moments: k! * scale^k for even k, zero for odd k
@@ -205,13 +203,10 @@ class SpikeSlabMeanField:
         return spike_slab_moments(1.0 - self.p_zero, self.slab_mean, self.slab_std)[1]
 
     def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        u = rng.random((n, self.dim))
-        p_zero, slab_mean, slab_std = self.p_zero, self.slab_mean, self.slab_std
-        if index is not None:
-            z, u = z[:, index], u[:, index]
-            p_zero, slab_mean, slab_std = p_zero[index], slab_mean[index], slab_std[index]
-        return np.where(u < p_zero, 0.0, slab_mean + slab_std * z)
+        at = slice(None) if index is None else index
+        z = rng.standard_normal((n, self.dim))[:, at]
+        u = rng.random((n, self.dim))[:, at]
+        return np.where(u < self.p_zero[at], 0.0, self.slab_mean[at] + self.slab_std[at] * z)
 
     def raw_moments(self, max_power: int) -> np.ndarray:
         slab = _gaussian_raw_moments(self.slab_mean, self.slab_std, max_power)

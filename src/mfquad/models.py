@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import sign_sequence, walsh_signs
+from .quadrature import _reflect, sign_sequence
 
 __all__ = [
     "Dataset",
@@ -296,17 +296,13 @@ class MlpModel:
         a = self._splits[0]
         x = self.dataset.features[case]
         y = int(self.dataset.labels[case])
-        k = k_start & ((1 << self.n_params.bit_length()) - 1)  # higher bits meet no index
-        signs = walsh_signs(self._sign_index, np.arange(k, k + n_pairs))
+        signs = sign_sequence(self.n_params, k_start, n_pairs, self._sign_index)
         xc = signs[:, :n_in] * x
         neg_row = -signs[:, n_in : n_in + n_hid]
         rest_signs = signs[:, n_in + n_hid :]
 
         # the nodes of b1, W2 and b2: (2, n_pairs, d - a), plus nodes first
-        step = sigma[a:] * rest_signs
-        rest = np.empty((2,) + step.shape)
-        np.add(mu[a:], step, out=rest[0])
-        np.subtract(mu[a:], step, out=rest[1])
+        rest = _reflect(mu[a:], sigma[a:], rest_signs)
         b1 = rest[..., :n_hid]
         w2 = rest[..., n_hid : n_hid * (1 + n_out)].reshape(2, n_pairs, n_hid, n_out)
         b2 = rest[..., n_hid * (1 + n_out) :]
@@ -390,7 +386,9 @@ def synth_sparse_logistic(
     if noise == 0.0:
         labels = (signal > 0).astype(np.int64)
     else:
-        labels = (rng.random(n_cases) < _sigmoid(signal / noise)).astype(np.int64)
+        with np.errstate(over="ignore"):  # a tiny noise gives +-inf: _sigmoid's exact limits
+            z = signal / noise
+        labels = (rng.random(n_cases) < _sigmoid(z)).astype(np.int64)
     return Dataset(features, labels), w
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "AntitheticPair",
     "cross_polytope_signs",
     "sign_sequence",
-    "walsh_signs",
     "exactness_period",
     "reflected_nodes",
     "antithetic_pair",
@@ -128,17 +127,8 @@ def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarra
     # reduced to them.
     mask = (1 << int(d - 1).bit_length()) - 1
     k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
-    return walsh_signs(np.arange(d) if index is None else _coordinates(index, d), k)
-
-
-def walsh_signs(index: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Coordinates ``index`` of the sign vectors numbered ``k``.
-
-    Returns the ``(len(k), len(index))`` array ``2*parity(index & k) - 1``:
-    row ``r`` holds entries ``index`` of ``cross_polytope_signs(d, k[r])``
-    for any ``d`` above every index.
-    """
-    parity = np.bitwise_count(index & k[:, None])
+    i = np.arange(d) if index is None else _coordinates(index, d)
+    parity = np.bitwise_count(i & k[:, None])
     parity &= 1
     signs = parity.astype(np.float64)
     signs *= 2.0
@@ -193,7 +183,7 @@ def _reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray
 
 
 def reflected_nodes(
-    mu: np.ndarray, sigma: np.ndarray, k_start: int, n_pairs: int, index=None
+    mu: np.ndarray, sigma: np.ndarray, k_start: int, n_pairs: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reflected pairs ``mu +- sigma * s_k`` for ``k = k_start .. k_start + n_pairs - 1``.
 
@@ -201,15 +191,9 @@ def reflected_nodes(
     n_pairs)`` and ``nodes`` has shape ``(2, n_pairs, d)``, the plus nodes
     ``mu + sigma * signs`` first and the minus nodes second.  ``mu`` and
     ``sigma`` are float arrays of length ``d``; ``sigma`` must be
-    nonnegative.  With ``index``, a list of coordinates below ``d``, only
-    those columns are built, in that order, with the values of the full
-    build's ``[..., index]``; ``sigma`` is then checked on them alone.
+    nonnegative.
     """
-    signs = sign_sequence(mu.shape[0], k_start, n_pairs, index)
-    if index is not None:
-        if mu.shape != sigma.shape:
-            raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
-        mu, sigma = mu[index], sigma[index]
+    signs = sign_sequence(mu.shape[0], k_start, n_pairs)
     return signs, _reflect(mu, sigma, signs)
 
 

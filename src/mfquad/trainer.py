@@ -309,15 +309,11 @@ def sieve_map(
     # values when ties make it matter, which also keeps the sign of a zero
     # hinge.  Hinges are Python floats: their division overflows to inf
     # without a warning.
-    if n_zero == 0:
-        _, ties, j = _rank_ties(values, scratch[n_held - 1], n_held - 1)
+    if not (n_zero and n_held):  # one anchor: the whole vector shifts onto it
+        rank, target = (d - n_zero, target_zero) if n_zero else (n_held - 1, target_held)
+        _, ties, j = _rank_ties(values, scratch[rank], rank)
         out = values - values[ties[j]]
-        out += target_held
-        return out
-    if n_held == 0:
-        _, ties, j = _rank_ties(values, scratch[d - n_zero], d - n_zero)
-        out = values - values[ties[j]]
-        out += target_zero
+        out += target
         return out
     z0 = float(scratch[d - n_zero])  # smallest value scheduled to zero
     z1 = float(scratch[n_held - 1])  # largest value scheduled to hold

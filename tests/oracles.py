@@ -41,7 +41,13 @@ import mfquad.meanfield
 import mfquad.models
 import mfquad.quadrature
 import mfquad.trainer
-from mfquad.meanfield import OrthonormalBasis, basis_product_expectation, preset
+from mfquad.meanfield import (
+    GaussianMeanField,
+    LaplaceMeanField,
+    OrthonormalBasis,
+    basis_product_expectation,
+    preset,
+)
 from mfquad.models import IdxFormatError, LogisticModel, MlpModel
 from mfquad.projection import QuadraticSummary, _evaluate, full_period
 from mfquad.quadrature import (
@@ -183,6 +189,19 @@ def spike_slab_moments(p_nonzero, slab_mean, slab_std):
     mu = p * m
     var = p * (1.0 - p) * m**2 + p * s**2
     return mu, np.sqrt(var)
+
+
+def mean_field_sample(dist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample(n, rng)`` of the three mean-field families by their textbook
+    formulas: ``mu + sigma * z``, numpy's own ``laplace(loc, scale)``, and
+    the spike-slab ``np.where`` on normals drawn before uniforms."""
+    if isinstance(dist, GaussianMeanField):
+        return dist.mu + dist.sigma * rng.standard_normal((n, dist.dim))
+    if isinstance(dist, LaplaceMeanField):
+        return rng.laplace(dist.loc, dist.scale, size=(n, dist.dim))
+    z = rng.standard_normal((n, dist.dim))
+    u = rng.random((n, dist.dim))
+    return np.where(u < dist.p_zero, 0.0, dist.slab_mean + dist.slab_std * z)
 
 
 def mlp_evaluate(self, theta: np.ndarray, case: int):

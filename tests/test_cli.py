@@ -168,6 +168,20 @@ def test_bench_config_errors(tmp_path, capsys):
                  "--basis", "phi1:0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("block_size", ["0", "-1", "-5"])
+@pytest.mark.parametrize("command", [
+    ["integrate-bench", "--dist", "gauss", "--basis", "phi1:0", "--trials", "2"],
+    ["exactness-count", "--d", "8"],
+], ids=["integrate-bench", "exactness-count"])
+def test_blocked_simplex_block_size_below_1_exits_2(tmp_path, capsys, command, block_size):
+    out = tmp_path / "out.csv"
+    assert main([*command, "--method", "blocked-simplex", "--block-size", block_size,
+                 "--max-evals", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --block-size must be >= 1, got {block_size}\n", err
+    assert not out.exists()
+
+
 def test_bench_non_finite_estimate_exits_4(tmp_path, monkeypatch, capsys):
     def nan_evaluate(self, coord, degree, x):
         return np.full(np.shape(x), np.nan)
@@ -478,6 +492,21 @@ def test_train_synth_noise_must_be_finite_and_nonnegative(tmp_path, capsys, nois
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert "noise must be finite and nonnegative" in err, err
     assert not out.exists()
+
+
+def test_train_synth_tiny_noise_runs_without_warnings(tmp_path, capsys):
+    # signal / 1e-320 overflows to +-inf, whose sigmoid is exactly 0 or 1:
+    # the labels are the noise-free sign labels, with no RuntimeWarning
+    runs = {}
+    for noise in ("1e-320", "0"):
+        out = tmp_path / noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--data", f"synth:d=8,k=2,n=40,nval=5,noise={noise}",
+                         "--epochs", "1", "--out", str(out)]) == 0
+        runs[noise] = (out / "epochs.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+    assert runs["1e-320"] == runs["0"]
 
 
 # Sizes past 2**47 bytes, which numpy refuses at once even without the guard.

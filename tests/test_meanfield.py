@@ -101,19 +101,42 @@ def _random_families(d, seed):
     ]
 
 
+def _signed_zero_families(d, seed):
+    """One field of each family whose parameters mix magnitudes from 1e-300
+    to 1e300 with zeros and negative zeros."""
+    r = np.random.default_rng(seed)
+    mags = np.array([0.0, -0.0, 1e-300, 1e-3, 1.0, 1e3, 1e300])
+
+    def pick(signed):
+        x = r.choice(mags, size=d)
+        return x * r.choice([-1.0, 1.0], size=d) if signed else np.abs(x)
+
+    p_zero = r.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=d)
+    return [
+        GaussianMeanField(pick(True), pick(False)),
+        LaplaceMeanField(pick(True), pick(False)),
+        SpikeSlabMeanField(p_zero, pick(True), pick(False)),
+    ]
+
+
 @pytest.mark.parametrize("family", range(3))
-@pytest.mark.parametrize("index", [[5], [0, 63], [40, 3, 40, 17], list(range(63, -1, -1))])
+@pytest.mark.parametrize(
+    "index", [[5], [0, 63], [40, 3, 40, 17], list(range(63, -1, -1)), None]
+)
 def test_sample_at_index_is_the_full_sample_gathered(family, index):
-    # Columns `index` only, in that order and with repeats, bit for bit the
-    # full draw's, and the generator left where the full draw leaves it.
-    dist = _random_families(64, seed=family)[family]
-    for n in (1, 2, 37, 256):
-        full_rng, rng = trial_rng(11, n), trial_rng(11, n)
-        full = dist.sample(n, full_rng)
-        part = dist.sample(n, rng, np.array(index))
-        assert part.shape == (n, len(index))
-        assert part.tobytes() == full[:, index].tobytes()
-        assert rng.random(8).tobytes() == full_rng.random(8).tobytes()
+    # Columns `index` only (all of them for None), in that order and with
+    # repeats, bit for bit those of the textbook formula's full draw, and the
+    # generator left where that draw leaves it.
+    at = slice(None) if index is None else index
+    for dist in (_random_families(64, family)[family],
+                 _signed_zero_families(64, family)[family]):
+        for n in (1, 2, 37, 256):
+            full_rng, rng = trial_rng(11, n), trial_rng(11, n)
+            full = oracles.mean_field_sample(dist, n, full_rng)[:, at]
+            part = dist.sample(n, rng, None if index is None else np.array(index))
+            assert part.shape == full.shape
+            assert part.tobytes() == full.tobytes()
+            assert rng.random(8).tobytes() == full_rng.random(8).tobytes()
 
 
 def test_validation():

@@ -301,15 +301,13 @@ def test_blocked_simplex_matches_per_block_oracle(d, block_size, n_groups):
     [(1, [0]), (1, [0, 0]), (3, [2, 0]), (7, [6, 3, 3, 0]), (64, [9, 59]), (513, [512, 1, 256])],
 )
 def test_index_builds_the_full_builds_columns(d, index):
-    # both rules build only the listed columns, in that order, with the full
-    # build's values, and draw what the full build draws
-    gen = np.random.default_rng(d)
-    mu, sigma = gen.standard_normal(d), gen.random(d)
-    for k_start, n_pairs in ((0, 1), (5, 3), (2 * d + 1, 2 * d)):
-        full_signs, full = reflected_nodes(mu, sigma, k_start, n_pairs)
-        signs, nodes = reflected_nodes(mu, sigma, k_start, n_pairs, index=index)
-        assert signs.tobytes() == full_signs[:, index].tobytes()
-        assert nodes.tobytes() == full[..., index].tobytes()
+    # the sign sequence and the blocked rule build only the listed columns,
+    # in that order, with the full build's values, and the blocked rule draws
+    # what the full build draws
+    for k_start, n_vectors in ((0, 1), (5, 3), (2 * d + 1, 2 * d)):
+        full = sign_sequence(d, k_start, n_vectors)
+        signs = sign_sequence(d, k_start, n_vectors, index=index)
+        assert signs.tobytes() == full[:, index].tobytes()
     for block_size, n_groups in ((1, 2), (2, 5), (3, 3)):
         full_rng, rng = trial_rng(d, block_size), trial_rng(d, block_size)
         full = blocked_simplex_standard(d, block_size, full_rng, n_groups)
@@ -327,7 +325,7 @@ def test_index_builds_the_full_builds_columns(d, index):
 @pytest.mark.parametrize("index", [[4], [-1], [0.0], [[0]]])
 def test_index_outside_the_dimension_is_refused(index):
     with pytest.raises(ValueError, match="index"):
-        reflected_nodes(np.zeros(4), np.ones(4), 0, 1, index=index)
+        sign_sequence(4, 0, 1, index=index)
     with pytest.raises(ValueError, match="index"):
         blocked_simplex_standard(4, 2, trial_rng(0), index=index)
 
