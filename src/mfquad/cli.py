@@ -200,7 +200,13 @@ def _reflected_ladder(mean, std, d, budgets, index):
     return nodes
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_integrate_bench(args) -> int:
+    _check_seed(args.seed)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.d < 1:
@@ -276,6 +282,7 @@ def cmd_integrate_bench(args) -> int:
 
 
 def cmd_exactness_count(args) -> int:
+    _check_seed(args.seed)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     budgets = _ladder(args.method, args.block_size, args.max_evals)
@@ -349,6 +356,8 @@ def load_run_config(path) -> tuple[TrainConfig, dict]:
         run[key] = value
     if run["max_cases"] is not None and run["max_cases"] < 1:
         raise ConfigError(f"{path}: max_cases must be >= 1, got {run['max_cases']}")
+    if run["seed"] < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, got {run['seed']}")
     try:
         return TrainConfig(**hyper), run
     except ValueError as err:
@@ -369,6 +378,8 @@ def _parse_synth_spec(spec: str) -> dict:
                 out[key] = float(value) if key == "noise" else int(value)
             except ValueError as err:
                 raise ConfigError(f"bad synth spec value {item!r}") from err
+    if out["seed"] < 0:
+        raise ConfigError(f"synth spec seed must be >= 0, got {out['seed']}")
     return out
 
 

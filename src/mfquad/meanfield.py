@@ -67,8 +67,16 @@ def spike_slab_moments(
     """
     p = np.asarray(p_nonzero, dtype=np.float64)
     m = np.asarray(slab_mean, dtype=np.float64)
+    return p * m, _spike_slab_std(p, m, slab_std)
+
+
+def _spike_slab_std(
+    p_nonzero: np.ndarray, slab_mean: np.ndarray, slab_std: np.ndarray
+) -> np.ndarray:
+    """The standard deviation of ``spike_slab_moments`` alone."""
+    p = np.asarray(p_nonzero, dtype=np.float64)
+    m = np.asarray(slab_mean, dtype=np.float64)
     s = np.asarray(slab_std, dtype=np.float64)
-    mu = p * m
     # p * (1 - p) * m**2 + p * s**2, in place and in that order
     var = np.subtract(1.0, p)
     var *= p
@@ -77,7 +85,7 @@ def spike_slab_moments(
     np.square(s, out=term)
     term *= p
     var += term
-    return mu, np.sqrt(var, out=var)
+    return np.sqrt(var, out=var)
 
 
 @dataclass(frozen=True)
@@ -196,11 +204,11 @@ class SpikeSlabMeanField:
 
     @property
     def mean(self) -> np.ndarray:
-        return spike_slab_moments(1.0 - self.p_zero, self.slab_mean, self.slab_std)[0]
+        return (1.0 - self.p_zero) * self.slab_mean
 
     @property
     def std(self) -> np.ndarray:
-        return spike_slab_moments(1.0 - self.p_zero, self.slab_mean, self.slab_std)[1]
+        return _spike_slab_std(1.0 - self.p_zero, self.slab_mean, self.slab_std)
 
     def sample(self, n: int, rng: np.random.Generator, index=None) -> np.ndarray:
         at = slice(None) if index is None else index

@@ -51,11 +51,25 @@ class QuadraticSummary:
         if grad.shape != hess.shape:
             raise ValueError("grad and hess must have equal length")
         loss = float(self.loss)
-        if not (math.isfinite(loss) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        if not (math.isfinite(loss) and _all_finite(grad, hess)):
             raise ValueError("summary entries must be finite")
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", hess)
+
+
+def _all_finite(grad: np.ndarray, hess: np.ndarray) -> bool:
+    """Whether every entry of two equal-length vectors is finite.
+
+    A non-finite entry makes ``grad @ hess`` non-finite (an infinity times
+    0 is NaN), so one product settles the common case.  Only a non-finite
+    product, which finite entries give when it overflows, is settled by
+    scanning both vectors.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(grad @ hess):
+            return True
+    return bool(np.isfinite(grad).all() and np.isfinite(hess).all())
 
 
 def full_period(d: int) -> int:
@@ -129,19 +143,23 @@ def quadratic_approx(
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     if mu.shape != sigma.shape:
         raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
-    displaced = sigma > 0
-    every = displaced.all()
-    if not every and (sigma < 0).any():
-        raise ValueError("sigma must be nonnegative")
     part = sigma  # sigma at the summary's coordinates
-    if index is not None:
-        index = _coordinates(index, sigma.shape[0])
-        displaced[index] = False
-        if displaced.any():
-            raise ValueError("sigma must be 0 at every coordinate outside index")
-        part = sigma[index]
-        displaced = part > 0
+    # one reduction in the common case, where every sigma is positive; the
+    # mask of displaced coordinates is built only when it is not
+    every = index is None and sigma.size > 0 and sigma.min() > 0
+    if not every:
+        displaced = sigma > 0
         every = displaced.all()
+        if not every and (sigma < 0).any():
+            raise ValueError("sigma must be nonnegative")
+        if index is not None:
+            index = _coordinates(index, sigma.shape[0])
+            displaced[index] = False
+            if displaced.any():
+                raise ValueError("sigma must be 0 at every coordinate outside index")
+            part = sigma[index]
+            displaced = part > 0
+            every = displaced.all()
 
     pair_sums = getattr(model, "pair_sums", None)
     # Overflow and NaN are caught by the summary check below, not warned of.

@@ -12,10 +12,13 @@ of bits needed to index ``d`` coordinates, coordinate ``i`` gets the parity
 of ``popcount(i AND k)``, mapped to {-1, +1}.  Bits of ``k`` above ``nbit``
 never meet a set bit of ``i``, so the sequence is periodic in ``k`` with
 period ``2**nbit``.  Parities are the low bits of ``np.bitwise_count``.
+For ``d <= 1024`` one period is cached as a small int8 table, and windows
+of every coordinate that do not wrap are read from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,9 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _EXACT_TOL = 1e-10  # count_exact_pairs: a |mixed second moment| below this is exact
+# sign_sequence caches one period of signs where it holds at most this many
+# int8 entries (1 MiB): every d up to 1024
+_TABLE_MAX_SIGNS = 1 << 20
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -111,10 +117,29 @@ def _coordinates(index, d: int) -> np.ndarray:
     return index.astype(np.intp, copy=False)
 
 
+def _parity_signs(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``(len(k), len(i))`` int8 signs: -1 where ``popcount(i & k)`` is even."""
+    signs = np.bitwise_count(i & k[:, None]).view(np.int8)
+    signs &= 1
+    signs += signs
+    signs -= 1
+    return signs
+
+
+@functools.lru_cache(maxsize=4)
+def _sign_table(d: int) -> np.ndarray:
+    """One period of the sign sequence of dimension ``d``, read-only int8."""
+    # int16 holds every i and k of a table within _TABLE_MAX_SIGNS
+    period = 1 << (d - 1).bit_length()
+    table = _parity_signs(np.arange(d, dtype=np.int16), np.arange(period, dtype=np.int16))
+    table.flags.writeable = False
+    return table
+
+
 def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarray:
     """Consecutive sign vectors ``k_start .. k_start + n_vectors - 1``.
 
-    Returns an ``(n_vectors, d)`` array with entries in {-1.0, +1.0}.
+    Returns a fresh ``(n_vectors, d)`` array with entries in {-1.0, +1.0}.
     Row ``r`` is ``cross_polytope_signs(d, k_start + r)``.  With ``index``,
     a list of coordinates below ``d``, only those columns are built, in that
     order: the result is the full one's ``[:, index]``.
@@ -125,15 +150,13 @@ def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarra
         raise ValueError("sequence indices must be nonnegative")
     # Index bits above those of d - 1 never meet a set bit of i, so k is
     # reduced to them.
-    mask = (1 << int(d - 1).bit_length()) - 1
-    k = np.arange(k_start & mask, (k_start & mask) + n_vectors) & mask
+    period = 1 << int(d - 1).bit_length()
+    k_start &= period - 1
+    if index is None and k_start + n_vectors <= period and period * d <= _TABLE_MAX_SIGNS:
+        return _sign_table(int(d))[k_start:k_start + n_vectors].astype(np.float64)
+    k = np.arange(k_start, k_start + n_vectors) & (period - 1)
     i = np.arange(d) if index is None else _coordinates(index, d)
-    parity = np.bitwise_count(i & k[:, None])
-    parity &= 1
-    signs = parity.astype(np.float64)
-    signs *= 2.0
-    signs -= 1.0
-    return signs
+    return _parity_signs(i, k).astype(np.float64)
 
 
 def cross_polytope_signs(d: int, k: int) -> np.ndarray:

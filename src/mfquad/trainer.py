@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meanfield import spike_slab_moments
+from .meanfield import _spike_slab_std, spike_slab_moments
 from .projection import quadratic_approx
 
 __all__ = [
@@ -176,12 +176,12 @@ class TrainState:
     @property
     def mu(self) -> np.ndarray:
         """Mean of the spike-and-slab marginal."""
-        return spike_slab_moments(self.p_nonzero, self.slab_mean, self.slab_std)[0]
+        return self.p_nonzero * self.slab_mean
 
     @property
     def sigma(self) -> np.ndarray:
         """Standard deviation of the spike-and-slab marginal."""
-        return spike_slab_moments(self.p_nonzero, self.slab_mean, self.slab_std)[1]
+        return _spike_slab_std(self.p_nonzero, self.slab_mean, self.slab_std)
 
     @property
     def dim(self) -> int:
@@ -252,7 +252,8 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     """
     hess = np.asarray(hess, dtype=np.float64)
     mean = np.asarray(slab_mean, dtype=np.float64)
-    if (hess <= 0).any():
+    # one reduction; a NaN minimum is refused as well
+    if hess.size and not hess.min() > 0:
         raise ValueError("zero_logits needs strictly positive curvature")
     out = hess * slab_std_max**2
     np.log(out, out=out)

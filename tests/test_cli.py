@@ -182,6 +182,35 @@ def test_blocked_simplex_block_size_below_1_exits_2(tmp_path, capsys, command, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+@pytest.mark.parametrize("command", [
+    ["integrate-bench", "--dist", "gauss", "--method", "mc", "--basis", "phi1:0"],
+    ["exactness-count", "--method", "cross-polytope", "--d", "8"],
+], ids=["integrate-bench", "exactness-count"])
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, command, seed):
+    out = tmp_path / "out.csv"
+    assert main([*command, "--seed", seed, "--max-evals", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --seed must be >= 0, got {seed}\n", err
+    assert not out.exists()
+
+
+def test_negative_train_seeds_exit_2_naming_their_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -1}')
+    # the config's seed is refused before the data is read
+    assert main(["train", "--config", str(config), "--data",
+                 f"mnist:{tmp_path / 'no-such-dir'}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {config}: seed must be >= 0, got -1\n", err
+    assert main(["train", "--data", "synth:d=8,k=2,n=40,nval=5,seed=-1",
+                 "--epochs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: synth spec seed must be >= 0, got -1\n", err
+    assert not out.exists()
+
+
 def test_bench_non_finite_estimate_exits_4(tmp_path, monkeypatch, capsys):
     def nan_evaluate(self, coord, degree, x):
         return np.full(np.shape(x), np.nan)

@@ -401,6 +401,26 @@ def test_summary_validation():
         )
 
 
+def test_summary_finiteness_check_is_exact():
+    # finite entries whose dot overflows, or is inf - inf, are accepted,
+    # also under the trainer's overflow-raising errstate
+    big = np.array([1e300, 1e300, -1e300])
+    with np.errstate(over="raise", invalid="raise"):
+        QuadraticSummary(0.0, big, big)
+        QuadraticSummary(0.0, np.array([1e300, 1e300]), np.array([1e300, -1e300]))
+    # a single non-finite entry of either vector is refused, also beside a
+    # 0 of the other one
+    for bad in (np.inf, -np.inf, np.nan):
+        for at in (0, 2, 4):
+            for other in (np.ones(5), np.zeros(5)):
+                vec = np.ones(5)
+                vec[at] = bad
+                for grad, hess in ((vec, other), (other, vec)):
+                    with pytest.raises(ValueError, match="finite"):
+                        QuadraticSummary(0.0, grad, hess)
+    assert QuadraticSummary(1.0, np.zeros(0), np.zeros(0)).grad.shape == (0,)
+
+
 def test_full_period_values():
     # frozen: next power of two at or above d
     assert full_period(1) == 1

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mfquad.projection import full_period
 from mfquad.quadrature import (
+    _sign_table,
     antithetic_pair,
     blocked_simplex_standard,
     count_exact_pairs,
@@ -76,6 +78,55 @@ def test_sign_sequence_matches_shift_xor_oracle(d, k_start):
     # reproduces the shift-XOR parity bit for bit
     n = 3
     assert sign_sequence(d, k_start, n).tobytes() == oracles.sign_sequence(d, k_start, n).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 255, 256, 257, 1024, 1025])
+def test_sign_windows_match_the_parity_oracle(d):
+    # Windows through the cached table (d <= 1024) and the build past it,
+    # wrapping ones included.  Every start over two periods is checked
+    # with every window of up to three vectors, against the oracle at that
+    # start, and with the two windows that meet the period's end.  For d up
+    # to 5 every start goes with every length up to a period plus one; the
+    # larger d take every start on a stride coprime to the period, and a few
+    # starts with lengths on that stride, since the whole product is about
+    # 10**10 entries at d = 1024.
+    period = full_period(d)
+    one = oracles.sign_sequence(d, 0, period)
+    for k in range(2 * period):
+        for n in range(4):
+            assert sign_sequence(d, k, n).tobytes() == oracles.sign_sequence(d, k, n).tobytes()
+    if period <= 8:
+        windows = [(k, n) for k in range(2 * period) for n in range(period + 2)]
+    else:
+        stride = period // 32 + 1
+        starts = {*range(0, 2 * period, stride), period - 1, period, 2 * period - 1}
+        lengths = {*range(0, period + 2, stride), period - 1, period, period + 1}
+        windows = [(k, n) for k in (0, 1, period - 1, period + 1) for n in sorted(lengths)]
+        windows += [(k, period - k % period + e) for k in sorted(starts) for e in (0, 1)]
+    for k, n in windows:
+        want = one[(k + np.arange(n)) % period]
+        assert sign_sequence(d, k, n).tobytes() == want.tobytes(), (k, n)
+
+
+def test_sign_table_is_read_only_and_never_handed_out():
+    _sign_table.cache_clear()
+    first = sign_sequence(256, 3, 4)
+    want = first.copy()
+    table = _sign_table(256)
+    assert table.dtype == np.int8 and table.shape == (256, 256)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # a caller's writes to a window change no later window
+    for signs in (first, cross_polytope_signs(256, 3), reflected_nodes(
+            np.zeros(256), np.ones(256), 3, 4)[0]):
+        assert not np.shares_memory(signs, table)
+        signs *= 3.0
+        assert sign_sequence(256, 3, 4).tobytes() == want.tobytes()
+    # past the 1 MiB bound, and for a column subset, nothing is cached
+    sign_sequence(1025, 0, 2)
+    sign_sequence(512, 0, 2, index=[3, 1])
+    assert _sign_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])

@@ -131,6 +131,19 @@ def test_zero_logits_frozen():
         zero_logits(np.array([0.0]), np.array([1.0]), 0.3)
 
 
+def test_zero_logits_guard_is_one_reduction_that_refuses_nan():
+    # an empty curvature is no error; a 0, negative or NaN one is refused
+    # wherever it sits
+    out = zero_logits(np.zeros(0), np.zeros(0), 0.3)
+    assert out.shape == (0,) and out.dtype == np.float64
+    for bad in (0.0, -1.0, -np.inf, np.nan):
+        for at in (0, 3, 6):
+            hess = np.full(7, 2.0)
+            hess[at] = bad
+            with pytest.raises(ValueError, match="positive"):
+                zero_logits(hess, np.zeros(7), 0.3)
+
+
 def test_config_target_logits():
     cf = TrainConfig()
     assert cf.target_logit_zero == pytest.approx(LOG999, rel=1e-12)
@@ -498,6 +511,18 @@ def test_variational_update_spike_slab_moments_match():
     mean, std = spike_slab_moments(state.p_nonzero, state.slab_mean, state.slab_std)
     assert_array_equal(state.mu, mean)
     assert_array_equal(state.sigma, std)
+
+
+def test_state_moments_are_spike_slab_moments_bit_for_bit():
+    # each property computes only its own moment, as the same double
+    rng = np.random.Generator(np.random.Philox(12))
+    state = hand_state(d=9)
+    state.p_nonzero = np.concatenate([[0.0, 1.0, 0.5], rng.random(6)])
+    state.slab_mean = np.concatenate([[3.0, -0.0, 1e150], rng.standard_normal(6)])
+    state.slab_std = np.concatenate([[0.0, 2.0, 1e-300], rng.random(6)])
+    mean, std = spike_slab_moments(state.p_nonzero, state.slab_mean, state.slab_std)
+    assert state.mu.tobytes() == mean.tobytes()
+    assert state.sigma.tobytes() == std.tobytes()
 
 
 def test_variational_update_recentering_invariance():
