@@ -51,24 +51,25 @@ class QuadraticSummary:
         if grad.shape != hess.shape:
             raise ValueError("grad and hess must have equal length")
         loss = float(self.loss)
-        if not (math.isfinite(loss) and _all_finite(grad, hess)):
-            raise ValueError("summary entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (math.isfinite(loss) and _all_finite(grad, hess)):
+                raise ValueError("summary entries must be finite")
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", hess)
 
 
 def _all_finite(grad: np.ndarray, hess: np.ndarray) -> bool:
-    """Whether every entry of two equal-length vectors is finite.
+    """Whether every entry of two equal-length vectors is finite; the
+    caller ignores overflow and invalid operations.
 
     A non-finite entry makes ``grad @ hess`` non-finite (an infinity times
     0 is NaN), so one product settles the common case.  Only a non-finite
     product, which finite entries give when it overflows, is settled by
     scanning both vectors.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(grad @ hess):
-            return True
+    if math.isfinite(grad @ hess):
+        return True
     return bool(np.isfinite(grad).all() and np.isfinite(hess).all())
 
 
@@ -100,15 +101,8 @@ def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def quadratic_approx(
-    model,
-    case,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    k_start: int,
-    n_pairs: int,
-    index=None,
-) -> QuadraticSummary:
+def quadratic_approx(model, case, mu: np.ndarray, sigma: np.ndarray, k_start: int,
+                     n_pairs: int, index=None) -> QuadraticSummary:
     """Project one case's loss onto a diagonal quadratic around ``mu``.
 
     Evaluates ``(loss, grad)`` at the reflected nodes ``mu +- sigma * s_k``
@@ -136,6 +130,10 @@ def quadratic_approx(
     summary covers every node.  Only when it fails are the nodes evaluated
     again one by one, plus before minus, pair by pair, and the first
     non-finite one is named in the ``EvaluationError``.
+
+    This entry checks ``n_pairs``, the lengths, ``sigma >= 0`` and
+    ``index``, then calls the kernel, which ``trainer.run_epoch`` calls
+    directly; the summary's finiteness check is the kernel's own.
     """
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -143,24 +141,23 @@ def quadratic_approx(
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     if mu.shape != sigma.shape:
         raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
-    part = sigma  # sigma at the summary's coordinates
-    # one reduction in the common case, where every sigma is positive; the
-    # mask of displaced coordinates is built only when it is not
-    every = index is None and sigma.size > 0 and sigma.min() > 0
-    if not every:
+    if (sigma < 0).any():
+        raise ValueError("sigma must be nonnegative")
+    if index is not None:
+        index = _coordinates(index, sigma.shape[0])
         displaced = sigma > 0
-        every = displaced.all()
-        if not every and (sigma < 0).any():
-            raise ValueError("sigma must be nonnegative")
-        if index is not None:
-            index = _coordinates(index, sigma.shape[0])
-            displaced[index] = False
-            if displaced.any():
-                raise ValueError("sigma must be 0 at every coordinate outside index")
-            part = sigma[index]
-            displaced = part > 0
-            every = displaced.all()
+        displaced[index] = False
+        if displaced.any():
+            raise ValueError("sigma must be 0 at every coordinate outside index")
+    return _quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index)
 
+
+def _quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
+    """``quadratic_approx`` behind its checks, which the caller guarantees."""
+    part = sigma if index is None else sigma[index]  # sigma at the summary's coordinates
+    # one reduction in the common case, where every sigma is positive; the
+    # displaced coordinates are gathered only when it is not
+    every = not part.size or part.min() > 0
     pair_sums = getattr(model, "pair_sums", None)
     # Overflow and NaN are caught by the summary check below, not warned of.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +180,7 @@ def quadratic_approx(
         if every:
             np.divide(hess, scratch, out=hess)
         else:
-            idx = displaced.nonzero()[0]
+            idx = (part > 0).nonzero()[0]
             hess_displaced = hess[idx] / scratch[idx]
             hess.fill(0.0)
             hess[idx] = hess_displaced
@@ -192,17 +189,17 @@ def quadratic_approx(
         else:  # a dot over all of d sums in the full summary's order
             full_hess, square = np.zeros(sigma.shape[0]), np.square(sigma)
             full_hess[index] = hess
-        loss = loss_sum / n_evals - 0.5 * float(full_hess @ square)
-        try:
-            return QuadraticSummary(loss, grad, hess)
-        except ValueError as err:
-            _, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
-            for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, -1):
-                _evaluate(model, node, case)
-            # every node is finite, but the sums overflowed
-            raise EvaluationError(
-                f"non-finite quadratic summary around mean {_one_line(mu)}", mu
-            ) from err
+        loss = float(loss_sum) / n_evals - 0.5 * float(full_hess @ square)
+        if math.isfinite(loss) and _all_finite(grad, hess):
+            # built once, without repeating these checks in __post_init__
+            summary = object.__new__(QuadraticSummary)
+            summary.__dict__.update(loss=loss, grad=grad, hess=hess)
+            return summary
+        _, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
+        for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, -1):
+            _evaluate(model, node, case)
+        # every node is finite, but the sums overflowed
+        raise EvaluationError(f"non-finite quadratic summary around mean {_one_line(mu)}", mu)
 
 
 def _node_sums(model, case, mu, sigma, k_start, n_pairs):

@@ -20,7 +20,6 @@ parameter vector.
 from __future__ import annotations
 
 import base64
-import contextlib
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .meanfield import _spike_slab_std, spike_slab_moments
-from .projection import quadratic_approx
+from .projection import _all_finite, _quadratic_approx, quadratic_approx
 
 __all__ = [
     "TrainConfig",
@@ -248,13 +247,17 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     ``0.5 * (log(hess * slab_std_max**2) - hess * slab_mean**2)`` per
     coordinate: flat directions with large means are confidently nonzero,
     sharp directions with small means are confidently zero.  Requires
-    strictly positive ``hess``.
+    strictly positive ``hess`` (ValueError).
     """
     hess = np.asarray(hess, dtype=np.float64)
     mean = np.asarray(slab_mean, dtype=np.float64)
     # one reduction; a NaN minimum is refused as well
     if hess.size and not hess.min() > 0:
         raise ValueError("zero_logits needs strictly positive curvature")
+    return _zero_logits(hess, mean, slab_std_max)
+
+
+def _zero_logits(hess: np.ndarray, mean: np.ndarray, slab_std_max: float) -> np.ndarray:
     out = hess * slab_std_max**2
     np.log(out, out=out)
     penalty = np.square(mean)
@@ -264,13 +267,8 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     return out
 
 
-def sieve_map(
-    values,
-    frac_zero: float,
-    frac_held: float,
-    target_zero: float = math.log(999.0),
-    target_held: float = -math.log(999.0),
-) -> np.ndarray:
+def sieve_map(values, frac_zero: float, frac_held: float, target_zero: float = math.log(999.0),
+              target_held: float = -math.log(999.0)) -> np.ndarray:
     """Monotone piecewise-linear rescaling of zero-logits.
 
     Shifts the top ``ceil(frac_zero * d)`` values (by rank, ties resolved
@@ -285,20 +283,28 @@ def sieve_map(
     the middle ranks between coincident hinges, or hinges too close for a
     finite slope, sit at the undecided midpoint; hinges more than DBL_MAX
     apart interpolate on halved values.
+
+    Checks: fractions in [0, 1], ``target_held <= target_zero``, and no
+    NaN where an anchor is set (FloatingPointError: a NaN has no rank).
+    An overflow is reported only in an entry that the output keeps.
     """
     values = np.asarray(values, dtype=np.float64)
-    d = values.size
     if not 0 <= frac_zero <= 1 or not 0 <= frac_held <= 1:
         raise ValueError("sieve fractions must lie in [0, 1]")
     if target_held > target_zero:
         raise ValueError("target_held must not exceed target_zero")
+    if (frac_zero or frac_held) and np.isnan(values).any():
+        raise FloatingPointError("sieve_map needs zero-logits without NaN")
+    return _sieve_map(values, frac_zero, frac_held, target_zero, target_held)
+
+
+def _sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.ndarray:
+    d = values.size
     n_zero = math.ceil(frac_zero * d)
     n_held = min(math.ceil(frac_held * d), d - n_zero)
 
     if n_zero == 0 and n_held == 0:
         return values.copy()
-    if np.isnan(values).any():  # a NaN has no rank among the ties below
-        raise FloatingPointError("sieve_map needs zero-logits without NaN")
     # Select the hinge ranks instead of sorting: partition at the zero hinge,
     # then the part below it at the held hinge (one two-rank partition call
     # is several times slower).
@@ -331,23 +337,21 @@ def sieve_map(
         np.logical_not(top, out=top)
         top[ties0[:j0]] = False
 
-    # Hinges more than DBL_MAX apart interpolate on halved values; only the
-    # entries an anchor segment discards can overflow there.
-    wide = z0 - z1 == math.inf
-    with np.errstate(over="ignore") if wide else contextlib.nullcontext():
+    # Each segment's formula runs over every entry with overflow silenced.
+    # A middle entry lands between the targets, so an infinity left in out
+    # is an anchored one: its segment's formula then runs again at the
+    # entries it keeps, where an overflow is reported.
+    with np.errstate(over="ignore"):
         out = values - z1
         np.add(out, target_held, out=scratch)
-        if wide:
+        if z0 - z1 == math.inf:  # hinges more than DBL_MAX apart: halve values
             np.multiply(values, 0.5, out=out)
             out -= 0.5 * z1
             slope = (target_zero - target_held) / (0.5 * z0 - 0.5 * z1)
         else:
             slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
         if math.isfinite(slope):
-            # A middle entry lands between the targets; only the entries an
-            # anchor segment discards can overflow under a steep slope.
-            with np.errstate(over="ignore"):
-                out *= slope
+            out *= slope
             out += target_held
         else:  # hinges coincide, or lie too close for a finite slope
             out.fill(0.5 * (target_zero + target_held))
@@ -355,6 +359,10 @@ def sieve_map(
         np.subtract(values, z0, out=scratch)
         scratch += target_zero
         _copy_where(out, scratch, top, n_zero)
+        finite = math.isfinite(out @ out)
+    if not finite:
+        out[low] = values[low] - z1 + target_held
+        out[top] = values[top] - z0 + target_zero
     return out
 
 
@@ -427,15 +435,9 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
     )
 
 
-def variational_update(
-    state: TrainState,
-    config: TrainConfig,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    mu: np.ndarray,
-    t: float,
-    final_epoch: bool = False,
-) -> None:
+def variational_update(state: TrainState, config: TrainConfig, grad: np.ndarray,
+                       hess: np.ndarray, mu: np.ndarray, t: float,
+                       final_epoch: bool = False) -> None:
     """Fold one quadratic snapshot into the state and refresh the marginal.
 
     Accumulates the snapshot's gradient and curvature, blends both passes,
@@ -444,7 +446,22 @@ def variational_update(
     sparsity schedule (or applies the frozen decisions in the final epoch),
     and re-centers the accumulated gradients at the moved marginal mean.
     ``mu`` is the mean the snapshot was expanded around (``state.mu``).
+
+    A snapshot with a non-finite entry is refused (ValueError).
     """
+    grad, hess = np.asarray(grad, dtype=np.float64), np.asarray(hess, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _all_finite(grad, hess):
+            raise ValueError("variational_update needs a snapshot of finite grad and hess")
+    _variational_update(state, config, grad, hess, mu, t, final_epoch, checked=True)
+
+
+def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
+                        checked=False) -> None:
+    """``variational_update`` behind its snapshot check.  A ``checked`` call
+    sieves through the public ``zero_logits`` and ``sieve_map``, which
+    refuse a state without positive curvature or with NaN; the case loop,
+    whose state is valid, calls their kernels."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
     cur.add(grad, hess, cf.slab_std_max**-2)
@@ -476,13 +493,14 @@ def variational_update(
     if final_epoch:
         np.copyto(st.p_nonzero, st.realized_nonzero)
     else:
-        raw = zero_logits(hess_hat, st.slab_mean, cf.slab_std_max)
+        logits, sieve = zero_logits, sieve_map
+        if not checked:
+            logits, sieve = _KERNELS.get(logits, logits), _KERNELS.get(sieve, sieve)
+        raw = logits(hess_hat, st.slab_mean, cf.slab_std_max)
         frac_zero, frac_held = sparsity_schedule(
             t, cf.n_epochs, cf.frac_zero_target, cf.frac_held_target
         )
-        st.zero_logit = sieve_map(
-            raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one
-        )
+        st.zero_logit = sieve(raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one)
         # p_nonzero = 1 / (1 + exp(zero_logit)); where exp overflows
         # (zero_logit > 709.78) p = 0, less than 2**-1022 from the exact value
         p = st.p_nonzero
@@ -495,6 +513,13 @@ def variational_update(
     delta -= mu
     prev.recenter(delta)
     cur.recenter(delta)
+
+
+# The kernel behind each per-case public function's checks, which the case
+# loop guarantees itself.  A public name rebound in this module (a reference
+# implementation, a timing wrapper) is called in place of the kernel.
+_KERNELS = {quadratic_approx: _quadratic_approx, variational_update: _variational_update,
+            zero_logits: _zero_logits, sieve_map: _sieve_map}
 
 
 def _gather(state: TrainState, keep: np.ndarray) -> TrainState:
@@ -551,6 +576,13 @@ def run_epoch(
     had at the freeze, and an empty current pass.  An overflow, invalid
     operation or division by zero in a case raises FloatingPointError,
     whose message names the epoch and the case's position in it.
+
+    The loop calls the kernels behind the per-case public functions' checks
+    (``_KERNELS``) and guarantees those checks' conditions: flat float64
+    moments of length d; pair counts, fractions and targets from
+    ``TrainConfig``; in the final epoch, ``mu = sigma = 0`` outside the
+    sorted survivors; blended curvature at least ``slab_std_max**-2``; and
+    snapshots checked finite per case, so no zero-logit is NaN.
     """
     st, cf = state, config
     st.cur.reset()
@@ -562,6 +594,8 @@ def run_epoch(
         keep = st.realized_nonzero.nonzero()[0]
         part = _gather(st, keep)
 
+    approx = _KERNELS.get(quadratic_approx, quadratic_approx)
+    update = _KERNELS.get(variational_update, variational_update)
     epoch_loss = 0.0
     i = 0
     # the deliberate overflows are ignored where they happen
@@ -584,16 +618,14 @@ def run_epoch(
                     mu[keep] = center
                     sigma[keep] = sigma_keep
                     index = keep
-                snap = quadratic_approx(
-                    model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case, index
-                )
+                snap = approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case, index)
                 st.seq_index += cf.n_pairs_per_case
                 epoch_loss += snap.loss
                 t = (epoch - 1) + i / n_cases
                 grad, hess = snap.grad, snap.hess
                 if keep is not None and index is None:
                     grad, hess = grad[keep], hess[keep]
-                variational_update(part, cf, grad, hess, center, t, final)
+                update(part, cf, grad, hess, center, t, final)
                 if part.cur.n == target:
                     part.prev, part.cur = part.cur, part.prev
                     part.cur.reset()

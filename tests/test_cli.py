@@ -1,15 +1,21 @@
 """CLI contract: CSV schemas, frozen counts, exit codes, determinism."""
 
 import base64
+import contextlib
 import copy
 import csv
+import io
 import json
+import math
 import re
+import tempfile
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import mfquad.cli
@@ -602,6 +608,48 @@ def test_train_overflowing_update_exits_4_on_one_line(tmp_path, capsys, slab_std
     # the message names where it happened: the epoch and the case's position
     assert re.match(r"numerical failure: epoch [12], case \d+ of 40: ", err), err
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+# Float fields at their edges: signed zeros, subnormals, the largest
+# doubles, infinities and NaN, and the wrong JSON types; squares of 1e±154
+# are near the float range's ends.  Values inside [0, 1] are mostly valid.
+_EDGE_VALUES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan,
+    1e-154, 1e154, True, False, "0.5", None,
+]) | st.floats(0.0, 1.0) | st.floats(allow_nan=True, allow_infinity=True)
+_FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+_PREFIXES = {2: "config error: ", 4: "numerical failure: "}
+
+
+@settings(deadline=None, max_examples=1000)
+@given(
+    floats=st.dictionaries(st.sampled_from(_FLOAT_FIELDS), _EDGE_VALUES, max_size=3),
+    n_epochs=st.sampled_from([1, 2, 3] * 3 + [0, -1, 2.0, True, "2", None]),
+    n_pairs=st.sampled_from([1, 2] * 3 + [0, -3, 1.5, False]),
+)
+@example(floats={}, n_epochs=3, n_pairs=2)
+@example(floats={"slab_std_max": 1e154}, n_epochs=2, n_pairs=2)
+@example(floats={"slab_std_max": 1e-154, "lr_max": 1e308}, n_epochs=2, n_pairs=1)
+def test_train_config_fuzz_exits_0_2_or_4_on_at_most_one_line(floats, n_epochs, n_pairs):
+    # The trainer's per-case loop relies on TrainConfig's guarantees, so
+    # every config ends in success, a config error or a numerical failure,
+    # each with at most one documented line, never a traceback or warning.
+    doc = {**floats, "n_epochs": n_epochs, "n_pairs_per_case": n_pairs}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["train", "--config", str(config), "--data",
+                         "synth:d=8,k=2,n=16,nval=8", "--out", str(Path(tmp) / "run")])
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 4), (code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(_PREFIXES[code]) and err.count("\n") == 1, err
 
 
 def make_idx_dir(root, n_train=24, n_val=8, side=7, n_classes=3, seed=0):

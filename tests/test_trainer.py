@@ -1,6 +1,8 @@
 """Trainer oracles: blend identities, schedules, sieve, update invariants."""
 
 import base64
+import collections
+import contextlib
 import copy
 import decimal
 import json
@@ -26,6 +28,7 @@ from mfquad.models import (
     QuadraticOracleModel,
     synth_sparse_logistic,
 )
+from mfquad.projection import quadratic_approx
 from mfquad.trainer import (
     Accumulator,
     EpochStats,
@@ -275,6 +278,46 @@ def test_sieve_hinges_further_apart_than_dbl_max(sieve):
     assert np.isfinite(out).all()
     assert out[1:4].tolist() == [-LOG999, 0.0, LOG999]
     assert out[0] < out[1] and out[4] > out[3]
+
+
+# Hinges less than DBL_MAX apart, with an entry whose gap to the other
+# hinge overflows where an anchor segment replaces it: the top entry 1e308
+# against the held hinge -1e308, and the low entry -1.7e308 against the zero
+# hinge 0.9e308.
+_DISCARDED_OVERFLOWS = [
+    ([-1e308, 0.0, 1e308], 2 / 3, 1 / 3),
+    ([-1.7e308, -0.5e308, 0.0, 0.9e308], 0.25, 0.5),
+]
+
+
+@pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
+@pytest.mark.parametrize("values, frac_zero, frac_held", _DISCARDED_OVERFLOWS)
+def test_sieve_overflow_in_a_discarded_entry_is_silent(sieve, values, frac_zero, frac_held):
+    values = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sieve(values, frac_zero, frac_held)
+    with np.errstate(over="raise", invalid="raise"):  # as run_epoch runs it
+        assert sieve(values, frac_zero, frac_held).tobytes() == out.tobytes()
+    assert out.tobytes() == oracles.sieve_map(values, frac_zero, frac_held).tobytes()
+    assert np.isfinite(out).all()
+    if len(values) == 3:
+        assert out.tolist() == [-LOG999, LOG999, 1e308]
+
+
+@pytest.mark.parametrize("sieve", [sieve_map, oracles.sieve_map])
+def test_sieve_overflow_in_a_kept_entry_warns_once(sieve):
+    # The top entry 1e308 is 2e308 above the zero hinge -1e308: its anchored
+    # value overflows to inf, which is reported once, and raises under
+    # run_epoch's errstate.
+    values = np.array([-1.5e308, -1e308, 1e308])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = sieve(values, 2 / 3, 1 / 3)
+    assert [str(w.message) for w in caught] == ["overflow encountered in subtract"]
+    assert out.tolist() == [-LOG999, LOG999, math.inf]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        sieve(values, 2 / 3, 1 / 3)
 
 
 # Integer-valued entries from a narrow range: most vectors tie at the hinges.
@@ -553,6 +596,39 @@ def test_variational_update_recentering_invariance():
     assert_allclose(after, before, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("final_epoch", [False, True])
+@pytest.mark.parametrize("field", ["grad", "hess"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_variational_update_refuses_a_non_finite_snapshot(final_epoch, field, bad):
+    # Both modes refuse it with one message, before the state is touched;
+    # the final epoch once wrote the NaN into slab_mean and slab_std.
+    state = hand_state(d=4)
+    before = copy.deepcopy(state)
+    snapshot = {"grad": np.zeros(4), "hess": np.ones(4)}
+    snapshot[field][2] = bad
+    with pytest.raises(ValueError, match="^variational_update needs a snapshot of finite"):
+        variational_update(state, TrainConfig(), **snapshot, mu=state.mu, t=1.5,
+                           final_epoch=final_epoch)
+    for name, a in _state_buffers(state).items():
+        assert a.tobytes() == _state_buffers(before)[name].tobytes(), name
+    assert (state.prev.n, state.cur.n) == (before.prev.n, before.cur.n)
+
+
+def test_variational_update_refuses_what_zero_logits_and_the_sieve_refuse():
+    # A public call sieves through the checked public functions, so a state
+    # whose blended curvature is not positive, or whose slab mean is NaN, is
+    # refused; only the case loop, whose state is valid, skips those checks.
+    cf = TrainConfig()
+    state = hand_state(d=3)
+    state.prev.hess[0] = -100.0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="strictly positive"):
+        variational_update(state, cf, np.zeros(3), np.ones(3), state.mu, t=1.5)
+    state = hand_state(d=3)
+    state.slab_mean[1] = np.nan
+    with pytest.raises(FloatingPointError, match="without NaN"):
+        variational_update(state, cf, np.zeros(3), np.ones(3), np.zeros(3), t=1.5)
+
+
 def test_variational_update_final_epoch_uses_frozen_decisions():
     cf = TrainConfig()
     state = hand_state(d=4)
@@ -770,6 +846,33 @@ def _small_logistic(n_cases=64):
     return LogisticModel(data)
 
 
+# The kernels behind the per-case public functions' checks.
+_PACKAGE_KERNELS = (
+    mfquad.projection._quadratic_approx,
+    mfquad.trainer._variational_update,
+    mfquad.trainer._zero_logits,
+    mfquad.trainer._sieve_map,
+)
+
+
+@contextlib.contextmanager
+def _entered(functions):
+    """The set of ``functions`` names entered inside the block."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            entered.add(codes[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield entered
+    finally:
+        sys.setprofile(previous)
+
+
 @pytest.mark.parametrize("make_model", [_small_mlp, _small_logistic])
 def test_training_matches_allocating_oracles(make_model, monkeypatch):
     # The in-place hot path keeps the oracles' float operations and their
@@ -777,9 +880,11 @@ def test_training_matches_allocating_oracles(make_model, monkeypatch):
     model = make_model()
     cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
     fast, fast_hist = train(model, 64, cf, seed=3)
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, _entered(_PACKAGE_KERNELS) as entered:
         oracles.patch_all(patch)
         slow, slow_hist = train(model, 64, cf, seed=3)
+    # the patched names reach every step run_epoch takes: no kernel ran
+    assert entered == set()
     assert fast_hist == slow_hist
     for name in STATE_ARRAYS + ("mu", "sigma"):
         a, b = getattr(fast, name), getattr(slow, name)
@@ -791,6 +896,72 @@ def test_training_matches_allocating_oracles(make_model, monkeypatch):
         assert a.hess.tobytes() == b.hess.tobytes(), acc
     assert (fast.seq_index, fast.hess_min) == (slow.seq_index, slow.hess_min)
     assert np.mean(fast.realized_nonzero == 0.0) >= 0.9
+
+
+@pytest.mark.parametrize("make_model", [_small_mlp, _small_logistic])
+def test_case_loop_guarantees_what_its_kernels_skip(make_model, monkeypatch):
+    # run_epoch calls the kernels behind the per-case checks.  At every
+    # case of a run, sieved epochs and the final one, the conditions of
+    # those checks hold, and each kernel's result is its public function's,
+    # byte for byte.
+    model = make_model()
+    cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
+    rng = np.random.Generator(np.random.Philox(3))
+    state = init_state(model, 64, cf, rng)
+    kernels = dict(mfquad.trainer._KERNELS)
+    calls = collections.Counter()
+
+    def approx(model_, case, mu, sigma, k_start, n_pairs, index=None):
+        d = model.n_params
+        assert mu.dtype == sigma.dtype == np.float64 and mu.shape == sigma.shape == (d,)
+        assert n_pairs >= 1 and sigma.min() >= 0
+        if index is not None:  # the final epoch's survivors, and 0 elsewhere
+            assert index.tolist() == state.realized_nonzero.nonzero()[0].tolist()
+            dead = np.ones(d, dtype=bool)
+            dead[index] = False
+            assert not sigma[dead].any() and not mu[dead].any()
+        got = kernels[quadratic_approx](model_, case, mu, sigma, k_start, n_pairs, index)
+        want = quadratic_approx(model_, case, mu, sigma, k_start, n_pairs, index)
+        assert (got.loss, got.grad.tobytes(), got.hess.tobytes()) == (
+            want.loss, want.grad.tobytes(), want.hess.tobytes())
+        calls["approx", index is not None] += 1
+        return got
+
+    def update(part, config, grad, hess, mu, t, final_epoch):
+        assert np.isfinite(grad).all() and np.isfinite(hess).all()
+        twin = copy.deepcopy(part)
+        variational_update(twin, config, grad, hess, mu, t, final_epoch)
+        kernels[variational_update](part, config, grad, hess, mu, t, final_epoch)
+        for name, a in _state_buffers(part).items():
+            assert a.tobytes() == _state_buffers(twin)[name].tobytes(), name
+        calls["update", final_epoch] += 1
+
+    def logits(hess, mean, slab_std_max):
+        assert hess.min() > 0  # hess_hat
+        got = kernels[zero_logits](hess, mean, slab_std_max)
+        assert not np.isnan(got).any()
+        assert got.tobytes() == zero_logits(hess, mean, slab_std_max).tobytes()
+        calls["logits"] += 1
+        return got
+
+    def sieve(values, frac_zero, frac_held, target_zero, target_held):
+        assert 0 <= frac_zero <= 1 and 0 <= frac_held <= 1 and target_held <= target_zero
+        got = kernels[sieve_map](values, frac_zero, frac_held, target_zero, target_held)
+        want = sieve_map(values, frac_zero, frac_held, target_zero, target_held)
+        assert got.tobytes() == want.tobytes()
+        calls["sieve"] += 1
+        return got
+
+    for public, check in ((quadratic_approx, approx), (variational_update, update),
+                          (zero_logits, logits), (sieve_map, sieve)):
+        monkeypatch.setitem(mfquad.trainer._KERNELS, public, check)
+    for epoch in (1, 2, 3):
+        run_epoch(state, model, 64, cf, epoch, rng)
+    # 64 cases per epoch; the final epoch's first case projects every
+    # coordinate
+    assert calls == {("approx", False): 129, ("approx", True): 63, ("update", False): 128,
+                     ("update", True): 64, "logits": 128, "sieve": 128}
+    assert np.mean(state.realized_nonzero == 0.0) >= 0.9
 
 
 @pytest.mark.parametrize("final_epoch", [False, True])
@@ -877,13 +1048,18 @@ def test_per_case_path_calls_no_numpy_wrapper():
     # the np.flatnonzero that calls two of them, ...) costs several Python
     # calls where the ndarray method costs one; the per-case path (the three
     # calls run_epoch makes per case, and all they call) uses the methods.
+    # Those calls are the kernels behind the public checks: the projection's
+    # kernel runs once per case, its public entry never.
     model = _small_logistic(n_cases=16)
     cf = TrainConfig(n_epochs=2)
     rng = np.random.Generator(np.random.Philox(5))
     state = init_state(model, 16, cf, rng)
-    entered = {"wrappers": [], "quadratic_approx": 0}
-    approx = mfquad.projection.quadratic_approx.__code__
-    per_case = {f.__code__ for f in (spike_slab_moments, variational_update)} | {approx}
+    entered = {"wrappers": [], "quadratic_approx": 0, "public": 0}
+    approx = mfquad.projection._quadratic_approx.__code__
+    public = {f.__code__ for f in (mfquad.projection.quadratic_approx, variational_update,
+                                   sieve_map, zero_logits)}
+    kernels = (spike_slab_moments, mfquad.trainer._variational_update)
+    per_case = {f.__code__ for f in kernels} | {approx}
 
     def profile(frame, event, arg):
         if event != "call":
@@ -896,6 +1072,7 @@ def test_per_case_path_calls_no_numpy_wrapper():
             if caller is not None:
                 entered["wrappers"].append(frame.f_code.co_name)
         entered["quadratic_approx"] += frame.f_code is approx
+        entered["public"] += frame.f_code in public
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -904,7 +1081,7 @@ def test_per_case_path_calls_no_numpy_wrapper():
             run_epoch(state, model, 16, cf, epoch, rng)
     finally:
         sys.setprofile(previous)
-    assert entered == {"wrappers": [], "quadratic_approx": 32}
+    assert entered == {"wrappers": [], "quadratic_approx": 32, "public": 0}
 
 
 def test_restart_swap_keeps_accumulators_apart():
