@@ -378,6 +378,11 @@ def _parse_synth_spec(spec: str) -> dict:
                 out[key] = float(value) if key == "noise" else int(value)
             except ValueError as err:
                 raise ConfigError(f"bad synth spec value {item!r}") from err
+    for key in ("d", "n", "nval"):
+        if out[key] < 1:
+            raise ConfigError(f"synth spec {key} must be >= 1, got {out[key]}")
+    if not 0 <= out["k"] <= out["d"]:
+        raise ConfigError(f"synth spec k must lie in 0..{out['d']}, got {out['k']}")
     if out["seed"] < 0:
         raise ConfigError(f"synth spec seed must be >= 0, got {out['seed']}")
     return out

@@ -19,6 +19,8 @@ of every coordinate that do not wrap are read from it.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +335,31 @@ def moment_matched_nodes(
     return NodeSet(centered * scale + dist.mean, np.full(n, 1.0 / n)), skipped
 
 
+def _exact_bound(n: int) -> float:
+    """The least double ``t`` with ``t / n >= _EXACT_TOL``, for ``n >= 1``.
+
+    Correctly rounded division is monotone in its numerator, so for every
+    double ``x``, ``abs(x) / n < _EXACT_TOL`` exactly when ``abs(x) < t``;
+    NaN fails both.  ``t`` is a few ulps from ``_EXACT_TOL * n``.
+    """
+    t = _EXACT_TOL * n
+    while t / n >= _EXACT_TOL:
+        t = math.nextafter(t, 0.0)
+    while t / n < _EXACT_TOL:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _budget(n) -> int:
+    """``n`` as an int; ValueError unless it is an integer (bools are not)."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"n_evals must hold integers, got {n!r}")
+
+
 def count_exact_pairs(
     d: int,
     method: str,
@@ -353,23 +380,32 @@ def count_exact_pairs(
 
     ``n_evals`` is one budget, which gives one float, or a strictly
     increasing sequence of budgets (a ladder), which gives a list with one
-    mean per budget.  Every budget must be a multiple of the rule's natural
-    group size: 2 for ``'cross-polytope'`` (one pair), ``block_size + 1``
-    per blocked group.  A ladder is counted in one pass: each rung draws
-    only the nodes it adds to the previous rung's (the next reflected
-    pairs, or further groups from the trial's one generator), and adds
-    their unweighted ``nodes.T @ nodes`` to a running sum.  A rung's nodes
-    are therefore exactly those of a call at its budget alone.
+    mean per budget.  Every budget must be an integer multiple of the
+    rule's natural group size: 2 for ``'cross-polytope'`` (one pair),
+    ``block_size + 1`` per blocked group.  A ladder is counted in one pass:
+    each rung draws only what it adds to the previous rung (the next sign
+    vectors, or further groups from the trial's one generator) and adds
+    their Gram matrix, one matrix product, to a running sum.  A rung's
+    nodes are therefore exactly those of a call at its budget alone.  The
+    cross-polytope's nodes ``±s_k`` are not built: both nodes of a pair
+    have the outer product ``s_k s_kᵀ``, so the rule's unweighted second
+    moment is twice the signs' Gram, a sum of ±1 products that float32
+    holds exactly while the pair count is below 2**24.  The test
+    ``|sum / n| < 1e-10`` is made as ``|sum| < _exact_bound(n)``, which
+    answers the same for every double without a division.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    blocked = method == "blocked-simplex"
+    if blocked and block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
     group = {"cross-polytope": 2, "blocked-simplex": block_size + 1}.get(method)
     if group is None:
         raise ValueError(f"unknown method {method!r}")
     scalar = np.ndim(n_evals) == 0
-    budgets = [n_evals] if scalar else list(n_evals)
+    budgets = [_budget(n) for n in ([n_evals] if scalar else n_evals)]
     if not budgets:
         raise ValueError("need at least one budget")
     for prev, n in zip([0] + budgets, budgets):
@@ -379,29 +415,35 @@ def count_exact_pairs(
                 f"got {n_evals}"
             )
 
-    blocked = method == "blocked-simplex"
     trials = n_trials if blocked else 1
+    # The blocked rule's unweighted second moment is its nodes' Gram; the
+    # cross-polytope's is twice its signs' Gram.
+    bounds = [_exact_bound(n) / (1 if blocked else 2) for n in budgets]
+    # A float32 Gram of signs holds integers of magnitude at most the pair
+    # count, so its sums are exact; the bounds then lie in (0, 1), and
+    # rounding them to float32 in the comparison moves no count.
+    dtype = np.float32 if not blocked and budgets[-1] // 2 < 1 << 24 else np.float64
     counts = np.zeros(len(budgets))
     # d x d work arrays, reused: fresh ones would fault in their pages anew
-    second, product, moment = np.empty((3, d, d))
+    second, product = np.empty((2, d, d), dtype=dtype)
     exact = np.empty((d, d), dtype=bool)
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
     for trial in range(trials):
         rng = trial_rng(seed, trial) if blocked else None
-        second.fill(0.0)  # unweighted: the sum of x_i x_j over the nodes so far
+        second.fill(0.0)  # the Gram of the rule's nodes or signs so far
         prev = 0
         for j, n in enumerate(budgets):
             if blocked:
                 block = blocked_simplex_standard(d, block_size, rng, (n - prev) // group).nodes
             else:
-                _, nodes = reflected_nodes(np.zeros(d), np.ones(d), prev // 2, (n - prev) // 2)
-                block = nodes.reshape(n - prev, d)
-            # A.T @ A runs BLAS's symmetric product, so the sum stays exactly
-            # symmetric and each pair i < j is counted twice.
-            np.matmul(block.T, block, out=product)
+                block = sign_sequence(d, prev // 2, (n - prev) // 2).astype(dtype, copy=False)
+            # numpy hands A.T @ A on one buffer to BLAS syrk and mirrors the
+            # triangle in a scalar loop; a contiguous A.T makes it one gemm.
+            np.matmul(np.ascontiguousarray(block.T), block, out=product)
             second += product
-            np.divide(second, n, out=moment)
-            np.less(np.abs(moment, out=moment), _EXACT_TOL, out=exact)
-            counts[j] += (np.count_nonzero(exact) - np.count_nonzero(exact.diagonal())) // 2
+            np.less(np.abs(second, out=product), bounds[j], out=exact)
+            exact &= upper  # the pairs i < j
+            counts[j] += np.count_nonzero(exact)
             prev = n
     means = (counts / trials).tolist()
     return means[0] if scalar else means

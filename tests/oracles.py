@@ -18,9 +18,13 @@ logistic model) in the per-node loop's order, so bit for bit.
 package's, which updates the survivors alone, matches it on every value a
 later step reads.  ``count_exact_pairs`` builds every node of one budget
 anew, where the package counts a whole ladder in one pass; the counts are
-integers and must agree exactly.  ``orthonormal_basis`` factors one
-coordinate's moment matrix at a time, where the package factors them all in
-one batched call, bit for bit.  ``cmd_integrate_bench`` builds every column
+integers and must agree exactly.  ``count_exact_ladder`` is the package's
+earlier ladder loop, which built the cross-polytope's nodes, took numpy's
+syrk product and divided by the budget, where the package takes one gemm
+of the signs in float32 and compares with a precomputed bound; the counts
+must agree exactly.  ``orthonormal_basis`` factors one coordinate's moment
+matrix at a time, where the package factors them all in one batched call,
+bit for bit.  ``cmd_integrate_bench`` builds every column
 of every (trial, budget) cell's node set and evaluates each cell apart,
 where the package builds only the columns the basis reads and evaluates a
 trial's whole ladder at once; the CSVs must agree byte for byte.
@@ -167,6 +171,35 @@ def count_exact_pairs(d, method, n_evals, *, block_size=2, n_trials=1, seed=0) -
         off = np.abs(second[np.triu_indices(d, k=1)])
         counts.append(int(np.count_nonzero(off < _EXACT_TOL)))
     return float(np.mean(counts))
+
+
+def count_exact_ladder(d, method, budgets, *, block_size=2, n_trials=1, seed=0) -> list[float]:
+    """``quadrature.count_exact_pairs`` on a ladder, by its earlier loop:
+    every rung's nodes built (``reflected_nodes`` for the cross-polytope),
+    their ``block.T @ block`` (numpy's syrk, mirrored) added to a float64
+    sum, the sum divided by the budget, and the exact off-diagonal entries
+    counted once per pair as ``(count - diagonal) // 2``."""
+    blocked = method == "blocked-simplex"
+    group = block_size + 1 if blocked else 2
+    trials = n_trials if blocked else 1
+    counts = np.zeros(len(budgets))
+    for trial in range(trials):
+        rng = trial_rng(seed, trial) if blocked else None
+        second = np.zeros((d, d))
+        prev = 0
+        for j, n in enumerate(budgets):
+            if blocked:
+                block = mfquad.quadrature.blocked_simplex_standard(
+                    d, block_size, rng, (n - prev) // group
+                ).nodes
+            else:
+                _, nodes = reflected_nodes(np.zeros(d), np.ones(d), prev // 2, (n - prev) // 2)
+                block = nodes.reshape(n - prev, d)
+            second += block.T @ block
+            exact = np.abs(second / n) < _EXACT_TOL
+            counts[j] += (np.count_nonzero(exact) - np.count_nonzero(exact.diagonal())) // 2
+            prev = n
+    return (counts / trials).tolist()
 
 
 def reflect(mu: np.ndarray, sigma: np.ndarray, signs: np.ndarray) -> np.ndarray:

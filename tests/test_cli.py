@@ -544,6 +544,63 @@ def test_train_synth_tiny_noise_runs_without_warnings(tmp_path, capsys):
     assert runs["1e-320"] == runs["0"]
 
 
+@pytest.mark.parametrize("spec, message", [
+    # a negative n once sliced 30 training cases from the end and exited 0
+    ("d=8,k=2,n=-5,nval=40", "synth spec n must be >= 1, got -5"),
+    ("d=8,k=2,n=0,nval=40", "synth spec n must be >= 1, got 0"),
+    ("d=8,k=2,n=40,nval=0", "synth spec nval must be >= 1, got 0"),
+    ("d=8,k=2,n=40,nval=-1", "synth spec nval must be >= 1, got -1"),
+    ("d=-3,k=0,n=40,nval=5", "synth spec d must be >= 1, got -3"),
+    ("d=0,n=40,nval=5", "synth spec d must be >= 1, got 0"),
+    ("d=8,k=9,n=40,nval=5", "synth spec k must lie in 0..8, got 9"),
+    ("d=8,k=-1,n=40,nval=5", "synth spec k must lie in 0..8, got -1"),
+])
+def test_train_synth_sizes_out_of_range_exit_2_naming_the_key(tmp_path, monkeypatch,
+                                                             capsys, spec, message):
+    def never(*args, **kwargs):
+        raise AssertionError("drew data from a refused spec")
+
+    monkeypatch.setattr(mfquad.cli, "synth_sparse_logistic", never)
+    out = tmp_path / "run"
+    assert main(["train", "--data", f"synth:{spec}", "--epochs", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+_SIZES = st.integers(-32, 32)
+
+
+@settings(deadline=None, max_examples=50, database=None)
+@given(
+    sizes=st.fixed_dictionaries({"d": _SIZES, "n": _SIZES, "nval": _SIZES}),
+    extra=st.dictionaries(st.sampled_from(["k", "noise", "seed"]), _SIZES),
+)
+@example(sizes={"d": 1, "n": 1, "nval": 1}, extra={"k": 1})
+@example(sizes={"d": 8, "n": -5, "nval": 32}, extra={"k": 2})
+def test_train_synth_spec_fuzz_exits_0_or_2_on_at_most_one_line(sizes, extra):
+    # Every small synth spec trains, or is refused with one config error
+    # line if and only if a size, k, noise or seed is out of range; none
+    # ends in a traceback or a warning.
+    keys = {"k": 16, "noise": 1, "seed": 0, **sizes, **extra}
+    valid = (min(sizes.values()) >= 1 and 0 <= keys["k"] <= keys["d"]
+             and keys["noise"] >= 0 and keys["seed"] >= 0)
+    spec = ",".join(f"{key}={value}" for key, value in {**sizes, **extra}.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["train", "--data", f"synth:{spec}", "--epochs", "1",
+                         "--out", str(Path(tmp) / "run")])
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code == (0 if valid else 2), (spec, code, err)
+    if code == 0:
+        assert err == "", (spec, err)
+    else:
+        assert err.startswith("config error: ") and err.count("\n") == 1, (spec, err)
+
+
 # Sizes past 2**47 bytes, which numpy refuses at once even without the guard.
 @pytest.mark.parametrize("doc, data, what", [
     ({"hidden_units": 10**15, "model": "mlp"}, "synth:d=8,k=2,n=40,nval=5",

@@ -7,6 +7,8 @@ implementation existed; they must not be regenerated from the code under
 test.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 import oracles
 from mfquad.projection import full_period
 from mfquad.quadrature import (
+    _EXACT_TOL,
+    _exact_bound,
     _sign_table,
     antithetic_pair,
     blocked_simplex_standard,
@@ -483,13 +487,17 @@ def _ladders(group):
             [5 * group])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 37, 64, 100, 512])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 17, 37, 64, 100, 512])
 def test_count_exact_pairs_ladder_matches_per_budget_oracle(d):
     # One pass over a ladder counts exactly what a rebuild of every node at
     # each budget counts: the rungs add nodes to one continuing sequence.
+    # It also counts what the earlier ladder loop counted with built nodes,
+    # numpy's syrk and a division by the budget, where the package takes
+    # one gemm per rung, the cross-polytope's Gram from its signs in
+    # float32, and a precomputed bound.
     cases = [("cross-polytope", 2, 1)] + [
         ("blocked-simplex", block_size, trials)
-        for block_size in (1, 2, 3, 4) for trials in (1, 3)
+        for block_size in (1, 2, 3, 4, 5) for trials in (1, 2, 3)
     ]
     for method, block_size, trials in cases:
         group = 2 if method == "cross-polytope" else block_size + 1
@@ -497,15 +505,19 @@ def test_count_exact_pairs_ladder_matches_per_budget_oracle(d):
             if d == 512:
                 ladder = [n for n in ladder if n <= 128 * group]
             for seed in (0, 11, 2**31 - 5):
-                got = count_exact_pairs(d, method, ladder, block_size=block_size,
-                                        n_trials=trials, seed=seed)
-                want = [oracles.count_exact_pairs(d, method, n, block_size=block_size,
-                                                  n_trials=trials, seed=seed)
-                        for n in ladder]
+                kw = dict(block_size=block_size, n_trials=trials, seed=seed)
+                got = count_exact_pairs(d, method, ladder, **kw)
+                want = [oracles.count_exact_pairs(d, method, n, **kw) for n in ladder]
                 assert got == want, (method, block_size, trials, ladder, seed)
+                assert got == oracles.count_exact_ladder(d, method, ladder, **kw)
                 # the scalar form is the one-rung ladder
-                assert count_exact_pairs(d, method, ladder[-1], block_size=block_size,
-                                         n_trials=trials, seed=seed) == want[-1]
+                for n, count in zip(ladder, want):
+                    assert count_exact_pairs(d, method, n, **kw) == count, (
+                        method, block_size, trials, n, seed)
+    if d == 512:  # the exactness-count command's ladder, to the full period
+        ladder = [4 * 2**i for i in range(9)]
+        assert count_exact_pairs(d, "cross-polytope", ladder) == (
+            oracles.count_exact_ladder(d, "cross-polytope", ladder))
 
 
 def test_count_exact_pairs_ladder_validation():
@@ -517,6 +529,75 @@ def test_count_exact_pairs_ladder_validation():
             count_exact_pairs(8, "blocked-simplex", ladder, block_size=2)
     with pytest.raises(ValueError):
         count_exact_pairs(0, "cross-polytope", [2, 4])
+
+
+def test_count_exact_pairs_float32_gram_at_the_largest_cached_table(monkeypatch):
+    # frozen: d = 1024 is the largest d whose sign period (1024 pairs, 2048
+    # evals) is cached.  The full period integrates all d(d-1)/2 = 523,776
+    # pairs; half of it misses only the 512 pairs whose lowest differing
+    # bit is bit 9, the pairs whose window is the full period.
+    dtypes = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        dtypes.append(out.dtype)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert count_exact_pairs(1024, "cross-polytope", 2048) == 523_776.0
+    assert count_exact_pairs(1024, "cross-polytope", [1024, 2048]) == [523_264.0, 523_776.0]
+    assert dtypes == [np.float32] * 3
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 2**40), a=st.floats(allow_nan=True, allow_infinity=True))
+def test_exact_bound_replaces_the_division(n, a):
+    # |x / n| < tol holds exactly when |x| < bound, at the bound's
+    # neighbours within 4 ulps on both sides, for either sign, and at random.
+    bound = _exact_bound(n)
+    near = [bound]
+    for toward in (0.0, math.inf):
+        x = bound
+        for _ in range(4):
+            x = math.nextafter(x, toward)
+            near.append(x)
+    x = np.array(near + [-v for v in near] + [a, a * 1e-10, a * 1e-20])
+    np.testing.assert_array_equal(np.abs(x) / n < _EXACT_TOL, np.abs(x) < bound)
+    assert bound / n >= _EXACT_TOL > math.nextafter(bound, 0.0) / n
+
+
+@pytest.mark.parametrize("method, n_evals, block_size, match", [
+    ("blocked-simplex", 3, -1, "block_size must be positive, got -1"),
+    ("blocked-simplex", 3, 0, "block_size must be positive, got 0"),
+    ("cross-polytope", 4.0, 2, "n_evals must hold integers, got 4.0"),
+    ("cross-polytope", np.float64(4), 2, "n_evals must hold integers"),
+    ("cross-polytope", "4", 2, "n_evals must hold integers"),
+    ("cross-polytope", [2, 4.0], 2, "n_evals must hold integers, got 4.0"),
+    ("cross-polytope", [2, True], 2, "n_evals must hold integers, got True"),
+    ("blocked-simplex", 3.0, 2, "n_evals must hold integers, got 3.0"),
+    ("blocked-simplex", [3, 6.0], 2, "n_evals must hold integers, got 6.0"),
+    ("blocked-simplex", True, 0, "block_size must be positive, got 0"),
+    ("blocked-simplex", np.array([2.0, 4.0]), 1, "n_evals must hold integers"),
+])
+def test_count_exact_pairs_refuses_bad_arguments_before_allocating(
+        monkeypatch, method, n_evals, block_size, match):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    for name in ("empty", "zeros", "ones"):
+        monkeypatch.setattr(np, name, never)
+    with pytest.raises(ValueError, match=match):
+        count_exact_pairs(10**6, method, n_evals, block_size=block_size)
+
+
+def test_count_exact_pairs_accepts_numpy_integers():
+    want = count_exact_pairs(8, "cross-polytope", [2, 4, 8])
+    assert count_exact_pairs(8, "cross-polytope", np.array([2, 4, 8])) == want
+    assert count_exact_pairs(8, "cross-polytope", np.array([2, 4, 8], np.uint8)) == want
+    assert count_exact_pairs(8, "cross-polytope", np.int32(8)) == want[-1]
+    assert count_exact_pairs(8, "cross-polytope", np.array(8)) == want[-1]
+    assert count_exact_pairs(8, "blocked-simplex", np.array([3, 6]), seed=4) == (
+        count_exact_pairs(8, "blocked-simplex", [3, 6], seed=4))
 
 
 def test_trial_rng_is_counter_based_and_offsettable():
