@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -82,6 +83,15 @@ class DataError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _check_out(path) -> None:
+    """DataError unless ``path`` is no directory and its parent is one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise DataError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise DataError(f"--out {path}: {parent} is not a directory")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -234,6 +244,7 @@ def cmd_integrate_bench(args) -> int:
     # the basis coefficients outgrow the 2 * max_degree + 1 raw moments
     arrays.append((f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2))
     _check_size(*arrays)
+    _check_out(args.out)
     dist = preset(args.dist, d)
     basis = orthonormal_basis(dist, max_degree=max_degree)
     truth = basis_product_expectation(dist, basis, terms)
@@ -291,6 +302,7 @@ def cmd_exactness_count(args) -> int:
         (f"a second-moment matrix of dimension {args.d}", args.d**2),
         (f"a rung of {new} nodes of dimension {args.d}", new * args.d),
     )
+    _check_out(args.out)
     means = count_exact_pairs(
         args.d,
         args.method,

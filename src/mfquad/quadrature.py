@@ -44,6 +44,7 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _EXACT_TOL = 1e-10  # count_exact_pairs: a |mixed second moment| below this is exact
+_TILE = 128  # count_exact_pairs: coordinates per column tile of its Gram sums
 # sign_sequence caches one period of signs where it holds at most this many
 # int8 entries (1 MiB): every d up to 1024
 _TABLE_MAX_SIGNS = 1 << 20
@@ -281,10 +282,17 @@ def blocked_simplex_standard(
         raise ValueError(f"n_groups must be positive, got {n_groups}")
     if d < 1 or block_size < 1:
         raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
+    index = None if index is None else _coordinates(index, d)
+    nodes = _blocked_nodes(d, block_size, rng, n_groups, index)
+    return NodeSet(nodes, np.full(nodes.shape[0], 1.0 / nodes.shape[0]))
+
+
+def _blocked_nodes(d, block_size, rng, n_groups, index=None) -> np.ndarray:
+    """``blocked_simplex_standard``'s nodes for checked arguments, unfrozen
+    (a column view of a fresh array), with ``index`` already coordinates."""
     if index is None:
         blocks, columns = slice(None), slice(0, d)
     else:
-        index = _coordinates(index, d)
         # the gathered blocks are index // block_size, each block_size wide
         blocks = index // block_size
         columns = np.arange(index.size) * block_size + index % block_size
@@ -295,8 +303,7 @@ def blocked_simplex_standard(
     order = rng.permuted(np.broadcast_to(np.arange(m), (n_groups * n_blocks, m)), axis=1)
     rows = order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)[:, :, blocks]
     # np.take copies each row of block_size floats far faster than fancy indexing
-    nodes = np.take(full, rows, axis=0).reshape(total, -1)[:, columns]
-    return NodeSet(nodes, np.full(total, 1.0 / total))
+    return np.take(full, rows, axis=0).reshape(total, -1)[:, columns]
 
 
 def mc_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:
@@ -385,12 +392,14 @@ def count_exact_pairs(
     ``block_size + 1`` per blocked group.  A ladder is counted in one pass:
     each rung draws only what it adds to the previous rung (the next sign
     vectors, or further groups from the trial's one generator) and adds
-    their Gram matrix, one matrix product, to a running sum.  A rung's
-    nodes are therefore exactly those of a call at its budget alone.  The
-    cross-polytope's nodes ``±s_k`` are not built: both nodes of a pair
-    have the outer product ``s_k s_kᵀ``, so the rule's unweighted second
-    moment is twice the signs' Gram, a sum of ±1 products that float32
-    holds exactly while the pair count is below 2**24.  The test
+    their Gram matrix to running sums, one per pair ``p <= q`` of column
+    tiles of ``_TILE`` coordinates: the upper block triangle holds every
+    pair ``i < j``.  A rung's nodes are therefore exactly those of a call
+    at its budget alone.  The cross-polytope's nodes ``±s_k`` are not
+    built: both nodes of a pair have the outer product ``s_k s_kᵀ``, so the
+    rule's unweighted second moment is twice the signs' Gram, a sum of ±1
+    products that float32 holds exactly while the pair count is below
+    2**24.  The test
     ``|sum / n| < 1e-10`` is made as ``|sum| < _exact_bound(n)``, which
     answers the same for every double without a division.
     """
@@ -424,26 +433,35 @@ def count_exact_pairs(
     # rounding them to float32 in the comparison moves no count.
     dtype = np.float32 if not blocked and budgets[-1] // 2 < 1 << 24 else np.float64
     counts = np.zeros(len(budgets))
-    # d x d work arrays, reused: fresh ones would fault in their pages anew
-    second, product = np.empty((2, d, d), dtype=dtype)
-    exact = np.empty((d, d), dtype=bool)
-    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    tiles = [slice(a, min(a + _TILE, d)) for a in range(0, d, _TILE)]
+    cells = [(p, q, np.empty((p.stop - p.start, q.stop - q.start), dtype))
+             for i, p in enumerate(tiles) for q in tiles[i:]]
+    # the first (widest) tile's product and mask, reused while in cache
+    work = np.empty_like(cells[0][2])
+    exact = np.empty(work.shape, dtype=bool)
+    upper = np.triu(np.ones_like(exact), 1)
     for trial in range(trials):
         rng = trial_rng(seed, trial) if blocked else None
-        second.fill(0.0)  # the Gram of the rule's nodes or signs so far
+        for _, _, second in cells:
+            second.fill(0.0)  # the Gram of the rule's nodes or signs so far
         prev = 0
         for j, n in enumerate(budgets):
             if blocked:
-                block = blocked_simplex_standard(d, block_size, rng, (n - prev) // group).nodes
+                block = _blocked_nodes(d, block_size, rng, (n - prev) // group)
             else:
                 block = sign_sequence(d, prev // 2, (n - prev) // 2).astype(dtype, copy=False)
-            # numpy hands A.T @ A on one buffer to BLAS syrk and mirrors the
-            # triangle in a scalar loop; a contiguous A.T makes it one gemm.
-            np.matmul(np.ascontiguousarray(block.T), block, out=product)
-            second += product
-            np.less(np.abs(second, out=product), bounds[j], out=exact)
-            exact &= upper  # the pairs i < j
-            counts[j] += np.count_nonzero(exact)
+            for p, q, second in cells:
+                rows, cols = second.shape
+                product, hit = work[:rows, :cols], exact[:rows, :cols]
+                # numpy hands a.T @ a on one buffer to syrk and a scalar mirror
+                # loop; on a copy, a gemm timed alike on large rungs, faster on small
+                right = block[:, q] if p != q else np.ascontiguousarray(block[:, q])
+                np.matmul(block[:, p].T, right, out=product)
+                second += product
+                np.less(np.abs(second, out=product), bounds[j], out=hit)
+                if p == q:
+                    hit &= upper[:rows, :cols]  # the pairs i < j
+                counts[j] += np.count_nonzero(hit)
             prev = n
     means = (counts / trials).tolist()
     return means[0] if scalar else means

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import mfquad.cli
 import mfquad.models
+import mfquad.quadrature
 import mfquad.trainer
 import oracles
 from mfquad.cli import (
@@ -403,6 +404,38 @@ def test_size_guard_admits_the_largest_array_at_the_limit(tmp_path, monkeypatch)
             "--out", str(tmp_path / "count.csv")]
     assert main(argv + ["--d", "64"]) == 0 and calls == [64]
     assert main(argv + ["--d", "65"]) == 2 and calls == [64]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exactness-count", "--method", "blocked-simplex", "--d", "1024", "--max-evals", "1024",
+     "--trials", "10"],
+    ["exactness-count", "--method", "cross-polytope", "--d", "64"],
+    ["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--basis",
+     "phi1:0*phi1:3", "--trials", "400"],
+    ["integrate-bench", "--dist", "gauss", "--method", "cross-polytope", "--basis", "phi2:1"],
+])
+@pytest.mark.parametrize("out, parent", [
+    ("missing/c.csv", "missing"),  # no parent directory
+    ("file/c.csv", "file"),  # the parent is a file
+    ("dir", None),  # --out is itself a directory
+])
+def test_unusable_out_exits_3_before_any_node_is_built(tmp_path, monkeypatch, capsys,
+                                                         argv, out, parent):
+    def never(*args, **kwargs):
+        raise AssertionError("built nodes before checking --out")
+
+    for name in ("count_exact_pairs", "preset", "sign_sequence", "blocked_simplex_standard"):
+        monkeypatch.setattr(mfquad.cli, name, never)
+    monkeypatch.setattr(mfquad.quadrature, "_blocked_nodes", never)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(tmp_path / out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: --out ") and err.count("\n") == 1, err
+    want = f"{tmp_path / parent} is not a directory" if parent else "is a directory"
+    assert want in err, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ------------------------------------------------------------------ train

@@ -8,6 +8,7 @@ test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import oracles
 from mfquad.projection import full_period
 from mfquad.quadrature import (
     _EXACT_TOL,
+    _TILE,
     _exact_bound,
     _sign_table,
     antithetic_pair,
@@ -493,8 +495,8 @@ def test_count_exact_pairs_ladder_matches_per_budget_oracle(d):
     # each budget counts: the rungs add nodes to one continuing sequence.
     # It also counts what the earlier ladder loop counted with built nodes,
     # numpy's syrk and a division by the budget, where the package takes
-    # one gemm per rung, the cross-polytope's Gram from its signs in
-    # float32, and a precomputed bound.
+    # one gemm per pair of column tiles and rung, the cross-polytope's Gram
+    # from its signs in float32, and a precomputed bound.
     cases = [("cross-polytope", 2, 1)] + [
         ("blocked-simplex", block_size, trials)
         for block_size in (1, 2, 3, 4, 5) for trials in (1, 2, 3)
@@ -535,7 +537,8 @@ def test_count_exact_pairs_float32_gram_at_the_largest_cached_table(monkeypatch)
     # frozen: d = 1024 is the largest d whose sign period (1024 pairs, 2048
     # evals) is cached.  The full period integrates all d(d-1)/2 = 523,776
     # pairs; half of it misses only the 512 pairs whose lowest differing
-    # bit is bit 9, the pairs whose window is the full period.
+    # bit is bit 9, the pairs whose window is the full period.  Every rung
+    # takes one float32 product per tile pair p <= q of the column tiles.
     dtypes = []
     matmul = np.matmul
 
@@ -546,7 +549,49 @@ def test_count_exact_pairs_float32_gram_at_the_largest_cached_table(monkeypatch)
     monkeypatch.setattr(np, "matmul", spy)
     assert count_exact_pairs(1024, "cross-polytope", 2048) == 523_776.0
     assert count_exact_pairs(1024, "cross-polytope", [1024, 2048]) == [523_264.0, 523_776.0]
-    assert dtypes == [np.float32] * 3
+    tiles = -(-1024 // _TILE)
+    assert dtypes == [np.float32] * (3 * tiles * (tiles + 1) // 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 300])
+def test_count_exact_pairs_tile_edges_match_the_oracles(d):
+    # Dimensions below, at and past a column tile's edge, most with a partial
+    # last tile, count what the full-Gram loop and a rebuild at every budget count.
+    # At every d here some block size of 3, 5 and 7 leaves a tail block.
+    cases = [("cross-polytope", 2, 1)] + [
+        ("blocked-simplex", block_size, trials)
+        for block_size in (1, 2, 3, 5, 7) for trials in (1, 3)
+    ]
+    for method, block_size, trials in cases:
+        group = 2 if method == "cross-polytope" else block_size + 1
+        ladder = [group, 2 * group, 4 * group, 16 * group, 64 * group]
+        kw = dict(block_size=block_size, n_trials=trials, seed=d)
+        got = count_exact_pairs(d, method, ladder, **kw)
+        assert got == oracles.count_exact_ladder(d, method, ladder, **kw), (
+            method, block_size, trials)
+        assert got == [oracles.count_exact_pairs(d, method, n, **kw) for n in ladder], (
+            method, block_size, trials)
+
+
+@pytest.mark.parametrize("method, group, bytes_per_d2", [
+    ("blocked-simplex", 3, 20),
+    ("cross-polytope", 4, 11),
+])
+def test_count_exact_pairs_peak_memory(method, group, bytes_per_d2):
+    # numpy reports its buffers to tracemalloc.  The count keeps Gram sums
+    # for the upper block triangle of the column tiles only, and neither a
+    # transposed copy of a rung nor a NodeSet copy of the blocked one: the
+    # full d x d sum, product and mask with those copies took 27.0 d**2
+    # bytes (blocked) and 13.5 d**2 bytes (cross-polytope).
+    d = 1024
+    sign_sequence(d, 0, 1)  # the cached sign table is not the count's
+    tracemalloc.start()
+    try:
+        count_exact_pairs(d, method, [group * 2**i for i in range(9)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_d2 * d**2, peak / d**2
 
 
 @settings(deadline=None, max_examples=300)
