@@ -131,6 +131,14 @@ def _check_size(*arrays: tuple[str, int]) -> None:
             )
 
 
+def _blocked_arrays(b: int, rows: int, n_blocks: int) -> list[tuple[str, int]]:
+    """The blocked rule's own arrays for ``rows`` nodes: its simplex point set
+    of block size ``b``, and the gather of ``n_blocks`` blocks per node, each
+    padded to ``b`` columns."""
+    return [(f"a {b} x {b + 1} simplex point set", b * (b + 1)),
+            (f"a {rows} x {n_blocks} x {b} padded block gather", rows * n_blocks * b)]
+
+
 def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
     """Budgets group, 2*group, 4*group, ... up to max_evals, where group is the
     method's smallest: two reflected pairs, one blocked group, or two samples."""
@@ -231,12 +239,13 @@ def cmd_integrate_bench(args) -> int:
     arrays = [
         (f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d),
         (f"a trial's {sum(budgets)} x {index.size} node block", sum(budgets) * index.size),
+        (f"a {args.trials} x {len(budgets)} error table", args.trials * len(budgets)),
     ]
     if args.method == "blocked-simplex":  # a shuffled row order per node and block
         n_blocks = -(-d // args.block_size)
-        arrays.append(
-            (f"a trial's {sum(budgets)} x {n_blocks} block shuffle", sum(budgets) * n_blocks)
-        )
+        arrays += [(f"a trial's {sum(budgets)} x {n_blocks} block shuffle",
+                    sum(budgets) * n_blocks),
+                   *_blocked_arrays(args.block_size, sum(budgets), index.size)]
     if args.method == "cross-polytope":  # one period of signs, at the basis's columns
         arrays.append(
             (f"a {full_period(d)} x {index.size} sign table", full_period(d) * index.size)
@@ -298,10 +307,11 @@ def cmd_exactness_count(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     budgets = _ladder(args.method, args.block_size, args.max_evals)
     new = max(n - prev for prev, n in zip([0] + budgets, budgets))
-    _check_size(
-        (f"a second-moment matrix of dimension {args.d}", args.d**2),
-        (f"a rung of {new} nodes of dimension {args.d}", new * args.d),
-    )
+    arrays = [(f"a second-moment matrix of dimension {args.d}", args.d**2),
+              (f"a rung of {new} nodes of dimension {args.d}", new * args.d)]
+    if args.method == "blocked-simplex":
+        arrays += _blocked_arrays(args.block_size, new, -(-args.d // args.block_size))
+    _check_size(*arrays)
     _check_out(args.out)
     means = count_exact_pairs(
         args.d,
@@ -496,14 +506,8 @@ def _build_model(kind, train_data, val_data, config, hidden_units):
 
 def _histogram_rows(epoch: int, p_nonzero: np.ndarray) -> list[list]:
     counts, edges = np.histogram(p_nonzero, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    rows = []
-    for i, count in enumerate(counts):
-        if count > 0:
-            rows.append(
-                [epoch, _fmt(edges[i]), _fmt(edges[i + 1]), int(count),
-                 _fmt(math.log10(count))]
-            )
-    return rows
+    return [[epoch, _fmt(edges[i]), _fmt(edges[i + 1]), int(count), _fmt(math.log10(count))]
+            for i, count in enumerate(counts) if count > 0]
 
 
 def cmd_train(args) -> int:
@@ -547,15 +551,8 @@ def cmd_train(args) -> int:
     def record(state, stats):
         preds = model.predict(state.mu, val_data.features)
         accuracy = float(np.mean(preds == val_data.labels))
-        epoch_rows.append(
-            [
-                stats.epoch,
-                _fmt(stats.epoch_loss),
-                _fmt(stats.frac_zero_realizable),
-                _fmt(stats.frac_held),
-                _fmt(accuracy),
-            ]
-        )
+        epoch_rows.append([stats.epoch] + [_fmt(v) for v in (
+            stats.epoch_loss, stats.frac_zero_realizable, stats.frac_held, accuracy)])
         hist_rows.extend(_histogram_rows(stats.epoch, state.p_nonzero))
 
     if args.epochs != 0:

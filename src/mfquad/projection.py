@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _coordinates, reflected_nodes
+from .quadrature import reflected_nodes
 
 __all__ = ["QuadraticSummary", "EvaluationError", "quadratic_approx", "full_period"]
 
@@ -102,7 +102,7 @@ def _evaluate(model, theta: np.ndarray, case) -> tuple[float, np.ndarray]:
 
 
 def quadratic_approx(model, case, mu: np.ndarray, sigma: np.ndarray, k_start: int,
-                     n_pairs: int, index=None) -> QuadraticSummary:
+                     n_pairs: int) -> QuadraticSummary:
     """Project one case's loss onto a diagonal quadratic around ``mu``.
 
     Evaluates ``(loss, grad)`` at the reflected nodes ``mu +- sigma * s_k``
@@ -116,24 +116,18 @@ def quadratic_approx(model, case, mu: np.ndarray, sigma: np.ndarray, k_start: in
     Coordinates with ``sigma == 0`` are never displaced and get curvature 0;
     only the displaced ones are divided.
 
-    With ``index``, a list of coordinates, ``grad`` and ``hess`` hold only
-    those entries, bit for bit the full summary's ``[index]``, and the loss
-    is the full summary's.  Every coordinate outside ``index`` must then
-    have ``sigma == 0`` (ValueError otherwise), so that its curvature is 0.
-
     The sums come from ``model.pair_sums`` where the model has it and it
     does not return None.  Otherwise the nodes are evaluated one by one,
-    pair by pair, keeping at most three of the model's gradients alive,
-    and the full sums are gathered at ``index``.
+    pair by pair, keeping at most three of the model's gradients alive.
 
     A non-finite evaluation makes the sums non-finite, so one check of the
     summary covers every node.  Only when it fails are the nodes evaluated
     again one by one, plus before minus, pair by pair, and the first
     non-finite one is named in the ``EvaluationError``.
 
-    This entry checks ``n_pairs``, the lengths, ``sigma >= 0`` and
-    ``index``, then calls the kernel, which ``trainer.run_epoch`` calls
-    directly; the summary's finiteness check is the kernel's own.
+    This entry checks ``n_pairs``, the lengths and ``sigma >= 0``, then
+    calls the kernel, which ``trainer.run_epoch`` calls directly; the
+    summary's finiteness check is the kernel's own.
     """
     mu = np.asarray(mu, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -143,17 +137,16 @@ def quadratic_approx(model, case, mu: np.ndarray, sigma: np.ndarray, k_start: in
         raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}")
     if (sigma < 0).any():
         raise ValueError("sigma must be nonnegative")
-    if index is not None:
-        index = _coordinates(index, sigma.shape[0])
-        displaced = sigma > 0
-        displaced[index] = False
-        if displaced.any():
-            raise ValueError("sigma must be 0 at every coordinate outside index")
-    return _quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index)
+    return _quadratic_approx(model, case, mu, sigma, k_start, n_pairs)
 
 
 def _quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
-    """``quadratic_approx`` behind its checks, which the caller guarantees."""
+    """``quadratic_approx`` behind its checks, which the caller guarantees.
+
+    With ``index``, an integer array of coordinates outside which ``sigma``
+    is 0, ``grad`` and ``hess`` hold only those entries, bit for bit the
+    full summary's ``[index]``, and the loss is the full summary's; a model
+    without ``pair_sums`` has its full sums gathered there."""
     part = sigma if index is None else sigma[index]  # sigma at the summary's coordinates
     # one reduction in the common case, where every sigma is positive; the
     # displaced coordinates are gathered only when it is not

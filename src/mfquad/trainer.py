@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .meanfield import _spike_slab_std, spike_slab_moments
-from .projection import _all_finite, _quadratic_approx, quadratic_approx
+from .projection import _all_finite, _quadratic_approx
 
 __all__ = [
     "TrainConfig",
@@ -59,6 +59,16 @@ def _power(x: float, exponent: int) -> float:
         return float(x) ** exponent
     except OverflowError:
         return math.inf
+
+
+def _check_slab_std_max(value) -> None:
+    """ValueError unless ``value`` is positive and its prior precision
+    ``value**-2``, formed as ``1/value**2`` too, is a finite positive number."""
+    if value <= 0:
+        raise ValueError("slab_std_max must be positive")
+    if not (0 < _power(value, -2) < math.inf and 0 < _power(value, 2) < math.inf):
+        raise ValueError(f"slab_std_max {value!r} is out of range: its prior precision "
+                         "slab_std_max**-2 is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -99,14 +109,7 @@ class TrainConfig:
         # and positive
         if not 1.0 / self.lr_init < math.inf:
             raise ValueError(f"lr_init {self.lr_init!r} is too small: 1/lr_init overflows")
-        if self.slab_std_max <= 0:
-            raise ValueError("slab_std_max must be positive")
-        if not (0 < _power(self.slab_std_max, -2) < math.inf
-                and 0 < _power(self.slab_std_max, 2) < math.inf):
-            raise ValueError(
-                f"slab_std_max {self.slab_std_max!r} is out of range: its prior "
-                f"precision slab_std_max**-2 is not a finite positive number"
-            )
+        _check_slab_std_max(self.slab_std_max)
         if not 0 <= self.frac_zero_target <= 1 or not 0 <= self.frac_held_target <= 1:
             raise ValueError("sparsity fractions must lie in [0, 1]")
         if self.frac_zero_target + self.frac_held_target > 1:
@@ -247,10 +250,12 @@ def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
     ``0.5 * (log(hess * slab_std_max**2) - hess * slab_mean**2)`` per
     coordinate: flat directions with large means are confidently nonzero,
     sharp directions with small means are confidently zero.  Requires
-    strictly positive ``hess`` (ValueError).
+    strictly positive ``hess`` and a ``slab_std_max`` that ``TrainConfig``
+    accepts (ValueError).
     """
     hess = np.asarray(hess, dtype=np.float64)
     mean = np.asarray(slab_mean, dtype=np.float64)
+    _check_slab_std_max(slab_std_max)
     # one reduction; a NaN minimum is refused as well
     if hess.size and not hess.min() > 0:
         raise ValueError("zero_logits needs strictly positive curvature")
@@ -284,13 +289,16 @@ def sieve_map(values, frac_zero: float, frac_held: float, target_zero: float = m
     finite slope, sit at the undecided midpoint; hinges more than DBL_MAX
     apart interpolate on halved values.
 
-    Checks: fractions in [0, 1], ``target_held <= target_zero``, and no
-    NaN where an anchor is set (FloatingPointError: a NaN has no rank).
+    Checks: fractions in [0, 1], finite targets with ``target_held <=
+    target_zero``, and no NaN where an anchor is set (FloatingPointError: a
+    NaN has no rank).
     An overflow is reported only in an entry that the output keeps.
     """
     values = np.asarray(values, dtype=np.float64)
     if not 0 <= frac_zero <= 1 or not 0 <= frac_held <= 1:
         raise ValueError("sieve fractions must lie in [0, 1]")
+    if not (math.isfinite(target_zero) and math.isfinite(target_held)):
+        raise ValueError("sieve targets must be finite")
     if target_held > target_zero:
         raise ValueError("target_held must not exceed target_zero")
     if (frac_zero or frac_held) and np.isnan(values).any():
@@ -461,7 +469,7 @@ def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
     """``variational_update`` behind its snapshot check.  A ``checked`` call
     sieves through the public ``zero_logits`` and ``sieve_map``, which
     refuse a state without positive curvature or with NaN; the case loop,
-    whose state is valid, calls their kernels."""
+    whose state is valid, calls ``_zero_logits`` and ``_sieve_map``."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
     cur.add(grad, hess, cf.slab_std_max**-2)
@@ -493,9 +501,7 @@ def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
     if final_epoch:
         np.copyto(st.p_nonzero, st.realized_nonzero)
     else:
-        logits, sieve = zero_logits, sieve_map
-        if not checked:
-            logits, sieve = _KERNELS.get(logits, logits), _KERNELS.get(sieve, sieve)
+        logits, sieve = (zero_logits, sieve_map) if checked else (_zero_logits, _sieve_map)
         raw = logits(hess_hat, st.slab_mean, cf.slab_std_max)
         frac_zero, frac_held = sparsity_schedule(
             t, cf.n_epochs, cf.frac_zero_target, cf.frac_held_target
@@ -513,13 +519,6 @@ def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
     delta -= mu
     prev.recenter(delta)
     cur.recenter(delta)
-
-
-# The kernel behind each per-case public function's checks, which the case
-# loop guarantees itself.  A public name rebound in this module (a reference
-# implementation, a timing wrapper) is called in place of the kernel.
-_KERNELS = {quadratic_approx: _quadratic_approx, variational_update: _variational_update,
-            zero_logits: _zero_logits, sieve_map: _sieve_map}
 
 
 def _gather(state: TrainState, keep: np.ndarray) -> TrainState:
@@ -577,12 +576,14 @@ def run_epoch(
     operation or division by zero in a case raises FloatingPointError,
     whose message names the epoch and the case's position in it.
 
-    The loop calls the kernels behind the per-case public functions' checks
-    (``_KERNELS``) and guarantees those checks' conditions: flat float64
-    moments of length d; pair counts, fractions and targets from
-    ``TrainConfig``; in the final epoch, ``mu = sigma = 0`` outside the
-    sorted survivors; blended curvature at least ``slab_std_max**-2``; and
-    snapshots checked finite per case, so no zero-logit is NaN.
+    The loop calls ``_quadratic_approx`` and ``_variational_update``, the
+    kernels behind the per-case public functions' checks, by their names in
+    this module, and guarantees those checks' conditions: flat float64
+    moments of length d; pair counts, fractions, targets and
+    ``slab_std_max`` from ``TrainConfig``; in the final epoch,
+    ``mu = sigma = 0`` outside the sorted survivors; blended curvature at
+    least ``slab_std_max**-2``; and snapshots checked finite per case, so no
+    zero-logit is NaN.
     """
     st, cf = state, config
     st.cur.reset()
@@ -594,8 +595,6 @@ def run_epoch(
         keep = st.realized_nonzero.nonzero()[0]
         part = _gather(st, keep)
 
-    approx = _KERNELS.get(quadratic_approx, quadratic_approx)
-    update = _KERNELS.get(variational_update, variational_update)
     epoch_loss = 0.0
     i = 0
     # the deliberate overflows are ignored where they happen
@@ -618,14 +617,15 @@ def run_epoch(
                     mu[keep] = center
                     sigma[keep] = sigma_keep
                     index = keep
-                snap = approx(model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case, index)
+                snap = _quadratic_approx(model, case, mu, sigma, st.seq_index,
+                                         cf.n_pairs_per_case, index)
                 st.seq_index += cf.n_pairs_per_case
                 epoch_loss += snap.loss
                 t = (epoch - 1) + i / n_cases
                 grad, hess = snap.grad, snap.hess
                 if keep is not None and index is None:
                     grad, hess = grad[keep], hess[keep]
-                update(part, cf, grad, hess, center, t, final)
+                _variational_update(part, cf, grad, hess, center, t, final)
                 if part.cur.n == target:
                     part.prev, part.cur = part.cur, part.prev
                     part.cur.reset()

@@ -7,7 +7,9 @@ model call per node, fresh arrays for every intermediate result.  The fast
 paths must agree with them bit for bit, because they keep the same
 floating-point operations (and random draws) in the same order.
 ``patch_all`` swaps every hot-path oracle into the package for a whole
-training run.
+training run, at the names the package calls: for the case loop's
+kernels, ``_quadratic_approx`` and ``_variational_update`` in
+``mfquad.trainer``.
 
 Two references are not restatements.  ``quadratic_approx`` evaluates every
 node one by one, the definition the models' ``pair_sums`` reorganize; they
@@ -44,6 +46,7 @@ import numpy as np
 import mfquad.cli as cli
 import mfquad.meanfield
 import mfquad.models
+import mfquad.projection
 import mfquad.quadrature
 import mfquad.trainer
 from mfquad.meanfield import (
@@ -364,7 +367,7 @@ def block_sums(evaluate_nodes, case, mu, sigma, k_start, n_pairs):
 
 
 def quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
-    """``projection.quadratic_approx`` by its definition: a checked
+    """``projection._quadratic_approx`` by its definition: a checked
     ``evaluate`` call per node and fresh arrays for every sum, whether or
     not the model has ``pair_sums``; with ``index``, the full summary's
     grad and hess gathered there."""
@@ -374,7 +377,7 @@ def quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
 
 
 def pair_quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
-    """``projection.quadratic_approx`` with fresh arrays for every step:
+    """``projection._quadratic_approx`` with fresh arrays for every step:
     the sums of ``model.pair_sums`` where it gives them, else ``node_sums``;
     with ``index``, the full summary's grad and hess gathered there."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
@@ -556,7 +559,7 @@ def run_epoch(state, model, n_cases, config, epoch, rng) -> EpochStats:
     epoch_loss = 0.0
     for i, case in enumerate(rng.permutation(n_cases).tolist()):
         mu, sigma = mfquad.trainer.spike_slab_moments(st.p_nonzero, st.slab_mean, st.slab_std)
-        snap = mfquad.trainer.quadratic_approx(
+        snap = mfquad.projection.quadratic_approx(
             model, case, mu, sigma, st.seq_index, cf.n_pairs_per_case
         )
         st.seq_index += cf.n_pairs_per_case
@@ -577,12 +580,13 @@ def run_epoch(state, model, n_cases, config, epoch, rng) -> EpochStats:
 
 
 def patch_all(monkeypatch) -> None:
-    """Route every hot-path name of the package to its oracle."""
+    """Route every hot-path name of the package to its oracle: the case
+    loop's two kernels, which ``run_epoch`` calls by their names in
+    ``mfquad.trainer``, and what the loop calls besides them.  The update's
+    oracle sieves through this module's ``zero_logits`` and ``sieve_map``."""
     for module, name, oracle in (
-        (mfquad.trainer, "sieve_map", sieve_map),
-        (mfquad.trainer, "zero_logits", zero_logits),
-        (mfquad.trainer, "variational_update", variational_update),
-        (mfquad.trainer, "quadratic_approx", pair_quadratic_approx),
+        (mfquad.trainer, "_variational_update", variational_update),
+        (mfquad.trainer, "_quadratic_approx", pair_quadratic_approx),
         (mfquad.trainer, "spike_slab_moments", spike_slab_moments),
         (mfquad.meanfield, "spike_slab_moments", spike_slab_moments),
         (mfquad.quadrature, "sign_sequence", sign_sequence),

@@ -378,6 +378,23 @@ def test_count_deterministic(tmp_path):
     (["integrate-bench", "--dist", "gauss", "--method", "cross-polytope", "--d", str(2**23),
       "--basis", "*".join(f"phi1:{i}" for i in range(17)), "--max-evals", "4"],
      "a 8388608 x 17 sign table"),
+    # the blocked rule's simplex point set is block_size x (block_size + 1)
+    # whatever d is
+    (["exactness-count", "--method", "blocked-simplex", "--d", "1", "--block-size", "11585",
+      "--max-evals", "11586"], "a 11585 x 11586 simplex point set"),
+    (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--d", "1",
+      "--basis", "phi1:0", "--block-size", "11585", "--max-evals", "11586"],
+     "a 11585 x 11586 simplex point set"),
+    # the rule gathers each node's blocks padded to block_size columns: at
+    # d = 1 a rung of nodes fits, its gather does not
+    (["exactness-count", "--method", "blocked-simplex", "--d", "1", "--block-size", "1000",
+      "--max-evals", str(1001 * 2**9)], "a 256256 x 1 x 1000 padded block gather"),
+    (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--d", "1",
+      "--basis", "phi1:0", "--block-size", "1000", "--max-evals", str(1001 * 2**7)],
+     "a 255255 x 1 x 1000 padded block gather"),
+    # one error per trial and rung
+    (["integrate-bench", "--dist", "gauss", "--method", "mc", "--d", "1", "--basis", "phi1:0",
+      "--trials", str(2**24), "--max-evals", "512"], "a 16777216 x 9 error table"),
 ])
 def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, argv, what):
     # The size guard refuses from the flags alone: neither the rule nor the

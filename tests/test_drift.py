@@ -70,28 +70,43 @@ def _mlp_run(seed: int) -> tuple[float, float]:
     return _metrics(model, state, val)
 
 
-WORKLOADS = {"logistic": (_logistic_run, range(1, 41)), "mlp": (_mlp_run, range(1, 9))}
+# Each workload's run, its seeds, and the cases a run visits (cases x epochs).
+WORKLOADS = {"logistic": (_logistic_run, range(1, 41), 120 * 5),
+             "mlp": (_mlp_run, range(1, 9), 150 * 3)}
+
+
+def _substitute(patch, name, reference):
+    """Rebinds the case loop's kernel ``name`` in mfquad.trainer to
+    ``reference``; returns a list whose one entry counts its calls."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return reference(*args)
+
+    patch.setattr(mfquad.trainer, name, counted)
+    return calls
 
 
 def _package(patch):
-    pass
+    return None
 
 
 def _earlier_formulas(patch):
-    patch.setattr(mfquad.trainer, "variational_update", oracles.variational_update)
     patch.setattr(oracles, "keep_probability", oracles.keep_probability_logaddexp)
     patch.setattr(oracles, "slab_deviation", oracles.slab_deviation_power)
+    return _substitute(patch, "_variational_update", oracles.variational_update)
 
 
 def _planted_shift(patch):
     keep_probability = oracles.keep_probability
-    patch.setattr(mfquad.trainer, "variational_update", oracles.variational_update)
     patch.setattr(oracles, "keep_probability",
                   lambda z: keep_probability(z + PLANTED_LOGIT_SHIFT))
+    return _substitute(patch, "_variational_update", oracles.variational_update)
 
 
 def _per_node(patch):
-    patch.setattr(mfquad.trainer, "quadratic_approx", oracles.quadratic_approx)
+    return _substitute(patch, "_quadratic_approx", oracles.quadratic_approx)
 
 
 PATHS = {
@@ -110,10 +125,12 @@ def seed_metrics():
 
     def get(workload, path):
         if (workload, path) not in cache:
-            run, seeds = WORKLOADS[workload]
+            run, seeds, cases = WORKLOADS[workload]
             with pytest.MonkeyPatch.context() as patch:
-                PATHS[path](patch)
+                calls = PATHS[path](patch)
                 cache[workload, path] = np.array([run(s) for s in seeds])
+            # a reference stood in for its kernel at every case of every run
+            assert calls is None or calls == [len(seeds) * cases], (path, calls)
         return cache[workload, path]
 
     return get

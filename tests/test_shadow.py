@@ -33,7 +33,7 @@ import pytest
 import mfquad.trainer
 import oracles
 from mfquad.models import Dataset, LogisticModel, MlpModel, synth_sparse_logistic
-from mfquad.projection import quadratic_approx
+from mfquad.projection import _quadratic_approx, quadratic_approx
 from mfquad.trainer import TrainConfig, train
 
 # Largest allowed (|loss difference|, relative grad, relative hess difference).
@@ -71,16 +71,20 @@ def trajectories():
     def get(workload):
         if workload not in cache:
             model, config, every = WORKLOADS[workload]()
-            states = []
+            n_cases = model.dataset.n_cases
+            states, calls = [], [0]
 
-            def recording(model_, case, mu, sigma, k_start, n_pairs, *index):
+            def recording(model_, case, mu, sigma, k_start, n_pairs, index=None):
+                calls[0] += 1
                 if (k_start // n_pairs) % every == 0:
                     states.append((case, mu.copy(), sigma.copy(), k_start))
-                return quadratic_approx(model_, case, mu, sigma, k_start, n_pairs, *index)
+                return _quadratic_approx(model_, case, mu, sigma, k_start, n_pairs, index)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mfquad.trainer, "quadratic_approx", recording)
-                train(model, model.dataset.n_cases, config, seed=5)
+                patch.setattr(mfquad.trainer, "_quadratic_approx", recording)
+                train(model, n_cases, config, seed=5)
+            # the recorder stood in for the projection of every case
+            assert calls == [config.n_epochs * n_cases]
             cache[workload] = model, states
         return cache[workload]
 

@@ -28,7 +28,7 @@ from mfquad.models import (
     QuadraticOracleModel,
     synth_sparse_logistic,
 )
-from mfquad.projection import quadratic_approx
+from mfquad.projection import QuadraticSummary, quadratic_approx
 from mfquad.trainer import (
     Accumulator,
     EpochStats,
@@ -147,6 +147,17 @@ def test_zero_logits_guard_is_one_reduction_that_refuses_nan():
                 zero_logits(hess, np.zeros(7), 0.3)
 
 
+def test_zero_logits_refuses_a_cap_that_train_config_refuses():
+    # a NaN cap gave all-NaN logits; every cap TrainConfig refuses is
+    # refused here too
+    hess, mean = np.full(3, 2.0), np.zeros(3)
+    for cap in (math.nan, math.inf, -math.inf, 0.0, -0.3, 1e-200, 1.35e154):
+        with pytest.raises(ValueError, match="slab_std_max"):
+            TrainConfig(slab_std_max=cap)
+        with pytest.raises(ValueError, match="slab_std_max"):
+            zero_logits(hess, mean, cap)
+
+
 def test_config_target_logits():
     cf = TrainConfig()
     assert cf.target_logit_zero == pytest.approx(LOG999, rel=1e-12)
@@ -219,6 +230,17 @@ def test_sieve_validation():
     # a diverged run's NaN is a numerical failure, not a rank
     with pytest.raises(FloatingPointError, match="NaN"):
         sieve_map(np.array([0.0, np.nan, 1.0]), 0.5, 0.0)
+
+
+@pytest.mark.parametrize("target_zero, target_held", [
+    (math.nan, -1.0), (1.0, math.nan), (math.nan, math.nan),
+    (math.inf, -1.0), (1.0, -math.inf), (math.inf, math.inf), (-math.inf, -math.inf),
+])
+def test_sieve_refuses_a_target_that_is_not_finite(target_zero, target_held):
+    # a NaN target passes the order check and gives NaN entries; an infinite
+    # one puts the middle ranks at +-inf
+    with pytest.raises(ValueError, match="targets must be finite"):
+        sieve_map(np.array([0.0, 1.0, 2.0, 3.0]), 0.5, 0.25, target_zero, target_held)
 
 
 @settings(deadline=None, max_examples=200)
@@ -847,7 +869,7 @@ def _small_logistic(n_cases=64):
 
 
 # The kernels behind the per-case public functions' checks.
-_PACKAGE_KERNELS = (
+_KERNEL_FUNCTIONS = (
     mfquad.projection._quadratic_approx,
     mfquad.trainer._variational_update,
     mfquad.trainer._zero_logits,
@@ -880,11 +902,13 @@ def test_training_matches_allocating_oracles(make_model, monkeypatch):
     model = make_model()
     cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
     fast, fast_hist = train(model, 64, cf, seed=3)
-    with monkeypatch.context() as patch, _entered(_PACKAGE_KERNELS) as entered:
+    substitutes = (oracles.pair_quadratic_approx, oracles.variational_update)
+    with monkeypatch.context() as patch, _entered(_KERNEL_FUNCTIONS + substitutes) as entered:
         oracles.patch_all(patch)
         slow, slow_hist = train(model, 64, cf, seed=3)
-    # the patched names reach every step run_epoch takes: no kernel ran
-    assert entered == set()
+    # the patched names reach every step run_epoch takes: no kernel ran, and
+    # the oracles in their place did
+    assert entered == {f.__name__ for f in substitutes}
     assert fast_hist == slow_hist
     for name in STATE_ARRAYS + ("mu", "sigma"):
         a, b = getattr(fast, name), getattr(slow, name)
@@ -908,20 +932,32 @@ def test_case_loop_guarantees_what_its_kernels_skip(make_model, monkeypatch):
     cf = TrainConfig(n_epochs=3, frac_zero_target=0.9, frac_held_target=0.05)
     rng = np.random.Generator(np.random.Philox(3))
     state = init_state(model, 64, cf, rng)
-    kernels = dict(mfquad.trainer._KERNELS)
+    # The public functions call the kernels wrapped below: while one of them
+    # runs for a comparison, every wrapper passes straight to its kernel.
+    kernels = {name: getattr(mfquad.trainer, name) for name in (
+        "_quadratic_approx", "_variational_update", "_zero_logits", "_sieve_map")}
+    comparing = []
     calls = collections.Counter()
+
+    def public(function, *args):
+        comparing.append(function)
+        try:
+            return function(*args)
+        finally:
+            comparing.pop()
 
     def approx(model_, case, mu, sigma, k_start, n_pairs, index=None):
         d = model.n_params
         assert mu.dtype == sigma.dtype == np.float64 and mu.shape == sigma.shape == (d,)
         assert n_pairs >= 1 and sigma.min() >= 0
+        got = kernels["_quadratic_approx"](model_, case, mu, sigma, k_start, n_pairs, index)
+        want = quadratic_approx(model_, case, mu, sigma, k_start, n_pairs)
         if index is not None:  # the final epoch's survivors, and 0 elsewhere
             assert index.tolist() == state.realized_nonzero.nonzero()[0].tolist()
             dead = np.ones(d, dtype=bool)
             dead[index] = False
             assert not sigma[dead].any() and not mu[dead].any()
-        got = kernels[quadratic_approx](model_, case, mu, sigma, k_start, n_pairs, index)
-        want = quadratic_approx(model_, case, mu, sigma, k_start, n_pairs, index)
+            want = QuadraticSummary(want.loss, want.grad[index], want.hess[index])
         assert (got.loss, got.grad.tobytes(), got.hess.tobytes()) == (
             want.loss, want.grad.tobytes(), want.hess.tobytes())
         calls["approx", index is not None] += 1
@@ -930,31 +966,36 @@ def test_case_loop_guarantees_what_its_kernels_skip(make_model, monkeypatch):
     def update(part, config, grad, hess, mu, t, final_epoch):
         assert np.isfinite(grad).all() and np.isfinite(hess).all()
         twin = copy.deepcopy(part)
-        variational_update(twin, config, grad, hess, mu, t, final_epoch)
-        kernels[variational_update](part, config, grad, hess, mu, t, final_epoch)
+        public(variational_update, twin, config, grad, hess, mu, t, final_epoch)
+        kernels["_variational_update"](part, config, grad, hess, mu, t, final_epoch)
         for name, a in _state_buffers(part).items():
             assert a.tobytes() == _state_buffers(twin)[name].tobytes(), name
         calls["update", final_epoch] += 1
 
     def logits(hess, mean, slab_std_max):
         assert hess.min() > 0  # hess_hat
-        got = kernels[zero_logits](hess, mean, slab_std_max)
+        got = kernels["_zero_logits"](hess, mean, slab_std_max)
         assert not np.isnan(got).any()
-        assert got.tobytes() == zero_logits(hess, mean, slab_std_max).tobytes()
+        assert got.tobytes() == public(zero_logits, hess, mean, slab_std_max).tobytes()
         calls["logits"] += 1
         return got
 
     def sieve(values, frac_zero, frac_held, target_zero, target_held):
         assert 0 <= frac_zero <= 1 and 0 <= frac_held <= 1 and target_held <= target_zero
-        got = kernels[sieve_map](values, frac_zero, frac_held, target_zero, target_held)
-        want = sieve_map(values, frac_zero, frac_held, target_zero, target_held)
+        got = kernels["_sieve_map"](values, frac_zero, frac_held, target_zero, target_held)
+        want = public(sieve_map, values, frac_zero, frac_held, target_zero, target_held)
         assert got.tobytes() == want.tobytes()
         calls["sieve"] += 1
         return got
 
-    for public, check in ((quadratic_approx, approx), (variational_update, update),
-                          (zero_logits, logits), (sieve_map, sieve)):
-        monkeypatch.setitem(mfquad.trainer._KERNELS, public, check)
+    def wrapped(name, check):
+        def wrapper(*args, **kwargs):
+            return (kernels[name] if comparing else check)(*args, **kwargs)
+        return wrapper
+
+    for name, check in (("_quadratic_approx", approx), ("_variational_update", update),
+                        ("_zero_logits", logits), ("_sieve_map", sieve)):
+        monkeypatch.setattr(mfquad.trainer, name, wrapped(name, check))
     for epoch in (1, 2, 3):
         run_epoch(state, model, 64, cf, epoch, rng)
     # 64 cases per epoch; the final epoch's first case projects every
