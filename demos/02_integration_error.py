@@ -18,7 +18,6 @@ import numpy as np
 from mfquad import (
     NodeSet,
     blocked_simplex_standard,
-    mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
     orthonormal_basis,
@@ -47,7 +46,7 @@ def f_pair(nodes):
 
 def build(method, n, rng):
     if method == "mc":
-        return mc_nodes(dist, n, rng)
+        return NodeSet(dist.sample(n, rng), np.full(n, 1.0 / n))
     if method == "qmc-mean":
         return mean_matched_nodes(dist, n, rng)
     if method == "qmc-var":

@@ -9,7 +9,6 @@ from .quadrature import (
     count_exact_pairs,
     cross_polytope_signs,
     exactness_period,
-    mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
     reflected_nodes,
@@ -55,11 +54,8 @@ from .trainer import (
     load_resume,
     run_epoch,
     save_checkpoint,
-    sieve_map,
     sparsity_schedule,
     train,
-    variational_update,
-    zero_logits,
 )
 
 __version__ = "0.1.0"

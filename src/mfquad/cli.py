@@ -218,6 +218,22 @@ def _reflected_ladder(mean, std, d, budgets, index):
     return nodes
 
 
+def _check_orthonormal(dist, basis, index) -> None:
+    """ConfigError naming the first coordinate of ``index`` where ``basis`` is
+    off orthonormal by over 1e-8 in ``max |C H C^T - I|`` (``C`` its
+    coefficients, ``H`` the Hankel matrix of raw moments it was factored from)."""
+    n = basis.max_degree + 1
+    hankel = np.lib.stride_tricks.sliding_window_view(
+        dist.raw_moments(2 * basis.max_degree)[index], n, axis=1)
+    c = basis.coeffs[index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(c @ hankel @ c.swapaxes(1, 2) - np.eye(n)).max(axis=(1, 2))
+    for coord, e in zip(index.tolist(), err.tolist()):
+        if not e <= 1e-8:
+            raise ConfigError(f"the degree-{n - 1} basis of coordinate {coord} is off orthonormal "
+                              f"by {e:.3g} (over 1e-8): its raw moments cannot resolve that degree")
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
@@ -255,7 +271,11 @@ def cmd_integrate_bench(args) -> int:
     _check_size(*arrays)
     _check_out(args.out)
     dist = preset(args.dist, d)
-    basis = orthonormal_basis(dist, max_degree=max_degree)
+    try:
+        basis = orthonormal_basis(dist, max_degree=max_degree)
+    except OverflowError as err:  # a Laplace moment's factorial
+        raise ConfigError(f"the degree-{max_degree} basis's raw moments overflow") from err
+    _check_orthonormal(dist, basis, index)
     truth = basis_product_expectation(dist, basis, terms)
     column = {coord: j for j, coord in enumerate(index.tolist())}
     trial_nodes = _trial_ladder(args.method, dist, budgets, args.block_size, index)
@@ -535,11 +555,6 @@ def cmd_train(args) -> int:
     if args.resume is None:
         rng = np.random.Generator(np.random.Philox(run["seed"]))
         state, done = init_state(model, n_cases, config, rng), 0
-    elif state.dim != model.n_params:
-        raise ConfigError(
-            f"{args.resume}: the checkpoint has {state.dim} parameters, "
-            f"the model {model.n_params}"
-        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

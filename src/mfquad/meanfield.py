@@ -52,8 +52,9 @@ def _gaussian_raw_moments(mean: np.ndarray, std: np.ndarray, max_power: int) -> 
     if max_power >= 1:
         out[:, 1] = mean
     var = std**2
-    for k in range(2, max_power + 1):
-        out[:, k] = mean * out[:, k - 1] + (k - 1) * var * out[:, k - 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, max_power + 1):
+            out[:, k] = mean * out[:, k - 1] + (k - 1) * var * out[:, k - 2]
     return out
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "antithetic_pair",
     "simplex_sigma_points",
     "blocked_simplex_standard",
-    "mc_nodes",
     "mean_matched_nodes",
     "moment_matched_nodes",
     "count_exact_pairs",
@@ -304,13 +303,6 @@ def _blocked_nodes(d, block_size, rng, n_groups, index=None) -> np.ndarray:
     rows = order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)[:, :, blocks]
     # np.take copies each row of block_size floats far faster than fancy indexing
     return np.take(full, rows, axis=0).reshape(total, -1)[:, columns]
-
-
-def mc_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:
-    """``n`` independent samples of ``dist``, equal weights."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
-    return NodeSet(dist.sample(n, rng), np.full(n, 1.0 / n))
 
 
 def mean_matched_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:

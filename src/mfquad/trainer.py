@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .meanfield import _spike_slab_std, spike_slab_moments
-from .projection import _all_finite, _quadratic_approx
+from .projection import _quadratic_approx
 
 __all__ = [
     "TrainConfig",
@@ -39,10 +39,7 @@ __all__ = [
     "hybrid_coeffs",
     "anneal_target",
     "sparsity_schedule",
-    "zero_logits",
-    "sieve_map",
     "init_state",
-    "variational_update",
     "run_epoch",
     "train",
     "save_checkpoint",
@@ -59,16 +56,6 @@ def _power(x: float, exponent: int) -> float:
         return float(x) ** exponent
     except OverflowError:
         return math.inf
-
-
-def _check_slab_std_max(value) -> None:
-    """ValueError unless ``value`` is positive and its prior precision
-    ``value**-2``, formed as ``1/value**2`` too, is a finite positive number."""
-    if value <= 0:
-        raise ValueError("slab_std_max must be positive")
-    if not (0 < _power(value, -2) < math.inf and 0 < _power(value, 2) < math.inf):
-        raise ValueError(f"slab_std_max {value!r} is out of range: its prior precision "
-                         "slab_std_max**-2 is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -109,13 +96,21 @@ class TrainConfig:
         # and positive
         if not 1.0 / self.lr_init < math.inf:
             raise ValueError(f"lr_init {self.lr_init!r} is too small: 1/lr_init overflows")
-        _check_slab_std_max(self.slab_std_max)
+        cap = self.slab_std_max
+        if cap <= 0:
+            raise ValueError("slab_std_max must be positive")
+        if not (0 < _power(cap, -2) < math.inf and 0 < _power(cap, 2) < math.inf):
+            raise ValueError(f"slab_std_max {cap!r} is out of range: its prior precision "
+                             "slab_std_max**-2 is not a finite positive number")
         if not 0 <= self.frac_zero_target <= 1 or not 0 <= self.frac_held_target <= 1:
             raise ValueError("sparsity fractions must lie in [0, 1]")
         if self.frac_zero_target + self.frac_held_target > 1:
             raise ValueError("frac_zero_target + frac_held_target must be <= 1")
         if not 0 < self.p_sieve_zero < 0.5 < self.p_sieve_one < 1:
             raise ValueError("need 0 < p_sieve_zero < 0.5 < p_sieve_one < 1")
+        if not self.target_logit_zero < math.inf:  # 1/p_sieve_zero overflows
+            raise ValueError(f"p_sieve_zero {self.p_sieve_zero!r} is too small: "
+                             "its zero-logit target log(1/p_sieve_zero - 1) is not finite")
 
     @cached_property
     def target_logit_zero(self) -> float:
@@ -244,25 +239,12 @@ def sparsity_schedule(
     return frac_zero, frac_held
 
 
-def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
-    """Log-odds that a coordinate is zero, from curvature and slab mean.
-
-    ``0.5 * (log(hess * slab_std_max**2) - hess * slab_mean**2)`` per
-    coordinate: flat directions with large means are confidently nonzero,
-    sharp directions with small means are confidently zero.  Requires
-    strictly positive ``hess`` and a ``slab_std_max`` that ``TrainConfig``
-    accepts (ValueError).
-    """
-    hess = np.asarray(hess, dtype=np.float64)
-    mean = np.asarray(slab_mean, dtype=np.float64)
-    _check_slab_std_max(slab_std_max)
-    # one reduction; a NaN minimum is refused as well
-    if hess.size and not hess.min() > 0:
-        raise ValueError("zero_logits needs strictly positive curvature")
-    return _zero_logits(hess, mean, slab_std_max)
-
-
 def _zero_logits(hess: np.ndarray, mean: np.ndarray, slab_std_max: float) -> np.ndarray:
+    """Log-odds that a coordinate is zero, ``0.5 * (log(hess *
+    slab_std_max**2) - hess * mean**2)``: flat directions with large means
+    are confidently nonzero, sharp directions with small means confidently
+    zero.  The caller passes float64 arrays, a curvature of at least
+    ``slab_std_max**-2`` and a ``slab_std_max`` that ``TrainConfig`` accepts."""
     out = hess * slab_std_max**2
     np.log(out, out=out)
     penalty = np.square(mean)
@@ -272,8 +254,7 @@ def _zero_logits(hess: np.ndarray, mean: np.ndarray, slab_std_max: float) -> np.
     return out
 
 
-def sieve_map(values, frac_zero: float, frac_held: float, target_zero: float = math.log(999.0),
-              target_held: float = -math.log(999.0)) -> np.ndarray:
+def _sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.ndarray:
     """Monotone piecewise-linear rescaling of zero-logits.
 
     Shifts the top ``ceil(frac_zero * d)`` values (by rank, ties resolved
@@ -289,24 +270,10 @@ def sieve_map(values, frac_zero: float, frac_held: float, target_zero: float = m
     finite slope, sit at the undecided midpoint; hinges more than DBL_MAX
     apart interpolate on halved values.
 
-    Checks: fractions in [0, 1], finite targets with ``target_held <=
-    target_zero``, and no NaN where an anchor is set (FloatingPointError: a
-    NaN has no rank).
-    An overflow is reported only in an entry that the output keeps.
+    The caller passes a float64 vector without NaN (a NaN has no rank), the
+    schedule's fractions in [0, 1] and ``TrainConfig``'s targets, finite and
+    ordered.  An overflow is reported only in an entry that the output keeps.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if not 0 <= frac_zero <= 1 or not 0 <= frac_held <= 1:
-        raise ValueError("sieve fractions must lie in [0, 1]")
-    if not (math.isfinite(target_zero) and math.isfinite(target_held)):
-        raise ValueError("sieve targets must be finite")
-    if target_held > target_zero:
-        raise ValueError("target_held must not exceed target_zero")
-    if (frac_zero or frac_held) and np.isnan(values).any():
-        raise FloatingPointError("sieve_map needs zero-logits without NaN")
-    return _sieve_map(values, frac_zero, frac_held, target_zero, target_held)
-
-
-def _sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.ndarray:
     d = values.size
     n_zero = math.ceil(frac_zero * d)
     n_held = min(math.ceil(frac_held * d), d - n_zero)
@@ -443,9 +410,7 @@ def init_state(model, n_cases: int, config: TrainConfig, rng) -> TrainState:
     )
 
 
-def variational_update(state: TrainState, config: TrainConfig, grad: np.ndarray,
-                       hess: np.ndarray, mu: np.ndarray, t: float,
-                       final_epoch: bool = False) -> None:
+def _variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> None:
     """Fold one quadratic snapshot into the state and refresh the marginal.
 
     Accumulates the snapshot's gradient and curvature, blends both passes,
@@ -455,21 +420,12 @@ def variational_update(state: TrainState, config: TrainConfig, grad: np.ndarray,
     and re-centers the accumulated gradients at the moved marginal mean.
     ``mu`` is the mean the snapshot was expanded around (``state.mu``).
 
-    A snapshot with a non-finite entry is refused (ValueError).
+    The caller passes a snapshot of finite float64 ``grad`` and ``hess``
+    (the case loop checks each in the projection) and curvature sums that
+    are not negative: the current pass weighs at least 1 in the blend, so
+    the blended curvature is at least ``slab_std_max**-2``, the floor of
+    that pass, and no zero-logit is NaN.
     """
-    grad, hess = np.asarray(grad, dtype=np.float64), np.asarray(hess, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not _all_finite(grad, hess):
-            raise ValueError("variational_update needs a snapshot of finite grad and hess")
-    _variational_update(state, config, grad, hess, mu, t, final_epoch, checked=True)
-
-
-def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
-                        checked=False) -> None:
-    """``variational_update`` behind its snapshot check.  A ``checked`` call
-    sieves through the public ``zero_logits`` and ``sieve_map``, which
-    refuse a state without positive curvature or with NaN; the case loop,
-    whose state is valid, calls ``_zero_logits`` and ``_sieve_map``."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
     cur.add(grad, hess, cf.slab_std_max**-2)
@@ -501,12 +457,12 @@ def _variational_update(state, config, grad, hess, mu, t, final_epoch=False,
     if final_epoch:
         np.copyto(st.p_nonzero, st.realized_nonzero)
     else:
-        logits, sieve = (zero_logits, sieve_map) if checked else (_zero_logits, _sieve_map)
-        raw = logits(hess_hat, st.slab_mean, cf.slab_std_max)
+        raw = _zero_logits(hess_hat, st.slab_mean, cf.slab_std_max)
         frac_zero, frac_held = sparsity_schedule(
             t, cf.n_epochs, cf.frac_zero_target, cf.frac_held_target
         )
-        st.zero_logit = sieve(raw, frac_zero, frac_held, cf.target_logit_zero, cf.target_logit_one)
+        st.zero_logit = _sieve_map(raw, frac_zero, frac_held, cf.target_logit_zero,
+                                   cf.target_logit_one)
         # p_nonzero = 1 / (1 + exp(zero_logit)); where exp overflows
         # (zero_logit > 709.78) p = 0, less than 2**-1022 from the exact value
         p = st.p_nonzero
@@ -576,14 +532,10 @@ def run_epoch(
     operation or division by zero in a case raises FloatingPointError,
     whose message names the epoch and the case's position in it.
 
-    The loop calls ``_quadratic_approx`` and ``_variational_update``, the
-    kernels behind the per-case public functions' checks, by their names in
-    this module, and guarantees those checks' conditions: flat float64
-    moments of length d; pair counts, fractions, targets and
-    ``slab_std_max`` from ``TrainConfig``; in the final epoch,
-    ``mu = sigma = 0`` outside the sorted survivors; blended curvature at
-    least ``slab_std_max**-2``; and snapshots checked finite per case, so no
-    zero-logit is NaN.
+    The loop calls the kernels ``_quadratic_approx`` and
+    ``_variational_update`` by their names in this module and guarantees
+    the conditions their docstrings state, which they do not check: among
+    them, ``TrainConfig``'s settings and snapshots checked finite per case.
     """
     st, cf = state, config
     st.cur.reset()
@@ -663,15 +615,20 @@ def train(
     ``start = (state, epoch, rng)`` continues a run whose first ``epoch``
     epochs are done (as ``load_resume`` returns it) in place of a fresh one
     from ``seed``; the run then ends bit-identical to the uninterrupted one.
-    Raises ValueError when ``state.n_cases`` is not ``n_cases``, or when
-    ``state.hess_min`` is not the one a fresh run on ``n_cases`` cases under
-    ``config`` starts with.
+    Raises ValueError when ``state.dim`` is not ``model.n_params``, when
+    ``state.n_cases`` is not ``n_cases``, or when ``state.hess_min`` is not
+    the one a fresh run on ``n_cases`` cases under ``config`` starts with.
     """
     if start is None:
         rng = np.random.Generator(np.random.Philox(seed))
         start = (init_state(model, n_cases, config, rng), 0, rng)
     state, done, rng = start
     _, hess_min = _first_pass(n_cases, config)
+    if state.dim != model.n_params:
+        raise ValueError(
+            f"the state has {state.dim} parameters, the model {model.n_params}; "
+            "resume with the run's own model"
+        )
     if state.n_cases != n_cases:
         raise ValueError(
             f"the state is of a run on {state.n_cases} cases, not {n_cases}; "

@@ -9,7 +9,9 @@ floating-point operations (and random draws) in the same order.
 ``patch_all`` swaps every hot-path oracle into the package for a whole
 training run, at the names the package calls: for the case loop's
 kernels, ``_quadratic_approx`` and ``_variational_update`` in
-``mfquad.trainer``.
+``mfquad.trainer``.  Like the kernels, the update, sieve and zero-logit
+oracles take every argument explicitly (the sieve's targets too) and check
+none: the case loop guarantees what they need.
 
 Two references are not restatements.  ``quadratic_approx`` evaluates every
 node one by one, the definition the models' ``pair_sums`` reorganize; they
@@ -61,7 +63,6 @@ from mfquad.projection import QuadraticSummary, _evaluate, full_period
 from mfquad.quadrature import (
     _EXACT_TOL,
     NodeSet,
-    mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
     reflected_nodes,
@@ -77,20 +78,9 @@ from mfquad.trainer import (
 )
 
 
-def sieve_map(
-    values,
-    frac_zero: float,
-    frac_held: float,
-    target_zero: float = math.log(999.0),
-    target_held: float = -math.log(999.0),
-) -> np.ndarray:
-    """``trainer.sieve_map`` through a full stable argsort."""
-    values = np.asarray(values, dtype=np.float64)
+def sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.ndarray:
+    """``trainer._sieve_map`` through a full stable argsort."""
     d = values.size
-    if not 0 <= frac_zero <= 1 or not 0 <= frac_held <= 1:
-        raise ValueError("sieve fractions must lie in [0, 1]")
-    if target_held > target_zero:
-        raise ValueError("target_held must not exceed target_zero")
     n_zero = math.ceil(frac_zero * d)
     n_held = min(math.ceil(frac_held * d), d - n_zero)
 
@@ -462,12 +452,8 @@ def logistic_pair_sums(self, case, mu, sigma, k_start, n_pairs):
     return loss_sum, grad_sum, curv_sum
 
 
-def zero_logits(hess, slab_mean, slab_std_max: float) -> np.ndarray:
-    """``trainer.zero_logits`` in one expression."""
-    hess = np.asarray(hess, dtype=np.float64)
-    mean = np.asarray(slab_mean, dtype=np.float64)
-    if np.any(hess <= 0):
-        raise ValueError("zero_logits needs strictly positive curvature")
+def zero_logits(hess, mean, slab_std_max: float) -> np.ndarray:
+    """``trainer._zero_logits`` in one expression."""
     return 0.5 * (np.log(hess * slab_std_max**2) - hess * mean**2)
 
 
@@ -514,7 +500,7 @@ def slab_deviation_power(hess_hat):
 
 
 def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> None:
-    """``trainer.variational_update`` with a fresh array for every step."""
+    """``trainer._variational_update`` with a fresh array for every step."""
     st, cf = state, config
     prev, cur = st.prev, st.cur
     cur.add(grad, hess, cf.slab_std_max**-2)
@@ -548,7 +534,7 @@ def variational_update(state, config, grad, hess, mu, t, final_epoch=False) -> N
 def run_epoch(state, model, n_cases, config, epoch, rng) -> EpochStats:
     """``trainer.run_epoch`` with every case of the final epoch updating
     every coordinate, the ones decided zero included, through the package's
-    moments, projection and update."""
+    moments, public projection and update kernel."""
     st, cf = state, config
     st.cur.reset()
     target = anneal_target(epoch, cf.n_epochs, n_cases)
@@ -565,7 +551,7 @@ def run_epoch(state, model, n_cases, config, epoch, rng) -> EpochStats:
         st.seq_index += cf.n_pairs_per_case
         epoch_loss += snap.loss
         t = (epoch - 1) + i / n_cases
-        mfquad.trainer.variational_update(st, cf, snap.grad, snap.hess, mu, t, final)
+        mfquad.trainer._variational_update(st, cf, snap.grad, snap.hess, mu, t, final)
         if st.cur.n == target:
             st.prev, st.cur = st.cur, st.prev
             st.cur.reset()
@@ -627,7 +613,7 @@ def orthonormal_basis(dist, max_degree: int = 3) -> OrthonormalBasis:
 def _bench_nodes(method, dist, n, rng, block_size):
     """Every column of one trial's node set at one evaluation budget."""
     if method == "mc":
-        return mc_nodes(dist, n, rng)
+        return NodeSet(dist.sample(n, rng), np.full(n, 1.0 / n))
     if method == "qmc-mean":
         return mean_matched_nodes(dist, n, rng)
     if method == "qmc-var":

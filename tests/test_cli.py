@@ -175,6 +175,35 @@ def test_bench_config_errors(tmp_path, capsys):
                  "--basis", "phi1:0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("dist, degree", [
+    ("gauss", 25), ("gauss", 30), ("gauss", 40), ("gauss", 200), ("laplace", 40),
+    ("laplace", 200), ("spikeslab", 25),
+])
+def test_bench_basis_the_moments_cannot_resolve_exits_2_on_one_line(tmp_path, capsys,
+                                                                    dist, degree):
+    # The basis factored from the raw moments is off orthonormal by max
+    # |C H C^T - I| = 1.1e-6 at Gaussian degree 25, 2.9e-4 at 30 and 1.23 at
+    # 40, 199 at Laplace degree 40 and 0.19 at spike-slab degree 25: errors
+    # against it mean nothing.  At degree 200 the Gaussian moments overflow
+    # without a warning and their Hankel matrix does not factor, and the
+    # Laplace moments' factorials overflow.
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["integrate-bench", "--dist", dist, "--method", "mc", "--d", "2",
+                     "--basis", f"phi{degree}:1", "--trials", "3", "--max-evals", "4",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
+    if degree < 200:
+        assert f"degree-{degree} basis of coordinate 1 " in err, err
+    assert not out.exists()
+    # Gaussian degree 20 is orthonormal to 2.5e-9, inside the 1e-8 bound
+    assert main(["integrate-bench", "--dist", "gauss", "--method", "mc", "--d", "2",
+                 "--basis", "phi20:1", "--trials", "3", "--max-evals", "4",
+                 "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("block_size", ["0", "-1", "-5"])
 @pytest.mark.parametrize("command", [
     ["integrate-bench", "--dist", "gauss", "--basis", "phi1:0", "--trials", "2"],
@@ -684,6 +713,7 @@ def test_oversized_train_exits_2_before_allocating(tmp_path, monkeypatch, capsys
     {"slab_std_max": 1e-200},  # slab_std_max**2 underflows to 0
     {"slab_std_max": 1e200},  # slab_std_max**2 overflows
     {"lr_init": 1e-320, "n_epochs": 2},  # 1/lr_init overflows
+    {"p_sieve_zero": 1e-310},  # 1/p_sieve_zero overflows: an infinite sieve target
 ])
 def test_train_out_of_range_config_exits_2_on_one_line(tmp_path, capsys, doc):
     config = tmp_path / "config.json"

@@ -20,6 +20,7 @@ from mfquad.projection import full_period
 from mfquad.quadrature import (
     _EXACT_TOL,
     _TILE,
+    NodeSet,
     _exact_bound,
     _sign_table,
     antithetic_pair,
@@ -27,7 +28,6 @@ from mfquad.quadrature import (
     count_exact_pairs,
     cross_polytope_signs,
     exactness_period,
-    mc_nodes,
     mean_matched_nodes,
     moment_matched_nodes,
     reflected_nodes,
@@ -441,7 +441,8 @@ def test_moment_matched_flags_zero_variance():
 def test_mc_law_of_large_numbers():
     # second moment of a standard normal from 1e5 samples: CLT bound at 3 SE
     dist = _StdGauss(1)
-    ns = mc_nodes(dist, 100_000, trial_rng(9))
+    n = 100_000
+    ns = NodeSet(dist.sample(n, trial_rng(9)), np.full(n, 1.0 / n))
     est = float(ns.weights @ ns.nodes[:, 0] ** 2)
     assert 0.98 < est < 1.02
 
