@@ -150,15 +150,21 @@ def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarra
         raise ValueError(f"dimension must be positive, got {d}")
     if k_start < 0 or n_vectors < 0:
         raise ValueError("sequence indices must be nonnegative")
+    return _sign_rows(d, k_start, n_vectors, index).astype(np.float64)
+
+
+def _sign_rows(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarray:
+    """``sign_sequence``'s rows as int8, unchecked: read-only rows of the
+    cached table where they fit in it, fresh parities otherwise."""
     # Index bits above those of d - 1 never meet a set bit of i, so k is
     # reduced to them.
     period = 1 << int(d - 1).bit_length()
     k_start &= period - 1
     if index is None and k_start + n_vectors <= period and period * d <= _TABLE_MAX_SIGNS:
-        return _sign_table(int(d))[k_start:k_start + n_vectors].astype(np.float64)
+        return _sign_table(int(d))[k_start:k_start + n_vectors]
     k = np.arange(k_start, k_start + n_vectors) & (period - 1)
     i = np.arange(d) if index is None else _coordinates(index, d)
-    return _parity_signs(i, k).astype(np.float64)
+    return _parity_signs(i, k)
 
 
 def cross_polytope_signs(d: int, k: int) -> np.ndarray:
@@ -441,7 +447,7 @@ def count_exact_pairs(
             if blocked:
                 block = _blocked_nodes(d, block_size, rng, (n - prev) // group)
             else:
-                block = sign_sequence(d, prev // 2, (n - prev) // 2).astype(dtype, copy=False)
+                block = _sign_rows(d, prev // 2, (n - prev) // 2).astype(dtype)
             for p, q, second in cells:
                 rows, cols = second.shape
                 product, hit = work[:rows, :cols], exact[:rows, :cols]

@@ -267,12 +267,16 @@ def _sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.nda
     with one fraction zero the whole vector shifts uniformly onto the
     remaining anchor; with both zero the values pass through unchanged;
     the middle ranks between coincident hinges, or hinges too close for a
-    finite slope, sit at the undecided midpoint; hinges more than DBL_MAX
-    apart interpolate on halved values.
+    finite slope, sit at the undecided midpoint.
 
-    The caller passes a float64 vector without NaN (a NaN has no rank), the
-    schedule's fractions in [0, 1] and ``TrainConfig``'s targets, finite and
-    ordered.  An overflow is reported only in an entry that the output keeps.
+    The caller passes the schedule's fractions in [0, 1], ``TrainConfig``'s
+    targets, finite and ordered, and a float64 vector of ``_zero_logits``,
+    whose entries lie in [-DBL_MAX/2, log(DBL_MAX)/2]: its log term is not
+    below 0 (but for a rounding) at a curvature of at least
+    ``slab_std_max**-2``, nor above log(DBL_MAX), and its penalty is at most
+    DBL_MAX, as the case loop raises on any overflow.  On that domain no
+    formula here overflows, so each entry is written once, by its own
+    segment's formula.
     """
     d = values.size
     n_zero = math.ceil(frac_zero * d)
@@ -312,50 +316,26 @@ def _sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.nda
         np.logical_not(top, out=top)
         top[ties0[:j0]] = False
 
-    # Each segment's formula runs over every entry with overflow silenced.
-    # A middle entry lands between the targets, so an infinity left in out
-    # is an anchored one: its segment's formula then runs again at the
-    # entries it keeps, where an overflow is reported.
-    with np.errstate(over="ignore"):
-        out = values - z1
-        np.add(out, target_held, out=scratch)
-        if z0 - z1 == math.inf:  # hinges more than DBL_MAX apart: halve values
-            np.multiply(values, 0.5, out=out)
-            out -= 0.5 * z1
-            slope = (target_zero - target_held) / (0.5 * z0 - 0.5 * z1)
-        else:
-            slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
-        if math.isfinite(slope):
-            out *= slope
-            out += target_held
-        else:  # hinges coincide, or lie too close for a finite slope
-            out.fill(0.5 * (target_zero + target_held))
-        _copy_where(out, scratch, low, n_held)
-        np.subtract(values, z0, out=scratch)
-        scratch += target_zero
-        _copy_where(out, scratch, top, n_zero)
-        finite = math.isfinite(out @ out)
-    if not finite:
-        out[low] = values[low] - z1 + target_held
-        out[top] = values[top] - z0 + target_zero
-    return out
-
-
-def _copy_where(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, count: int) -> None:
-    """``dst[mask] = src[mask]`` for a mask with ``count`` true entries.
-
-    ``np.copyto(where=)`` branches per entry, so on a long mask it is
-    fastest when nearly all entries are false or nearly all true; in
-    between, gathering the indices first is faster (96 against 279 us on
-    random 50% masks at d = 25,450).  Below about a thousand entries the two
-    extra calls of the gather cost more than the branches.
-    """
-    n = mask.size
-    if n >= 1024 and 0.05 * n < count < 0.8 * n:
-        idx = mask.nonzero()[0]
-        dst[idx] = src[idx]
+    # The larger anchor's formula runs over the whole vector; the other
+    # anchor's and the middle's then run at their own entries only.
+    if n_zero >= n_held:
+        out = values - z0
+        out += target_zero
+        idx = low.nonzero()[0]
+        out[idx] = values[idx] - z1 + target_held
     else:
-        np.copyto(dst, src, where=mask)
+        out = values - z1
+        out += target_held
+        idx = top.nonzero()[0]
+        out[idx] = values[idx] - z0 + target_zero
+    np.logical_or(top, low, out=top)
+    mid = np.logical_not(top, out=top).nonzero()[0]
+    slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
+    if math.isfinite(slope):
+        out[mid] = (values[mid] - z1) * slope + target_held
+    else:  # hinges coincide, or lie too close for a finite slope
+        out[mid] = 0.5 * (target_zero + target_held)
+    return out
 
 
 def _rank_ties(values: np.ndarray, z: float, rank: int):

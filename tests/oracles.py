@@ -98,13 +98,11 @@ def sieve_map(values, frac_zero, frac_held, target_zero, target_held) -> np.ndar
     top, low, mid = order[d - n_zero :], order[:n_held], order[n_held : d - n_zero]
     out[top] = values[top] - z0 + target_zero
     out[low] = values[low] - z1 + target_held
-    # in Python floats, which overflow to inf without a warning; a gap that
-    # overflows is interpolated on halved values
+    # in Python floats, whose division overflows to inf without a warning
     z0, z1 = float(z0), float(z1)
-    h = 0.5 if z0 - z1 == math.inf else 1.0
-    slope = (target_zero - target_held) / (h * z0 - h * z1) if z0 > z1 else math.inf
+    slope = (target_zero - target_held) / (z0 - z1) if z0 > z1 else math.inf
     if math.isfinite(slope):
-        out[mid] = target_held + (values[mid] * h - h * z1) * slope
+        out[mid] = target_held + (values[mid] - z1) * slope
     else:  # coincident hinges, or too close for a finite slope
         out[mid] = 0.5 * (target_zero + target_held)
     return out

@@ -50,6 +50,7 @@ from mfquad.trainer import (
 
 LOG999 = math.log(999.0)
 TARGETS = (LOG999, -LOG999)  # the sieve's targets under TrainConfig's defaults
+DBL_MAX = sys.float_info.max
 
 
 # ------------------------------------------------------------- blending
@@ -249,19 +250,6 @@ def test_sieve_steep_slope_overflows_only_discarded_entries(sieve):
     assert out.tolist() == [-LOG999, 6.0 - 3.9519674218568144e-307 + LOG999, LOG999]
 
 
-@_KERNEL_AND_ORACLE
-def test_sieve_hinges_further_apart_than_dbl_max(sieve):
-    # The hinges' gap overflows; the middle is interpolated on halved values,
-    # so the entry halfway between the hinges lands on the midpoint 0, and
-    # the anchored entries that overflow are discarded without a warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = sieve(np.array([-1.5e308, -1e308, 0.0, 1e308, 1.5e308]), 0.4, 0.4, *TARGETS)
-    assert np.isfinite(out).all()
-    assert out[1:4].tolist() == [-LOG999, 0.0, LOG999]
-    assert out[0] < out[1] and out[4] > out[3]
-
-
 # Hinges less than DBL_MAX apart, with an entry whose gap to the other
 # hinge overflows where an anchor segment replaces it: the top entry 1e308
 # against the held hinge -1e308, and the low entry -1.7e308 against the zero
@@ -310,7 +298,7 @@ _EDGE_FRACS = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0, 1)
 
 
 # 2,000 tied values; the zero and held masks hold ~3%, ~50% or ~97% of them,
-# on both sides of the density rule that picks how the sieve copies a mask.
+# so either anchor is the larger one, whose formula runs over every entry.
 _MASK_VALUES = [float(i * 37 % 11 - 5) for i in range(2000)]
 
 
@@ -334,6 +322,46 @@ def test_sieve_matches_stable_sort_oracle(vals, frac_zero, frac_held, targets):
     out = _sieve_map(values, frac_zero, frac_held, *targets)
     assert out.tobytes() == oracles.sieve_map(values, frac_zero, frac_held, *targets).tobytes()
     assert not np.shares_memory(out, values)
+
+
+def _largest_finite(f, x: float) -> float:
+    """The largest float at which ``f``, in Python floats, is finite, from an
+    estimate ``x`` within a few ulps of it."""
+    while math.isfinite(f(math.nextafter(x, math.inf))):
+        x = math.nextafter(x, math.inf)
+    while not math.isfinite(f(x)):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("slab_std_max", [0.3, 1.0, 1e-100, 1e100])
+def test_sieve_of_zero_logits_stays_finite(slab_std_max):
+    # Zero-logits at the curvature floor and at the largest curvature whose
+    # log term is finite, with means of ±0, ±1 and the largest whose penalty
+    # is finite: the extremes of the domain the sieve's docstring states.
+    # No formula of the sieve overflows there, whichever anchor is larger.
+    floor = slab_std_max**-2
+    hess, mean = [], []
+    for h in (floor, _largest_finite(lambda x: x * slab_std_max**2,
+                                     min(DBL_MAX, DBL_MAX / slab_std_max**2))):
+        m = _largest_finite(lambda x: x * x * h, math.sqrt(DBL_MAX / max(h, 1.0)))
+        for mu in (0.0, -0.0, 1.0, -1.0, m, -m, m / 2):
+            hess.append(h)
+            mean.append(mu)
+    with np.errstate(all="raise"):
+        values = _zero_logits(np.array(hess), np.array(mean), slab_std_max)
+    assert values.min() >= -DBL_MAX / 2 and values.max() <= math.log(DBL_MAX) / 2
+    assert values.min() < -DBL_MAX / 4  # the penalty reaches DBL_MAX's order
+    extreme = TrainConfig(p_sieve_zero=5.6e-309, p_sieve_one=1 - 2**-53)
+    for frac_zero, frac_held in ((0.97, 0.01), (0.5, 0.3), (0.1, 0.8), (0.3, 0.7),
+                                 (1 / 3, 1 / 3), (0.0, 0.5), (0.5, 0.0)):
+        for targets in (TARGETS, (5.0, -7.0),
+                        (extreme.target_logit_zero, extreme.target_logit_one)):
+            with np.errstate(all="raise"):
+                out = _sieve_map(values, frac_zero, frac_held, *targets)
+            assert np.isfinite(out).all()
+            expected = oracles.sieve_map(values, frac_zero, frac_held, *targets)
+            assert out.tobytes() == expected.tobytes()
 
 
 def test_sieve_matches_oracle_at_model_scale():
@@ -907,6 +935,8 @@ def test_case_loop_guarantees_what_its_kernels_skip(make_model, monkeypatch):
         assert (target_zero, target_held) == (cf.target_logit_zero, cf.target_logit_one)
         assert math.isfinite(target_zero) and math.isfinite(target_held)
         assert target_held <= target_zero
+        # the domain on which no formula of the sieve overflows
+        assert values.min() >= -DBL_MAX / 2 and values.max() <= math.log(DBL_MAX) / 2
         calls["sieve"] += 1
         return kernels["_sieve_map"](values, frac_zero, frac_held, target_zero, target_held)
 
