@@ -326,12 +326,11 @@ def cmd_exactness_count(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     budgets = _ladder(args.method, args.block_size, args.max_evals)
-    new = max(n - prev for prev, n in zip([0] + budgets, budgets))
-    arrays = [(f"a second-moment matrix of dimension {args.d}", args.d**2),
-              (f"a rung of {new} nodes of dimension {args.d}", new * args.d)]
-    if args.method == "blocked-simplex":
-        arrays += _blocked_arrays(args.block_size, new, -(-args.d // args.block_size))
-    _check_size(*arrays)
+    if args.method == "blocked-simplex":  # the cross-polytope is counted in closed form
+        new = max(n - prev for prev, n in zip([0] + budgets, budgets))
+        _check_size((f"a second-moment matrix of dimension {args.d}", args.d**2),
+                    (f"a rung of {new} nodes of dimension {args.d}", new * args.d),
+                    *_blocked_arrays(args.block_size, new, -(-args.d // args.block_size)))
     _check_out(args.out)
     means = count_exact_pairs(
         args.d,

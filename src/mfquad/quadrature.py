@@ -150,21 +150,15 @@ def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarra
         raise ValueError(f"dimension must be positive, got {d}")
     if k_start < 0 or n_vectors < 0:
         raise ValueError("sequence indices must be nonnegative")
-    return _sign_rows(d, k_start, n_vectors, index).astype(np.float64)
-
-
-def _sign_rows(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarray:
-    """``sign_sequence``'s rows as int8, unchecked: read-only rows of the
-    cached table where they fit in it, fresh parities otherwise."""
     # Index bits above those of d - 1 never meet a set bit of i, so k is
     # reduced to them.
     period = 1 << int(d - 1).bit_length()
     k_start &= period - 1
     if index is None and k_start + n_vectors <= period and period * d <= _TABLE_MAX_SIGNS:
-        return _sign_table(int(d))[k_start:k_start + n_vectors]
-    k = np.arange(k_start, k_start + n_vectors) & (period - 1)
-    i = np.arange(d) if index is None else _coordinates(index, d)
-    return _parity_signs(i, k)
+        return _sign_table(int(d))[k_start:k_start + n_vectors].astype(np.float64)
+    # i and k are freed before the float64 cast allocates
+    return _parity_signs(np.arange(d) if index is None else _coordinates(index, d),
+                         np.arange(k_start, k_start + n_vectors) & (period - 1)).astype(np.float64)
 
 
 def cross_polytope_signs(d: int, k: int) -> np.ndarray:
@@ -365,6 +359,12 @@ def _budget(n) -> int:
     raise ValueError(f"n_evals must hold integers, got {n!r}")
 
 
+def _alike_pairs(d: int, r: int) -> int:
+    """The pairs ``i < j < d`` with ``i % r == j % r``."""
+    q, rem = divmod(d, r)  # rem residues hold q + 1 coordinates, the rest q
+    return (rem * (q + 1) * q + (r - rem) * q * (q - 1)) // 2
+
+
 def count_exact_pairs(
     d: int,
     method: str,
@@ -376,33 +376,34 @@ def count_exact_pairs(
 ) -> float | list[float]:
     """Mean number of coordinate pairs whose mixed second moment is exact.
 
-    Builds the requested rule for a standardized measure (zero mean, unit
-    variance) and counts unordered pairs ``i < j`` whose mixed second
-    moment has ``|estimate| < 1e-10`` (the exact value is 0).  For
-    ``method='blocked-simplex'`` the count is averaged over ``n_trials``
-    independent shuffles with per-trial seed ``seed + trial``; the
+    Counts the pairs ``i < j`` whose mixed second moment under the rule, for
+    a standardized measure (zero mean, unit variance), has ``|estimate| <
+    1e-10`` (the exact value is 0).  The blocked rule's count is averaged
+    over ``n_trials`` shuffles with per-trial seed ``seed + trial``; the
     deterministic cross-polytope rule is counted once.
 
     ``n_evals`` is one budget, which gives one float, or a strictly
-    increasing sequence of budgets (a ladder), which gives a list with one
-    mean per budget.  Every budget must be an integer multiple of the
-    rule's natural group size: 2 for ``'cross-polytope'`` (one pair),
-    ``block_size + 1`` per blocked group.  A ladder is counted in one pass:
-    each rung draws only what it adds to the previous rung (the next sign
-    vectors, or further groups from the trial's one generator) and adds
-    their Gram matrix to running sums, one per pair ``p <= q`` of column
-    tiles of ``_TILE`` coordinates: the upper block triangle holds every
-    pair ``i < j``.  A rung's nodes are therefore exactly those of a call
-    at its budget alone.  The cross-polytope's nodes ``±s_k`` are not
-    built: both nodes of a pair have the outer product ``s_k s_kᵀ``, so the
-    rule's unweighted second moment is twice the signs' Gram, a sum of ±1
-    products that float32 holds exactly while the pair count is below
-    2**24.  The test
-    ``|sum / n| < 1e-10`` is made as ``|sum| < _exact_bound(n)``, which
-    answers the same for every double without a division.
+    increasing ladder of budgets, which gives one mean per budget.  Every
+    budget must be a multiple of the rule's group size: 2 for
+    ``'cross-polytope'`` (one pair), ``block_size + 1`` for the blocked
+    rule.  Budgets and the ``d (d - 1) / 2`` pairs must be below 2**53, so
+    that every count is an exact double.
+
+    The cross-polytope is counted in closed form, building nothing:
+    ``s_k[i] s_k[j] = (-1)**popcount((i ^ j) & k)`` runs in alternating
+    blocks of ``2**b`` equal signs, ``2**b`` the lowest set bit of ``i ^ j``,
+    so over the first ``m`` pairs it sums to ``S`` with ``|S| = min(r, w -
+    r)``, ``w = 2**(b + 1)``, ``r = m % w``; the rule's unweighted mixed
+    second moment is ``2 S``.  A blocked ladder is counted in one pass:
+    each rung draws only its further groups from the trial's one generator,
+    so its nodes are those of a call at its budget alone, and adds their
+    Gram to running sums on the upper block triangle of ``_TILE``-wide
+    column tiles.  ``|sum / n| < 1e-10`` is tested as ``|sum| <
+    _exact_bound(n)``, the same answer for every double, with no division.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     blocked = method == "blocked-simplex"
@@ -421,33 +422,33 @@ def count_exact_pairs(
                 f"n_evals must be positive multiples of {group}, each above the last, "
                 f"got {n_evals}"
             )
+    if max(budgets[-1], d * (d - 1) // 2) >= 1 << 53:
+        raise ValueError("n_evals and the d (d - 1) / 2 pairs must be below 2**53")
 
-    trials = n_trials if blocked else 1
-    # The blocked rule's unweighted second moment is its nodes' Gram; the
-    # cross-polytope's is twice its signs' Gram.
-    bounds = [_exact_bound(n) / (1 if blocked else 2) for n in budgets]
-    # A float32 Gram of signs holds integers of magnitude at most the pair
-    # count, so its sums are exact; the bounds then lie in (0, 1), and
-    # rounding them to float32 in the comparison moves no count.
-    dtype = np.float32 if not blocked and budgets[-1] // 2 < 1 << 24 else np.float64
+    bounds = [_exact_bound(n) for n in budgets]
+    if not blocked:
+        # the pairs whose lowest differing bit is b: alike mod 2**b, not mod 2**(b + 1)
+        classes = [(2 << b, _alike_pairs(d, 1 << b) - _alike_pairs(d, 2 << b))
+                   for b in range((d - 1).bit_length())]
+        means = [float(sum(size for w, size in classes
+                           if 2 * min(n // 2 % w, w - n // 2 % w) < t))
+                 for n, t in zip(budgets, bounds)]
+        return means[0] if scalar else means
     counts = np.zeros(len(budgets))
     tiles = [slice(a, min(a + _TILE, d)) for a in range(0, d, _TILE)]
-    cells = [(p, q, np.empty((p.stop - p.start, q.stop - q.start), dtype))
+    cells = [(p, q, np.empty((p.stop - p.start, q.stop - q.start)))
              for i, p in enumerate(tiles) for q in tiles[i:]]
     # the first (widest) tile's product and mask, reused while in cache
     work = np.empty_like(cells[0][2])
     exact = np.empty(work.shape, dtype=bool)
     upper = np.triu(np.ones_like(exact), 1)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial) if blocked else None
+    for trial in range(n_trials):
+        rng = trial_rng(seed, trial)
         for _, _, second in cells:
-            second.fill(0.0)  # the Gram of the rule's nodes or signs so far
+            second.fill(0.0)  # the Gram of the rule's nodes so far
         prev = 0
         for j, n in enumerate(budgets):
-            if blocked:
-                block = _blocked_nodes(d, block_size, rng, (n - prev) // group)
-            else:
-                block = _sign_rows(d, prev // 2, (n - prev) // 2).astype(dtype)
+            block = _blocked_nodes(d, block_size, rng, (n - prev) // group)
             for p, q, second in cells:
                 rows, cols = second.shape
                 product, hit = work[:rows, :cols], exact[:rows, :cols]
@@ -461,5 +462,5 @@ def count_exact_pairs(
                     hit &= upper[:rows, :cols]  # the pairs i < j
                 counts[j] += np.count_nonzero(hit)
             prev = n
-    means = (counts / trials).tolist()
+    means = (counts / n_trials).tolist()
     return means[0] if scalar else means

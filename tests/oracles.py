@@ -25,9 +25,9 @@ anew, where the package counts a whole ladder in one pass; the counts are
 integers and must agree exactly.  ``count_exact_ladder`` is the package's
 earlier ladder loop, which built the cross-polytope's nodes, took numpy's
 syrk product and divided by the budget, where the package takes one gemm
-per pair of column tiles on the upper block triangle, of the signs in
-float32, and compares with a precomputed bound; the counts must agree
-exactly.  ``orthonormal_basis`` factors one coordinate's moment
+per pair of column tiles on the upper block triangle of the blocked rule's
+nodes and compares with a precomputed bound, and counts the cross-polytope
+in closed form; the counts must agree exactly.  ``orthonormal_basis`` factors one coordinate's moment
 matrix at a time, where the package factors them all in one batched call,
 bit for bit.  ``cmd_integrate_bench`` builds every column
 of every (trial, budget) cell's node set and evaluates each cell apart,

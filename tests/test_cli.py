@@ -360,6 +360,32 @@ def test_count_cross_polytope_frozen(tmp_path):
     assert float(by_n[4][3]) == pytest.approx(256.0)
 
 
+def test_count_cross_polytope_at_a_million_coordinates(tmp_path):
+    # frozen: at 4 evaluations the pairs whose indices differ in bit 0 are
+    # exact, floor(d/2) * ceil(d/2) of them, over half of C(d, 2).  The count
+    # is closed-form, so no d x d guard applies.
+    out = tmp_path / "count.csv"
+    assert main(["exactness-count", "--method", "cross-polytope", "--d", "1000000",
+                 "--max-evals", "4", "--out", str(out)]) == 0
+    assert read_rows(out)[1] == ["cross-polytope", "4", "250000000000", "62500000000"]
+    assert 250_000_000_000 > math.comb(10**6, 2) / 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "3", "--max-evals", "1" + "0" * 400],  # budgets up to 2**1330
+    ["--d", str(2**27 + 1)],  # 2**53 + 2**26 pairs
+], ids=["budget-10**400", "d-2**27+1"])
+def test_count_cross_polytope_past_exact_doubles_exits_2(tmp_path, capsys, argv):
+    # Past 2**53 the CSV's floats would no longer be exact counts.
+    out = tmp_path / "count.csv"
+    argv = ["exactness-count", "--method", "cross-polytope", "--out", str(out)] + argv
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "below 2**53" in err, err
+    assert not out.exists()
+
+
 def test_count_blocked_simplex(tmp_path):
     out = tmp_path / "count.csv"
     code = main([
@@ -385,7 +411,8 @@ def test_count_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["exactness-count", "--method", "cross-polytope", "--d", "3",
+    # block size 1: the ladder 2, 4, ..., 2**29 adds 2**28 nodes at its last rung
+    (["exactness-count", "--method", "blocked-simplex", "--block-size", "1", "--d", "3",
       "--max-evals", "1000000000"], "a rung of 268435456 nodes"),
     (["exactness-count", "--method", "blocked-simplex", "--d", "100000"],
      "a second-moment matrix"),
@@ -441,12 +468,14 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, 
 
 
 def test_size_guard_admits_the_largest_array_at_the_limit(tmp_path, monkeypatch):
-    # d**2 float64 values of exactly MAX_ARRAY_BYTES pass; one more coordinate fails.
+    # d**2 float64 values of exactly MAX_ARRAY_BYTES pass; one more coordinate
+    # fails.  The blocked rule's other arrays (3 x 64 nodes, a 2 x 3 simplex
+    # point set, a 3 x 32 x 2 gather) are far smaller.
     calls = []
     monkeypatch.setattr(mfquad.cli, "count_exact_pairs",
                         lambda d, method, budgets, **kw: calls.append(d) or [0.0] * len(budgets))
     monkeypatch.setattr(mfquad.cli, "MAX_ARRAY_BYTES", 8 * 64**2)
-    argv = ["exactness-count", "--method", "cross-polytope", "--max-evals", "64",
+    argv = ["exactness-count", "--method", "blocked-simplex", "--max-evals", "3",
             "--out", str(tmp_path / "count.csv")]
     assert main(argv + ["--d", "64"]) == 0 and calls == [64]
     assert main(argv + ["--d", "65"]) == 2 and calls == [64]

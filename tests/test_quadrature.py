@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfquad.quadrature
 import oracles
 from mfquad.projection import full_period
 from mfquad.quadrature import (
@@ -496,8 +497,8 @@ def test_count_exact_pairs_ladder_matches_per_budget_oracle(d):
     # each budget counts: the rungs add nodes to one continuing sequence.
     # It also counts what the earlier ladder loop counted with built nodes,
     # numpy's syrk and a division by the budget, where the package takes
-    # one gemm per pair of column tiles and rung, the cross-polytope's Gram
-    # from its signs in float32, and a precomputed bound.
+    # one gemm per pair of column tiles and rung and a precomputed bound for
+    # the blocked rule, and a closed form for the cross-polytope.
     cases = [("cross-polytope", 2, 1)] + [
         ("blocked-simplex", block_size, trials)
         for block_size in (1, 2, 3, 4, 5) for trials in (1, 2, 3)
@@ -534,24 +535,68 @@ def test_count_exact_pairs_ladder_validation():
         count_exact_pairs(0, "cross-polytope", [2, 4])
 
 
-def test_count_exact_pairs_float32_gram_at_the_largest_cached_table(monkeypatch):
+def test_count_exact_pairs_closed_form_at_the_largest_cached_table(monkeypatch):
     # frozen: d = 1024 is the largest d whose sign period (1024 pairs, 2048
     # evals) is cached.  The full period integrates all d(d-1)/2 = 523,776
     # pairs; half of it misses only the 512 pairs whose lowest differing
-    # bit is bit 9, the pairs whose window is the full period.  Every rung
-    # takes one float32 product per tile pair p <= q of the column tiles.
-    dtypes = []
-    matmul = np.matmul
+    # bit is bit 9, the pairs whose window is the full period.  The
+    # cross-polytope is counted in closed form: no product is taken and no
+    # sign row is built, cached or fresh.
+    def never(*args, **kwargs):
+        raise AssertionError("the cross-polytope count built a Gram or sign rows")
 
-    def spy(a, b, out):
-        dtypes.append(out.dtype)
-        return matmul(a, b, out=out)
-
-    monkeypatch.setattr(np, "matmul", spy)
+    monkeypatch.setattr(np, "matmul", never)
+    for name in ("sign_sequence", "_sign_table", "_parity_signs", "_blocked_nodes"):
+        monkeypatch.setattr(mfquad.quadrature, name, never)
     assert count_exact_pairs(1024, "cross-polytope", 2048) == 523_776.0
     assert count_exact_pairs(1024, "cross-polytope", [1024, 2048]) == [523_264.0, 523_776.0]
-    tiles = -(-1024 // _TILE)
-    assert dtypes == [np.float32] * (3 * tiles * (tiles + 1) // 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 64, _TILE - 1, _TILE, _TILE + 1, 300, 513, 1024])
+def test_count_exact_pairs_closed_form_matches_the_gram_oracle(d):
+    # The closed form counts what the earlier loop counts from built nodes,
+    # numpy's syrk and a division by the budget: every even budget to 78,
+    # the powers of two to 2,048, and budgets past the period.
+    ladders = [list(range(2, 80, 2)), [2**i for i in range(1, 12)],
+               [6, 10, 22, 2048, 2050, 4096]]
+    for ladder in ladders:
+        assert count_exact_pairs(d, "cross-polytope", ladder) == (
+            oracles.count_exact_ladder(d, "cross-polytope", ladder)), ladder
+
+
+def test_count_exact_pairs_keeps_the_tolerance_past_2e10_evaluations():
+    # frozen: at d = 2 the one pair's sign products alternate, so an odd
+    # number m of pairs leaves |S| = 1 and the mixed moment 2 / (2 m) = 1 / m.
+    # That passes 1e-10 once m exceeds 10**10, without being 0.
+    for m, count in [(2**30 + 1, 0.0), (10**10 - 1, 0.0), (10**10, 1.0), (10**10 + 1, 1.0),
+                     (2**35 + 1, 1.0), (2**52 - 1, 1.0)]:
+        assert count_exact_pairs(2, "cross-polytope", 2 * m) == count, m
+    assert count_exact_pairs(2, "cross-polytope", [2 * (2**30 + 1), 2 * (2**35 + 1)]) == [
+        0.0, 1.0]
+
+
+def test_count_exact_pairs_caps_budgets_and_pairs_below_2_53():
+    # Past 2**53 a budget, and a count, would no longer be an exact double.
+    for method, n_evals in [("cross-polytope", 2**53), ("cross-polytope", [2, 2**53]),
+                            ("blocked-simplex", 3 * 2**52)]:
+        with pytest.raises(ValueError, match=r"below 2\*\*53"):
+            count_exact_pairs(2, method, n_evals)
+    # 2**27 coordinates hold 2**53 - 2**26 pairs; one more holds 2**53 + 2**26
+    assert count_exact_pairs(2**27, "cross-polytope", 2**53 - 2) == math.comb(2**27, 2)
+    with pytest.raises(ValueError, match=r"below 2\*\*53"):
+        count_exact_pairs(2**27 + 1, "cross-polytope", 4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(i=st.integers(0, 2**11), x=st.integers(1, 2**11), m=st.integers(0, 2**12 + 7))
+def test_sign_product_sums_are_triangle_waves(i, x, m):
+    # Over the first m sign vectors, coordinates i != j have sign products
+    # summing to |S| = min(r, w - r), w their exactness period, r = m mod w:
+    # the closed form's one fact, checked on the package's own signs.
+    j = i ^ x
+    signs = sign_sequence(max(i, j) + 1, 0, m, index=[i, j])
+    w = exactness_period(i, j)
+    assert abs(signs[:, 0] @ signs[:, 1]) == min(m % w, w - m % w)
 
 
 @pytest.mark.parametrize("d", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 300])
@@ -576,16 +621,13 @@ def test_count_exact_pairs_tile_edges_match_the_oracles(d):
 
 @pytest.mark.parametrize("method, group, bytes_per_d2", [
     ("blocked-simplex", 3, 20),
-    ("cross-polytope", 4, 11),
 ])
 def test_count_exact_pairs_peak_memory(method, group, bytes_per_d2):
     # numpy reports its buffers to tracemalloc.  The count keeps Gram sums
     # for the upper block triangle of the column tiles only, and neither a
-    # transposed copy of a rung nor a NodeSet copy of the blocked one: the
-    # full d x d sum, product and mask with those copies took 27.0 d**2
-    # bytes (blocked) and 13.5 d**2 bytes (cross-polytope).
+    # transposed copy of a rung nor a NodeSet copy of it: the full d x d
+    # sum, product and mask with those copies took 27.0 d**2 bytes.
     d = 1024
-    sign_sequence(d, 0, 1)  # the cached sign table is not the count's
     tracemalloc.start()
     try:
         count_exact_pairs(d, method, [group * 2**i for i in range(9)])
@@ -593,6 +635,18 @@ def test_count_exact_pairs_peak_memory(method, group, bytes_per_d2):
     finally:
         tracemalloc.stop()
     assert peak <= bytes_per_d2 * d**2, peak / d**2
+
+
+def test_count_exact_pairs_cross_polytope_memory_at_a_million_coordinates():
+    # The closed form holds a few Python ints per bit of d, not d x d sums.
+    tracemalloc.start()
+    try:
+        count = count_exact_pairs(10**6, "cross-polytope", [4 * 2**i for i in range(40)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count[0] == 250_000_000_000.0 and count[-1] == math.comb(10**6, 2)
+    assert peak < 64 * 1024, peak
 
 
 @settings(deadline=None, max_examples=300)
@@ -642,6 +696,7 @@ def test_count_exact_pairs_accepts_numpy_integers():
     assert count_exact_pairs(8, "cross-polytope", np.array([2, 4, 8], np.uint8)) == want
     assert count_exact_pairs(8, "cross-polytope", np.int32(8)) == want[-1]
     assert count_exact_pairs(8, "cross-polytope", np.array(8)) == want[-1]
+    assert count_exact_pairs(np.int64(8), "cross-polytope", [2, 4, 8]) == want
     assert count_exact_pairs(8, "blocked-simplex", np.array([3, 6]), seed=4) == (
         count_exact_pairs(8, "blocked-simplex", [3, 6], seed=4))
 
