@@ -156,9 +156,11 @@ def sign_sequence(d: int, k_start: int, n_vectors: int, index=None) -> np.ndarra
     k_start &= period - 1
     if index is None and k_start + n_vectors <= period and period * d <= _TABLE_MAX_SIGNS:
         return _sign_table(int(d))[k_start:k_start + n_vectors].astype(np.float64)
-    # i and k are freed before the float64 cast allocates
-    return _parity_signs(np.arange(d) if index is None else _coordinates(index, d),
-                         np.arange(k_start, k_start + n_vectors) & (period - 1)).astype(np.float64)
+    # int32 (where period - 1 fits) halves i & k; both die before the float64 cast
+    dtype = np.int32 if period <= 1 << 31 else np.int64
+    i = np.arange(d, dtype=dtype) if index is None else _coordinates(index, d).astype(dtype)
+    k = (np.arange(k_start, k_start + n_vectors) & (period - 1)).astype(dtype)
+    return _parity_signs(i, k).astype(np.float64)
 
 
 def cross_polytope_signs(d: int, k: int) -> np.ndarray:
@@ -282,27 +284,35 @@ def blocked_simplex_standard(
     if d < 1 or block_size < 1:
         raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
     index = None if index is None else _coordinates(index, d)
-    nodes = _blocked_nodes(d, block_size, rng, n_groups, index)
+    nodes = _blocked_nodes(simplex_sigma_points(block_size).nodes, d, rng, n_groups, index)
     return NodeSet(nodes, np.full(nodes.shape[0], 1.0 / nodes.shape[0]))
 
 
-def _blocked_nodes(d, block_size, rng, n_groups, index=None) -> np.ndarray:
-    """``blocked_simplex_standard``'s nodes for checked arguments, unfrozen
-    (a column view of a fresh array), with ``index`` already coordinates."""
+def _simplex_codes(block_size: int, dtype) -> np.ndarray:
+    """The integer codes of ``simplex_sigma_points(block_size)``: column ``c``
+    holds ``block_size - c`` in row ``c``, -1 below it and 0 above."""
+    codes = -np.tri(block_size + 1, block_size, -1, dtype=dtype)
+    np.fill_diagonal(codes, np.arange(block_size, 0, -1))
+    return codes
+
+
+def _blocked_nodes(points, d, rng, n_groups, index=None) -> np.ndarray:
+    """``blocked_simplex_standard``'s nodes for checked arguments, unfrozen (a
+    column view of a fresh array), with ``index`` already coordinates, gathered
+    from ``points``: the point set, or its codes (the draws are the same)."""
+    m, block_size = points.shape
     if index is None:
         blocks, columns = slice(None), slice(0, d)
     else:
         # the gathered blocks are index // block_size, each block_size wide
         blocks = index // block_size
         columns = np.arange(index.size) * block_size + index % block_size
-    full = simplex_sigma_points(block_size).nodes
-    m = full.shape[0]
     total, n_blocks = n_groups * m, -(-d // block_size)
     # Row g * n_blocks + b shuffles block b of group g, as rng.permutation(m) would.
     order = rng.permuted(np.broadcast_to(np.arange(m), (n_groups * n_blocks, m)), axis=1)
     rows = order.reshape(n_groups, n_blocks, m).swapaxes(1, 2)[:, :, blocks]
-    # np.take copies each row of block_size floats far faster than fancy indexing
-    return np.take(full, rows, axis=0).reshape(total, -1)[:, columns]
+    # np.take copies each row of block_size values far faster than fancy indexing
+    return np.take(points, rows, axis=0).reshape(total, -1)[:, columns]
 
 
 def mean_matched_nodes(dist, n: int, rng: np.random.Generator) -> NodeSet:
@@ -387,19 +397,26 @@ def count_exact_pairs(
     budget must be a multiple of the rule's group size: 2 for
     ``'cross-polytope'`` (one pair), ``block_size + 1`` for the blocked
     rule.  Budgets and the ``d (d - 1) / 2`` pairs must be below 2**53, so
-    that every count is an exact double.
+    that every count is an exact double, and a blocked ladder's
+    ``_exact_bound(n_evals[-1])`` below ``0.5 / block_size`` (about ``5e9 /
+    block_size`` evaluations; the CLI's size guards refuse such rungs first).
 
     The cross-polytope is counted in closed form, building nothing:
     ``s_k[i] s_k[j] = (-1)**popcount((i ^ j) & k)`` runs in alternating
     blocks of ``2**b`` equal signs, ``2**b`` the lowest set bit of ``i ^ j``,
     so over the first ``m`` pairs it sums to ``S`` with ``|S| = min(r, w -
     r)``, ``w = 2**(b + 1)``, ``r = m % w``; the rule's unweighted mixed
-    second moment is ``2 S``.  A blocked ladder is counted in one pass:
-    each rung draws only its further groups from the trial's one generator,
-    so its nodes are those of a call at its budget alone, and adds their
-    Gram to running sums on the upper block triangle of ``_TILE``-wide
-    column tiles.  ``|sum / n| < 1e-10`` is tested as ``|sum| <
-    _exact_bound(n)``, the same answer for every double, with no division.
+    second moment is ``2 S``, and ``|2 S / n| < 1e-10`` is tested as ``2 |S|
+    < _exact_bound(n)``, the same answer for every double, with no division.
+    The blocked rule's column ``c`` is ``s_c = F[c, c] / (block_size - c)``,
+    with ``s_c**2 >= 1 / block_size``, times the integer code ``(0, ..., 0,
+    block_size - c, -1, ..., -1)``, so below the cap a pair passes the 1e-10
+    test exactly when the integer Gram ``K`` of the codes has ``K_ij == 0``.
+    A blocked ladder is counted in one pass: each rung draws only its further
+    groups from the trial's one generator, so its codes are those of a call
+    at its budget alone, and adds their Gram to running sums on the upper
+    block triangle of ``_TILE``-wide column tiles, in float32 while
+    ``n_evals[-1] * block_size**2 < 2**24``, else float64: exact in any order.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
@@ -425,30 +442,34 @@ def count_exact_pairs(
     if max(budgets[-1], d * (d - 1) // 2) >= 1 << 53:
         raise ValueError("n_evals and the d (d - 1) / 2 pairs must be below 2**53")
 
-    bounds = [_exact_bound(n) for n in budgets]
+    if blocked and _exact_bound(budgets[-1]) >= 0.5 / block_size:
+        raise ValueError(f"blocked n_evals must be below about {5e9 / block_size:.3g}, "
+                         "where the 1e-10 test still tells a nonzero moment from 0")
     if not blocked:
         # the pairs whose lowest differing bit is b: alike mod 2**b, not mod 2**(b + 1)
         classes = [(2 << b, _alike_pairs(d, 1 << b) - _alike_pairs(d, 2 << b))
                    for b in range((d - 1).bit_length())]
         means = [float(sum(size for w, size in classes
                            if 2 * min(n // 2 % w, w - n // 2 % w) < t))
-                 for n, t in zip(budgets, bounds)]
+                 for n, t in zip(budgets, map(_exact_bound, budgets))]
         return means[0] if scalar else means
+    # partial sums are integers of at most n * b**2 (under the cap, below 2**53)
+    dtype = np.float32 if budgets[-1] * block_size**2 < 1 << 24 else np.float64
+    codes = _simplex_codes(block_size, dtype)
     counts = np.zeros(len(budgets))
     tiles = [slice(a, min(a + _TILE, d)) for a in range(0, d, _TILE)]
-    cells = [(p, q, np.empty((p.stop - p.start, q.stop - q.start)))
+    cells = [(p, q, np.empty((p.stop - p.start, q.stop - q.start), dtype))
              for i, p in enumerate(tiles) for q in tiles[i:]]
     # the first (widest) tile's product and mask, reused while in cache
     work = np.empty_like(cells[0][2])
     exact = np.empty(work.shape, dtype=bool)
-    upper = np.triu(np.ones_like(exact), 1)
     for trial in range(n_trials):
         rng = trial_rng(seed, trial)
         for _, _, second in cells:
-            second.fill(0.0)  # the Gram of the rule's nodes so far
+            second.fill(0)  # the code Gram of the rule's nodes so far
         prev = 0
         for j, n in enumerate(budgets):
-            block = _blocked_nodes(d, block_size, rng, (n - prev) // group)
+            block = _blocked_nodes(codes, d, rng, (n - prev) // group)
             for p, q, second in cells:
                 rows, cols = second.shape
                 product, hit = work[:rows, :cols], exact[:rows, :cols]
@@ -457,10 +478,9 @@ def count_exact_pairs(
                 right = block[:, q] if p != q else np.ascontiguousarray(block[:, q])
                 np.matmul(block[:, p].T, right, out=product)
                 second += product
-                np.less(np.abs(second, out=product), bounds[j], out=hit)
-                if p == q:
-                    hit &= upper[:rows, :cols]  # the pairs i < j
-                counts[j] += np.count_nonzero(hit)
+                zeros = np.count_nonzero(np.equal(second, 0, out=hit))
+                # a diagonal tile is symmetric, and K_ii > 0: half its zeros are i < j
+                counts[j] += zeros // 2 if p == q else zeros
             prev = n
     means = (counts / n_trials).tolist()
     return means[0] if scalar else means

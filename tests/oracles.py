@@ -23,10 +23,10 @@ package's, which updates the survivors alone, matches it on every value a
 later step reads.  ``count_exact_pairs`` builds every node of one budget
 anew, where the package counts a whole ladder in one pass; the counts are
 integers and must agree exactly.  ``count_exact_ladder`` is the package's
-earlier ladder loop, which built the cross-polytope's nodes, took numpy's
+earlier ladder loop, which built the rule's float64 nodes, took numpy's
 syrk product and divided by the budget, where the package takes one gemm
 per pair of column tiles on the upper block triangle of the blocked rule's
-nodes and compares with a precomputed bound, and counts the cross-polytope
+integer codes and counts their zero sums, and counts the cross-polytope
 in closed form; the counts must agree exactly.  ``orthonormal_basis`` factors one coordinate's moment
 matrix at a time, where the package factors them all in one batched call,
 bit for bit.  ``cmd_integrate_bench`` builds every column

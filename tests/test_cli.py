@@ -4,6 +4,7 @@ import base64
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -408,6 +409,27 @@ def test_count_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["exactness-count", "--method", "blocked-simplex", "--d", "300", "--max-evals", "1024",
+      "--trials", "2", "--block-size", "2"],
+     "6ad8e03654971148407f944c133f425c91705bb6093205a700aba2b2d6376f8b"),
+    (["exactness-count", "--method", "blocked-simplex", "--d", "300", "--max-evals", "1024",
+      "--trials", "2", "--block-size", "5"],
+     "4c323c6e633ea0c865eb47e5bf3146e9f9164692915d26b55dcb6e2a442123d2"),
+    # 298 = 59 * 5 + 3: coordinate 297 is in a tail block
+    (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--d", "298",
+      "--basis", "phi2:3*phi2:297", "--trials", "20", "--max-evals", "256",
+      "--block-size", "5"],
+     "844b599cf9a022f2e366335fa8782f6201be7c1d41882cf4e08bb5831305aa75"),
+], ids=["count-b2", "count-b5", "bench-b5"])
+def test_blocked_csvs_keep_their_bytes(tmp_path, argv, digest):
+    # frozen: the count's integer codes and the rule's float nodes come from
+    # one shuffle path, and these CSVs keep the float64 node Gram's bytes
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -22,8 +22,10 @@ from mfquad.quadrature import (
     _EXACT_TOL,
     _TILE,
     NodeSet,
+    _blocked_nodes,
     _exact_bound,
     _sign_table,
+    _simplex_codes,
     antithetic_pair,
     blocked_simplex_standard,
     count_exact_pairs,
@@ -113,6 +115,38 @@ def test_sign_windows_match_the_parity_oracle(d):
     for k, n in windows:
         want = one[(k + np.arange(n)) % period]
         assert sign_sequence(d, k, n).tobytes() == want.tobytes(), (k, n)
+
+
+@pytest.mark.parametrize("d", [1025, 25_450])
+def test_uncached_sign_windows_match_the_parity_oracle(d, monkeypatch):
+    # Past the cached table the parities come from int32 coordinates and
+    # sequence indices: windows at the period's start and end, wrapped ones,
+    # ones far past the period, and index lists in any order, repeats too.
+    period = full_period(d)
+    index = [d - 1, 0, 17, d // 2, 17, period // 2 - 1]
+    kinds = []
+    real = mfquad.quadrature._parity_signs
+    monkeypatch.setattr(mfquad.quadrature, "_parity_signs",
+                        lambda i, k: kinds.append((i.dtype, k.dtype)) or real(i, k))
+    for k, n in [(0, 3), (5, 1), (period - 2, 2), (period - 2, 5), (period - 1, 3),
+                 (2 * period - 3, 7), (2**40 + 3, 4)]:
+        want = oracles.sign_sequence(d, k, n)
+        assert sign_sequence(d, k, n).tobytes() == want.tobytes(), (k, n)
+        assert sign_sequence(d, k, n, index=index).tobytes() == (
+            np.ascontiguousarray(want[:, index]).tobytes()), (k, n)
+    assert set(kinds) == {(np.dtype(np.int32), np.dtype(np.int32))}
+
+
+@pytest.mark.parametrize("d", [2**31, 2**31 + 5])
+def test_sign_index_past_int32_keeps_its_parities(d):
+    # At d = 2**31 the period's last index still fits int32; one more
+    # coordinate doubles the period and takes int64 coordinates.
+    index = [0, 1, 2**31 - 1, d - 1]
+    for k_start in (2**31 - 2, 2**32 + 3, 2**40 - 1):
+        got = sign_sequence(d, k_start, 3, index=index)
+        want = [[1.0 if bin(i & k).count("1") % 2 else -1.0 for i in index]
+                for k in range(k_start, k_start + 3)]
+        assert got.tolist() == want, k_start
 
 
 def test_sign_table_is_read_only_and_never_handed_out():
@@ -599,24 +633,78 @@ def test_sign_product_sums_are_triangle_waves(i, x, m):
     assert abs(signs[:, 0] @ signs[:, 1]) == min(m % w, w - m % w)
 
 
-@pytest.mark.parametrize("d", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 300])
+@pytest.mark.parametrize("d", [1, 2, 5, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 300])
 def test_count_exact_pairs_tile_edges_match_the_oracles(d):
     # Dimensions below, at and past a column tile's edge, most with a partial
-    # last tile, count what the full-Gram loop and a rebuild at every budget count.
-    # At every d here some block size of 3, 5 and 7 leaves a tail block.
+    # last tile, count what the float64 Gram loop and a rebuild at every
+    # budget count: the integer code Gram's zeros are the pairs that pass the
+    # 1e-10 test.  At every d here some block size up to 7 leaves a tail block.
     cases = [("cross-polytope", 2, 1)] + [
         ("blocked-simplex", block_size, trials)
-        for block_size in (1, 2, 3, 5, 7) for trials in (1, 3)
+        for block_size in range(1, 8) for trials in (1, 3)
     ]
     for method, block_size, trials in cases:
         group = 2 if method == "cross-polytope" else block_size + 1
-        ladder = [group, 2 * group, 4 * group, 16 * group, 64 * group]
+        ladder = [group * 2**i for i in range(8)]
         kw = dict(block_size=block_size, n_trials=trials, seed=d)
         got = count_exact_pairs(d, method, ladder, **kw)
         assert got == oracles.count_exact_ladder(d, method, ladder, **kw), (
             method, block_size, trials)
         assert got == [oracles.count_exact_pairs(d, method, n, **kw) for n in ladder], (
             method, block_size, trials)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 5, 8, 64])
+def test_simplex_codes_scale_to_the_point_set(block_size):
+    # column c of the point set is F[c, c] / (b - c) times code column c, so
+    # the rule's nodes are a per-column scale of the codes drawn alike
+    full = simplex_sigma_points(block_size).nodes
+    codes = _simplex_codes(block_size, np.float32)
+    scale = np.diag(full) / np.arange(block_size, 0, -1)
+    np.testing.assert_allclose(codes * scale, full, rtol=1e-13, atol=1e-15)
+    assert (scale**2 >= (1 - 1e-15) / block_size).all()
+    d, rng, code_rng = 2 * block_size + 1, trial_rng(3), trial_rng(3)
+    nodes = blocked_simplex_standard(d, block_size, rng, 4).nodes
+    gathered = _blocked_nodes(codes, d, code_rng, 4)
+    np.testing.assert_allclose(gathered * scale[np.arange(d) % block_size], nodes,
+                               rtol=1e-13, atol=1e-15)
+    assert rng.integers(2**62) == code_rng.integers(2**62)  # the same draws
+
+
+def test_count_exact_pairs_sums_codes_in_float64_from_2_24(monkeypatch):
+    # Float32 sums of the codes are exact while n * b**2 < 2**24.  At b = 64
+    # the ladder to 65 * 63 nodes stays below it, and the one to 65 * 128
+    # (crossing it at 65 * 64) sums in float64; both count what the float64
+    # Gram of the nodes counts.
+    kinds = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, out: kinds.append(out.dtype) or real(
+        a, b, out=out))
+    for last, dtype in [(63, np.float32), (128, np.float64)]:
+        ladder = [65 * m for m in (1, 2, 4, 8, 16, 32, last)]
+        kinds.clear()
+        kw = dict(block_size=64, n_trials=2)
+        assert count_exact_pairs(130, "blocked-simplex", ladder, **kw) == (
+            oracles.count_exact_ladder(130, "blocked-simplex", ladder, **kw)), last
+        assert set(kinds) == {np.dtype(dtype)}, last
+
+
+def test_count_exact_pairs_caps_blocked_budgets_before_allocating(monkeypatch):
+    # At 1001 * 2**13 evaluations the 1e-10 test's bound, about 8.2e-4, is
+    # past half the block-size-1000 rule's least nonzero moment, 1e-3, where
+    # K == 0 is no longer sure to be that test: the count refuses, from
+    # scalars alone.
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    for name in ("empty", "zeros", "ones", "tri"):
+        monkeypatch.setattr(np, name, never)
+    for name in ("_blocked_nodes", "_simplex_codes", "simplex_sigma_points"):
+        monkeypatch.setattr(mfquad.quadrature, name, never)
+    assert _exact_bound(1001 * 2**13) >= 0.5 / 1000
+    for n_evals in (1001 * 2**13, [1001, 1001 * 2**13]):
+        with pytest.raises(ValueError, match="1e-10 test"):
+            count_exact_pairs(2, "blocked-simplex", n_evals, block_size=1000)
 
 
 @pytest.mark.parametrize("method, group, bytes_per_d2", [
@@ -626,7 +714,8 @@ def test_count_exact_pairs_peak_memory(method, group, bytes_per_d2):
     # numpy reports its buffers to tracemalloc.  The count keeps Gram sums
     # for the upper block triangle of the column tiles only, and neither a
     # transposed copy of a rung nor a NodeSet copy of it: the full d x d
-    # sum, product and mask with those copies took 27.0 d**2 bytes.
+    # sum, product and mask with those copies took 27.0 d**2 bytes.  Float32
+    # code sums and rungs take 7.7 d**2 bytes, float64 ones 12.4.
     d = 1024
     tracemalloc.start()
     try:
