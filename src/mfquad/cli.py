@@ -50,12 +50,13 @@ from .models import (
 )
 from .projection import EvaluationError, full_period
 from .quadrature import (
-    _reflect,
-    blocked_simplex_standard,
+    _TILE,
+    _blocked_nodes,
     count_exact_pairs,
     mean_matched_nodes,
     moment_matched_nodes,
     sign_sequence,
+    simplex_sigma_points,
     trial_rng,
 )
 from .trainer import TrainConfig, init_state, load_resume, save_checkpoint, train
@@ -71,6 +72,10 @@ HISTOGRAM_BINS = 50
 # only when their pages are touched, by which time the kernel may kill the
 # process.  A run's peak is a small multiple of its largest array.
 MAX_ARRAY_BYTES = 1 << 30
+# integrate-bench runs its trials in blocks of at most this many node values
+_CHUNK_VALUES = 1 << 16
+# OpenBLAS splits a ddot of over 10,000 values across its threads
+_DOT_CHUNK = 8192
 
 
 class ConfigError(ValueError):
@@ -120,13 +125,15 @@ def parse_basis(spec: str, d: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _check_size(*arrays: tuple[str, int]) -> None:
-    """ConfigError naming the first ``(what, n_floats)`` array whose float64
-    values would exceed MAX_ARRAY_BYTES."""
-    for what, n_floats in arrays:
-        if 8 * n_floats > MAX_ARRAY_BYTES:
+def _check_size(*arrays: tuple) -> None:
+    """ConfigError naming the first ``(what, n_values)`` array of float64
+    values, or ``(what, n_values, itemsize)`` array, that would exceed
+    MAX_ARRAY_BYTES."""
+    for what, n_values, *itemsize in arrays:
+        n_bytes = n_values * (itemsize[0] if itemsize else 8)
+        if n_bytes > MAX_ARRAY_BYTES:
             raise ConfigError(
-                f"{what} would take {8 * n_floats / 2**30:.3g} GiB, over the "
+                f"{what} would take {n_bytes / 2**30:.3g} GiB, over the "
                 f"{MAX_ARRAY_BYTES / 2**30:g} GiB limit of one array"
             )
 
@@ -154,68 +161,70 @@ def _ladder(method: str, block_size: int, max_evals: int) -> list[int]:
 
 
 def _trial_ladder(method, dist, budgets, block_size, index):
-    """The function ``nodes(rng)`` giving columns ``index`` of one trial's
-    nodes at every budget of the ladder.
+    """The function ``nodes(rngs)`` giving columns ``index`` of the nodes of
+    one trial per generator of ``rngs`` at every budget of the ladder.
 
-    It returns a ``(sum(budgets), len(index))`` array holding each budget's
-    nodes in turn.  Each budget draws from ``rng`` what a full build of its
-    node set would, in ladder order, so every value is the full build's.
-    What does not depend on the trial is built here, once per command.
+    It returns a ``(len(rngs), sum(budgets), len(index))`` block holding
+    each trial's budgets' nodes in turn.  Each budget draws what a full build
+    of its node set would, in ladder order, so every value is the full
+    build's.  Only the draws are made per trial; the rest once per block.
+
+    The reflected rule's budget of ``n`` nodes is a window of ``n // 2`` rows
+    of one period of ``sigma * s``, at a start drawn per trial (one call
+    draws all of a trial's starts), its plus nodes, then its minus nodes.  A
+    block gathers every trial's rows with one index and negates the minus
+    rows: ``mu + -(sigma * s)`` is the same double as ``mu - sigma * s``.
     """
     mean, std = dist.mean[index], dist.std[index]
     if method == "blocked-simplex":
         # Groups are shuffled one after another from the one generator, so
         # a single call draws every budget's groups in turn.
+        points = simplex_sigma_points(block_size).nodes
         n_groups = sum(budgets) // (block_size + 1)
-        return lambda rng: mean + std * blocked_simplex_standard(
-            dist.dim, block_size, rng, n_groups, index
-        ).nodes
+        return lambda rngs: mean + std * np.stack(
+            [_blocked_nodes(points, dist.dim, rng, n_groups, index) for rng in rngs])
     if method == "cross-polytope":
-        return _reflected_ladder(mean, std, dist.dim, budgets, index)
-    if method == "mc":  # the variates of every coordinate, transformed at index only
-        return lambda rng: np.concatenate([dist.sample(n, rng, index) for n in budgets])
-    if method not in ("qmc-mean", "qmc-var"):
+        period = full_period(dist.dim)
+        steps = sign_sequence(dist.dim, 0, period, index)  # a fresh array
+        steps *= std
+        pairs = np.array(budgets) // 2
+        highs = np.maximum(period // pairs, 1)
+        # each budget's window, once for its plus nodes and once for its minus nodes
+        offsets = np.concatenate([np.tile(np.arange(p), 2) for p in pairs.tolist()])
+        flips = np.concatenate([np.repeat([1.0, -1.0], p) for p in pairs.tolist()])[:, None]
+
+        def nodes(rngs):
+            rows = np.repeat(np.array([rng.integers(highs) for rng in rngs]) * pairs,
+                             budgets, axis=1)
+            rows += offsets
+            rows &= period - 1
+            block = np.take(steps, rows, axis=0)
+            block *= flips
+            block += mean
+            return block
+
+        return nodes
+    samplers = {
+        # the variates of every coordinate, transformed at index only
+        "mc": lambda n, rng: dist.sample(n, rng, index),
+        # the sample moments are reduced over every coordinate: a reduction
+        # over the basis's columns alone rounds differently
+        "qmc-mean": lambda n, rng: mean_matched_nodes(dist, n, rng).nodes[:, index],
+        "qmc-var": lambda n, rng: moment_matched_nodes(dist, n, rng)[0].nodes[:, index],
+    }
+    if method not in samplers:
         raise ConfigError(f"unknown method {method!r}")
-    # the sample moments are reduced over every coordinate: a reduction over
-    # the basis's columns alone rounds differently
-    return lambda rng: np.concatenate([
-        (mean_matched_nodes(dist, n, rng) if method == "qmc-mean"
-         else moment_matched_nodes(dist, n, rng)[0]).nodes[:, index]
-        for n in budgets
-    ])
+    draw = samplers[method]
+    return lambda rngs: np.stack(
+        [np.concatenate([draw(n, rng) for n in budgets]) for rng in rngs])
 
 
-def _reflected_ladder(mean, std, d, budgets, index):
-    """``_trial_ladder``'s reflected rule: each budget of ``n`` nodes is a
-    window of ``n // 2`` consecutive sign vectors at a start drawn from
-    ``rng``, its plus nodes followed by its minus nodes.
-
-    Every window is a run of rows of one period of the sign sequence, which
-    is built once.  A trial gathers all its windows' rows with one index
-    and reflects them in one call of ``reflected_nodes``' kernel, so every
-    node is the same double as in a per-budget ``reflected_nodes`` call.
-    """
-    period = full_period(d)
-    signs = sign_sequence(d, 0, period, index)
-    pairs = [n // 2 for n in budgets]
-    offsets = np.concatenate([np.arange(p) for p in pairs])
-    # the kernel stacks every window's plus nodes over every minus node;
-    # order puts each budget's plus block, then its minus block, in turn
-    total = sum(pairs)
-    order = np.concatenate([
-        np.r_[first:first + p, total + first:total + first + p]
-        for first, p in zip(np.cumsum([0] + pairs[:-1]).tolist(), pairs)
-    ])
-
-    def nodes(rng):
-        starts = [int(rng.integers(max(period // p, 1))) * p for p in pairs]
-        rows = np.repeat(starts, pairs)
-        rows += offsets
-        rows &= period - 1
-        stacked = _reflect(mean, std, np.take(signs, rows, axis=0))
-        return np.take(stacked.reshape(2 * total, -1), order, axis=0)
-
-    return nodes
+def _dot(w, vals) -> float:
+    """``w @ vals`` as in-order ddots of ``_DOT_CHUNK`` values: alike on any BLAS thread count."""
+    total = float(w[:_DOT_CHUNK] @ vals[:_DOT_CHUNK])
+    for a in range(_DOT_CHUNK, w.size, _DOT_CHUNK):
+        total += float(w[a:a + _DOT_CHUNK] @ vals[a:a + _DOT_CHUNK])
+    return total
 
 
 def _check_orthonormal(dist, basis, index) -> None:
@@ -278,28 +287,32 @@ def cmd_integrate_bench(args) -> int:
     _check_orthonormal(dist, basis, index)
     truth = basis_product_expectation(dist, basis, terms)
     column = {coord: j for j, coord in enumerate(index.tolist())}
-    trial_nodes = _trial_ladder(args.method, dist, budgets, args.block_size, index)
+    block_nodes = _trial_ladder(args.method, dist, budgets, args.block_size, index)
     # every rule weighs a budget's n nodes alike; 0.5 / n_pairs is the same double
     weights = [np.full(n, 1.0 / n) for n in budgets]
+    ends = np.cumsum(budgets).tolist()
+    cells = list(zip(weights, [0] + ends[:-1], ends))
+    # trials per block: at most _CHUNK_VALUES node values, or one trial's
+    per_block = max(_CHUNK_VALUES // (sum(budgets) * index.size), 1)
 
     errors = np.empty((args.trials, len(budgets)))
-    for trial in range(args.trials):
-        rng = trial_rng(args.seed, trial)
-        nodes = trial_nodes(rng)
-        vals = np.ones(nodes.shape[0])
-        for coord, degree in terms:
-            vals *= basis.evaluate(coord, degree, nodes[:, column[coord]])
-        start = 0
-        for j, (n, w) in enumerate(zip(budgets, weights)):
-            # each budget's own slice, summed as its node set alone would be
-            estimate = float(w @ vals[start:start + n])
-            if not math.isfinite(estimate):
-                raise EvaluationError(
-                    f"non-finite estimate at n_evals={n}, trial {trial}",
-                    nodes[start:start + n],
-                )
-            errors[trial, j] = estimate - truth
-            start += n
+    for first in range(0, args.trials, per_block):
+        rngs = [trial_rng(args.seed, trial)
+                for trial in range(first, min(first + per_block, args.trials))]
+        nodes = block_nodes(rngs)
+        vals = np.ones(nodes.shape[:2])
+        # a later trial's overflow must not warn before an earlier trial fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            for coord, degree in terms:
+                vals *= basis.evaluate(coord, degree, nodes[:, :, column[coord]])
+        # each budget's own slice, summed as its node set alone would be
+        estimates = np.array([[_dot(w, row[a:b]) for w, a, b in cells] for row in vals])
+        bad = np.argwhere(~np.isfinite(estimates))
+        if bad.size:  # the first in trial order
+            i, j = bad[0].tolist()
+            raise EvaluationError(f"non-finite estimate at n_evals={budgets[j]}, "
+                                  f"trial {first + i}", nodes[i, cells[j][1]:cells[j][2]])
+        errors[first:first + len(rngs)] = estimates - truth
 
     t = args.trials
     rows = []
@@ -328,7 +341,11 @@ def cmd_exactness_count(args) -> int:
     budgets = _ladder(args.method, args.block_size, args.max_evals)
     if args.method == "blocked-simplex":  # the cross-polytope is counted in closed form
         new = max(n - prev for prev, n in zip([0] + budgets, budgets))
-        _check_size((f"a second-moment matrix of dimension {args.d}", args.d**2),
+        # count_exact_pairs keeps the sums of _TILE-wide tile pairs p <= q only
+        size = 4 if budgets[-1] * args.block_size**2 < 1 << 24 else 8
+        _check_size((f"the float{8 * size} sums on the upper block triangle of a second-"
+                     f"moment matrix of dimension {args.d}",
+                     (args.d**2 + args.d // _TILE * _TILE**2 + (args.d % _TILE)**2) // 2, size),
                     (f"a rung of {new} nodes of dimension {args.d}", new * args.d),
                     *_blocked_arrays(args.block_size, new, -(-args.d // args.block_size)))
     _check_out(args.out)

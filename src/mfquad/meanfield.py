@@ -248,8 +248,9 @@ class OrthonormalBasis:
         c = self.coeffs[coord, degree]
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
-        for p in range(self.max_degree, -1, -1):  # Horner
-            out = out * x + c[p]
+        for p in range(self.max_degree, -1, -1):  # Horner, in place
+            out *= x
+            out += c[p]
         return out
 
 

@@ -8,7 +8,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -291,7 +294,7 @@ def test_bench_matches_the_per_cell_oracle(tmp_path, method):
         assert fast.read_bytes() == slow.read_bytes(), argv
 
 
-def test_bench_evaluates_each_term_once_per_trial(tmp_path, monkeypatch):
+def test_bench_evaluates_each_term_once_per_block(tmp_path, monkeypatch):
     calls = []
     evaluate = OrthonormalBasis.evaluate
 
@@ -300,12 +303,98 @@ def test_bench_evaluates_each_term_once_per_trial(tmp_path, monkeypatch):
         return evaluate(self, coord, degree, x)
 
     monkeypatch.setattr(OrthonormalBasis, "evaluate", counted)
-    code, _ = bench(tmp_path, "--dist", "laplace", "--method", "blocked-simplex",
-                    "--d", "9", "--basis", "phi1:7*phi2:2*phi1:7", "--trials", "5",
-                    "--max-evals", "24", "--block-size", "2")
-    assert code == 0
-    # the ladder 3, 6, 12, 24 is 45 nodes a trial
-    assert calls == [(7, 1, (45,)), (2, 2, (45,)), (7, 1, (45,))] * 5
+    argv = ["--dist", "laplace", "--method", "blocked-simplex", "--d", "9", "--basis",
+            "phi1:7*phi2:2*phi1:7", "--trials", "5", "--max-evals", "24", "--block-size", "2"]
+    assert bench(tmp_path, *argv)[0] == 0
+    # the ladder 3, 6, 12, 24 is 45 nodes a trial, at two coordinates: one
+    # block holds all five trials
+    terms = [(7, 1), (2, 2), (7, 1)]
+    assert calls == [(*term, (5, 45)) for term in terms]
+    # a block of at most two trials' 2 x 45 values: 2 + 2 + 1 trials
+    calls.clear()
+    monkeypatch.setattr(mfquad.cli, "_CHUNK_VALUES", 2 * 45 * 2 + 1)
+    assert bench(tmp_path, *argv)[0] == 0
+    assert calls == [(*term, (t, 45)) for t in (2, 2, 1) for term in terms]
+
+
+@pytest.mark.parametrize("method", mfquad.cli.BENCH_METHODS)
+def test_bench_blocks_of_trials_match_the_per_cell_oracle(tmp_path, monkeypatch, method):
+    # Blocks of 2 + 2 + 1 trials give the bytes that one (trial, budget)
+    # cell at a time gives, for every rule and preset.
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    block_size = 3 if method == "blocked-simplex" else 2
+    budgets = mfquad.cli._ladder(method, block_size, 48)
+    # two basis coordinates: a trial is 2 * sum(budgets) values
+    monkeypatch.setattr(mfquad.cli, "_CHUNK_VALUES", 5 * sum(budgets) - 1)
+    shapes = []
+    evaluate = OrthonormalBasis.evaluate
+    monkeypatch.setattr(OrthonormalBasis, "evaluate", lambda self, coord, degree, x: (
+        shapes.append(np.shape(x)) or evaluate(self, coord, degree, x)))
+    for dist in ("gauss", "laplace", "spikeslab"):
+        argv = ["integrate-bench", "--dist", dist, "--method", method, "--d", "7",
+                "--basis", "phi1:0*phi2:3*phi1:0", "--trials", "5", "--max-evals", "48",
+                "--seed", "9", "--block-size", str(block_size)]
+        shapes.clear()
+        assert main(argv + ["--out", str(fast)]) == 0
+        assert [n for n, _ in shapes] == [2] * 6 + [1] * 3
+        args = mfquad.cli.build_parser().parse_args(argv + ["--out", str(slow)])
+        oracles.cmd_integrate_bench(args)
+        assert fast.read_bytes() == slow.read_bytes(), argv
+
+
+def test_bench_non_finite_estimate_names_the_first_trial_in_order(tmp_path, monkeypatch,
+                                                                   capsys):
+    # One block holds all five trials.  Trial 3 fails at every budget, trial
+    # 1 only at the last (16 nodes, values 12..27), and trial 4 overflows:
+    # the error names trial 1, and trial 4 warns of nothing.
+    evaluate = OrthonormalBasis.evaluate
+
+    def failing(self, coord, degree, x):
+        x = np.array(x)
+        x[4] = 1e300
+        out = evaluate(self, coord, degree, x)
+        out[1, 12:] = np.nan
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(OrthonormalBasis, "evaluate", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = bench(tmp_path, "--dist", "gauss", "--method", "cross-polytope",
+                          "--d", "4", "--basis", "phi3:0", "--trials", "5",
+                          "--max-evals", "16")
+    err = capsys.readouterr().err
+    assert code == 4 and err == "numerical failure: non-finite estimate at n_evals=16, " \
+        "trial 1\n", err
+    assert not out.exists()
+
+
+def test_bench_estimate_is_the_in_order_sum_of_bounded_ddots(monkeypatch):
+    rng = np.random.default_rng(3)
+    w, v = rng.random(20000), rng.standard_normal(20000)
+    # up to _DOT_CHUNK values, w @ v itself
+    assert mfquad.cli._dot(w[:8192], v[:8192]) == float(w[:8192] @ v[:8192])
+    parts = [float(w[a:a + 8192] @ v[a:a + 8192]) for a in (0, 8192, 16384)]
+    assert mfquad.cli._dot(w, v) == (parts[0] + parts[1]) + parts[2]
+    monkeypatch.setattr(mfquad.cli, "_DOT_CHUNK", 10000)
+    assert mfquad.cli._dot(w, v) == float(w[:10000] @ v[:10000]) + float(w[10000:] @ v[10000:])
+
+
+def test_bench_csv_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a ddot of over 10,000 values across its threads: the
+    # rungs from 16,384 nodes on differed between one and two threads.
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"threads-{threads}.csv")
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "mfquad.cli", "integrate-bench", "--dist", "gauss",
+             "--method", "mc", "--d", "4", "--basis", "phi1:0*phi1:3", "--trials", "3",
+             "--max-evals", "262144", "--out", str(outs[-1])],
+            env=env, check=True, timeout=120,
+        )
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_bench_builds_one_sign_table_per_command(tmp_path, monkeypatch):
@@ -480,7 +569,7 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, 
     def never(*args, **kwargs):
         raise AssertionError("allocated past the size guard")
 
-    for name in ("count_exact_pairs", "preset", "sign_sequence", "blocked_simplex_standard"):
+    for name in ("count_exact_pairs", "preset", "sign_sequence", "_blocked_nodes"):
         monkeypatch.setattr(mfquad.cli, name, never)
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
@@ -490,17 +579,40 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, 
 
 
 def test_size_guard_admits_the_largest_array_at_the_limit(tmp_path, monkeypatch):
-    # d**2 float64 values of exactly MAX_ARRAY_BYTES pass; one more coordinate
-    # fails.  The blocked rule's other arrays (3 x 64 nodes, a 2 x 3 simplex
-    # point set, a 3 x 32 x 2 gather) are far smaller.
+    # At d = 200 the sums of the tile pairs (0, 0), (0, 1) and (1, 1) of
+    # 128 and 72 coordinates are 30,784 float32 values: exactly
+    # MAX_ARRAY_BYTES pass, and one more coordinate fails.  The blocked
+    # rule's other arrays (3 x 200 nodes, a 2 x 3 simplex point set, a
+    # 3 x 100 x 2 gather) are far smaller.
     calls = []
     monkeypatch.setattr(mfquad.cli, "count_exact_pairs",
                         lambda d, method, budgets, **kw: calls.append(d) or [0.0] * len(budgets))
-    monkeypatch.setattr(mfquad.cli, "MAX_ARRAY_BYTES", 8 * 64**2)
+    monkeypatch.setattr(mfquad.cli, "MAX_ARRAY_BYTES", 4 * (128 * 128 + 128 * 72 + 72 * 72))
     argv = ["exactness-count", "--method", "blocked-simplex", "--max-evals", "3",
             "--out", str(tmp_path / "count.csv")]
-    assert main(argv + ["--d", "64"]) == 0 and calls == [64]
-    assert main(argv + ["--d", "65"]) == 2 and calls == [64]
+    assert main(argv + ["--d", "200"]) == 0 and calls == [200]
+    assert main(argv + ["--d", "201"]) == 2 and calls == [200]
+
+
+@pytest.mark.parametrize("d, code", [(12000, 0), (23000, 0), (24000, 2)])
+def test_count_guard_sizes_the_sums_the_count_keeps(tmp_path, monkeypatch, capsys, d, code):
+    # At 3 evaluations the sums are float32 on the upper block triangle: 291
+    # MB at d = 12,000 and 1.06 GB at 23,000 pass the 1 GiB limit, 1.16 GB
+    # at 24,000 does not.  The count is stubbed: nothing is allocated.
+    calls = []
+    monkeypatch.setattr(mfquad.cli, "count_exact_pairs",
+                        lambda d, method, budgets, **kw: calls.append(d) or [0.0] * len(budgets))
+    out = tmp_path / "count.csv"
+    assert main(["exactness-count", "--method", "blocked-simplex", "--d", str(d),
+                 "--max-evals", "3", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert calls == [d] and err == ""
+    else:
+        assert calls == [] and not out.exists()
+        assert err == ("config error: the float32 sums on the upper block triangle of a "
+                       "second-moment matrix of dimension 24000 would take 1.08 GiB, over "
+                       "the 1 GiB limit of one array\n"), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -521,7 +633,7 @@ def test_unusable_out_exits_3_before_any_node_is_built(tmp_path, monkeypatch, ca
     def never(*args, **kwargs):
         raise AssertionError("built nodes before checking --out")
 
-    for name in ("count_exact_pairs", "preset", "sign_sequence", "blocked_simplex_standard"):
+    for name in ("count_exact_pairs", "preset", "sign_sequence", "_blocked_nodes"):
         monkeypatch.setattr(mfquad.cli, name, never)
     monkeypatch.setattr(mfquad.quadrature, "_blocked_nodes", never)
     (tmp_path / "file").write_text("")
