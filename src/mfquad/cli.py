@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -227,14 +228,21 @@ def _dot(w, vals) -> float:
     return total
 
 
-def _check_orthonormal(dist, basis, index) -> None:
-    """ConfigError naming the first coordinate of ``index`` where ``basis`` is
-    off orthonormal by over 1e-8 in ``max |C H C^T - I|`` (``C`` its
-    coefficients, ``H`` the Hankel matrix of raw moments it was factored from)."""
+def _restrict(dist, index):
+    """The mean field of ``dist``'s marginals at the coordinates ``index``:
+    its column ``j`` is coordinate ``index[j]``."""
+    return type(dist)(*(getattr(dist, f.name)[index] for f in fields(dist)))
+
+
+def _check_orthonormal(field, basis, index) -> None:
+    """ConfigError naming the first coordinate of ``index`` where ``basis``,
+    factored on ``field`` (the mean field restricted to ``index``), is off
+    orthonormal by over 1e-8 in ``max |C H C^T - I|`` (``C`` its coefficients,
+    ``H`` the Hankel matrix of raw moments it was factored from)."""
     n = basis.max_degree + 1
     hankel = np.lib.stride_tricks.sliding_window_view(
-        dist.raw_moments(2 * basis.max_degree)[index], n, axis=1)
-    c = basis.coeffs[index]
+        field.raw_moments(2 * basis.max_degree), n, axis=1)
+    c = basis.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.abs(c @ hankel @ c.swapaxes(1, 2) - np.eye(n)).max(axis=(1, 2))
     for coord, e in zip(index.tolist(), err.tolist()):
@@ -261,8 +269,10 @@ def cmd_integrate_bench(args) -> int:
     # the nodes are built only in the coordinates the basis reads (np.unique
     # would import numpy.ma, about 1 MB of the run's peak memory)
     index = np.array(sorted({coord for coord, _ in terms}))
-    arrays = [
-        (f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d),
+    arrays = [(f"the {args.dist} preset's vectors of dimension {d}", d)]
+    if args.method in ("mc", "qmc-mean", "qmc-var"):  # a sampler draws every column
+        arrays.append((f"{budgets[-1]} nodes of dimension {d}", budgets[-1] * d))
+    arrays += [
         (f"a trial's {sum(budgets)} x {index.size} node block", sum(budgets) * index.size),
         (f"a {args.trials} x {len(budgets)} error table", args.trials * len(budgets)),
     ]
@@ -276,17 +286,26 @@ def cmd_integrate_bench(args) -> int:
             (f"a {full_period(d)} x {index.size} sign table", full_period(d) * index.size)
         )
     # the basis coefficients outgrow the 2 * max_degree + 1 raw moments
-    arrays.append((f"a degree-{max_degree} basis in dimension {d}", d * (max_degree + 1) ** 2))
+    n = max_degree + 1
+    arrays.append((f"a degree-{max_degree} basis of {index.size} x {n} x {n} coefficients",
+                   index.size * n**2))
     _check_size(*arrays)
     _check_out(args.out)
     dist = preset(args.dist, d)
+    # the basis, its check and the truth at the basis's coordinates alone:
+    # each coordinate's moments, Cholesky factor and inverse are its own
+    field = _restrict(dist, index)
     try:
-        basis = orthonormal_basis(dist, max_degree=max_degree)
+        basis = orthonormal_basis(field, max_degree=max_degree)
     except OverflowError as err:  # a Laplace moment's factorial
         raise ConfigError(f"the degree-{max_degree} basis's raw moments overflow") from err
-    _check_orthonormal(dist, basis, index)
-    truth = basis_product_expectation(dist, basis, terms)
+    except ValueError as err:  # it names a column of field: name its coordinate
+        raise ConfigError(re.sub(r"coordinate (\d+)", lambda m: f"coordinate {index[int(m[1])]}",
+                                 str(err), count=1)) from err
+    _check_orthonormal(field, basis, index)
     column = {coord: j for j, coord in enumerate(index.tolist())}
+    terms = [(column[coord], degree) for coord, degree in terms]
+    truth = basis_product_expectation(field, basis, terms)
     block_nodes = _trial_ladder(args.method, dist, budgets, args.block_size, index)
     # every rule weighs a budget's n nodes alike; 0.5 / n_pairs is the same double
     weights = [np.full(n, 1.0 / n) for n in budgets]
@@ -303,8 +322,8 @@ def cmd_integrate_bench(args) -> int:
         vals = np.ones(nodes.shape[:2])
         # a later trial's overflow must not warn before an earlier trial fails
         with np.errstate(over="ignore", invalid="ignore"):
-            for coord, degree in terms:
-                vals *= basis.evaluate(coord, degree, nodes[:, :, column[coord]])
+            for j, degree in terms:
+                vals *= basis.evaluate(j, degree, nodes[:, :, j])
         # each budget's own slice, summed as its node set alone would be
         estimates = np.array([[_dot(w, row[a:b]) for w, a, b in cells] for row in vals])
         bad = np.argwhere(~np.isfinite(estimates))
@@ -647,10 +666,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` parses with, built on its first call: each
+    ``parse_args`` returns a fresh namespace and keeps nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code) if exc.code else 0
     try:

@@ -201,6 +201,8 @@ def test_bench_basis_the_moments_cannot_resolve_exits_2_on_one_line(tmp_path, ca
     assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
     if degree < 200:
         assert f"degree-{degree} basis of coordinate 1 " in err, err
+    elif dist == "gauss":  # the basis's coordinate, not its column in the restricted field
+        assert "degenerate marginal at coordinate 1:" in err, err
     assert not out.exists()
     # Gaussian degree 20 is orthonormal to 2.5e-9, inside the 1e-8 bound
     assert main(["integrate-bench", "--dist", "gauss", "--method", "mc", "--d", "2",
@@ -307,8 +309,9 @@ def test_bench_evaluates_each_term_once_per_block(tmp_path, monkeypatch):
             "phi1:7*phi2:2*phi1:7", "--trials", "5", "--max-evals", "24", "--block-size", "2"]
     assert bench(tmp_path, *argv)[0] == 0
     # the ladder 3, 6, 12, 24 is 45 nodes a trial, at two coordinates: one
-    # block holds all five trials
-    terms = [(7, 1), (2, 2), (7, 1)]
+    # block holds all five trials.  The basis is factored at coordinates 2
+    # and 7 alone, its rows 0 and 1.
+    terms = [(1, 1), (0, 2), (1, 1)]
     assert calls == [(*term, (5, 45)) for term in terms]
     # a block of at most two trials' 2 x 45 values: 2 + 2 + 1 trials
     calls.clear()
@@ -412,6 +415,20 @@ def test_bench_builds_one_sign_table_per_command(tmp_path, monkeypatch):
                     "--max-evals", "64")
     assert code == 0
     assert calls == [(12, 0, 16)]
+
+
+def test_bench_cross_polytope_at_a_million_coordinates(tmp_path):
+    # The reflected rule builds only the basis's two columns: a 2**20 x 2
+    # sign table and a 2 x 4 x 4 basis, with no max-evals x d node block.
+    # Coordinates 0 and 1 differ in bit 0, so the pair is exact at every
+    # budget.
+    code, out = bench(tmp_path, "--dist", "gauss", "--method", "cross-polytope",
+                      "--d", "1000000", "--basis", "phi1:0*phi1:1", "--trials", "3",
+                      "--max-evals", "256")
+    assert code == 0
+    rows = read_rows(out)[1:]
+    assert [row[0] for row in rows] == [str(4 * 2**i) for i in range(7)]
+    assert all(cell == "0" for row in rows for cell in row[1:]), rows
 
 
 def test_train_non_finite_node_exits_4_on_one_line(tmp_path, monkeypatch, capsys):
@@ -540,8 +557,8 @@ def test_blocked_csvs_keep_their_bytes(tmp_path, argv, digest):
     (["integrate-bench", "--dist", "gauss", "--method", "blocked-simplex", "--block-size", "1",
       "--basis", "phi1:0", "--d", "1024", "--max-evals", str(2**17)],
      "a trial's 262142 x 1024 block shuffle"),
-    # the nodes (4 x 2**23) and the basis (2**23 x 16) fit; a period of signs
-    # at 17 coordinates does not
+    # the preset's vectors of 2**23 values and the basis (17 x 4 x 4) fit; a
+    # period of signs at 17 coordinates does not
     (["integrate-bench", "--dist", "gauss", "--method", "cross-polytope", "--d", str(2**23),
       "--basis", "*".join(f"phi1:{i}" for i in range(17)), "--max-evals", "4"],
      "a 8388608 x 17 sign table"),
@@ -562,6 +579,11 @@ def test_blocked_csvs_keep_their_bytes(tmp_path, argv, digest):
     # one error per trial and rung
     (["integrate-bench", "--dist", "gauss", "--method", "mc", "--d", "1", "--basis", "phi1:0",
       "--trials", str(2**24), "--max-evals", "512"], "a 16777216 x 9 error table"),
+    # the reflected rule draws no max-evals x d nodes, but the preset's
+    # d-long vectors still bound d
+    (["integrate-bench", "--dist", "spikeslab", "--method", "cross-polytope", "--d",
+      str(2**27 + 1), "--basis", "phi1:0", "--max-evals", "4"],
+     "the spikeslab preset's vectors of dimension 134217729"),
 ])
 def test_oversized_runs_exit_2_before_allocating(tmp_path, monkeypatch, capsys, argv, what):
     # The size guard refuses from the flags alone: neither the rule nor the
@@ -1453,12 +1475,87 @@ def test_unit_spans_keep_their_lookup_names(tmp_path, monkeypatch):
     assert calls == {"run_epoch": 3, "trial_rng": 5, "count_exact_pairs": 1}
 
 
-def test_main_usage_errors():
+def test_main_usage_errors(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
-    with pytest.raises(SystemExit):  # --help prints and exits inside argparse
-        raise SystemExit(0)
+    capsys.readouterr()
+    # --help prints and exits 0 inside argparse; main returns that code
     assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mfquad")
+
+
+# ------------------------------------------------------ the shared parser
+
+
+@pytest.fixture
+def fresh_parser():
+    """``main``'s parser is built again on the next call, and after the test."""
+    mfquad.cli._parser.cache_clear()
+    yield
+    mfquad.cli._parser.cache_clear()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, fresh_parser):
+    builds = []
+    build_parser = mfquad.cli.build_parser
+    monkeypatch.setattr(mfquad.cli, "build_parser",
+                        lambda: builds.append(1) or build_parser())
+    for i in range(4):
+        assert main(["exactness-count", "--method", "cross-polytope", "--d", "8",
+                     "--max-evals", "8", "--out", str(tmp_path / f"count-{i}.csv")]) == 0
+    assert main([]) == 2 and main(["--help"]) == 0
+    assert len(builds) == 1
+    # the public builder still returns a new parser on every call
+    assert build_parser() is not build_parser()
+
+
+def _outputs(out):
+    """The bytes of the file ``out``, or of each file in the directory ``out``."""
+    if out.is_file():
+        return out.read_bytes()
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["integrate-bench", "--dist", "laplace", "--method", "cross-polytope", "--d", "9",
+      "--basis", "phi1:2*phi2:7", "--trials", "5", "--max-evals", "32"], ["--trials", "0"]),
+    (["exactness-count", "--method", "blocked-simplex", "--d", "20", "--max-evals", "24",
+      "--trials", "2"], ["--seed", "-1"]),
+    (["train", "--data", "synth:d=6,k=2,n=24,nval=8,seed=2", "--epochs", "2"],
+     ["--epochs", "-1"]),
+], ids=["integrate-bench", "exactness-count", "train"])
+def test_failed_calls_leave_the_shared_parser_as_a_fresh_one(tmp_path, capsys, fresh_parser,
+                                                             argv, bad):
+    # A usage error, --help and a config error before a valid call: that call
+    # exits and writes as the first call on a fresh parser did.
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    if argv[0] == "train":
+        fresh.mkdir()
+        shared.mkdir()
+    else:
+        fresh, shared = fresh.with_suffix(".csv"), shared.with_suffix(".csv")
+    assert main(argv + ["--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--no-such-flag", "--out", str(shared)]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert main([argv[0], "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: mfquad {argv[0]}")
+    assert main(argv + bad + ["--out", str(shared)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert main(argv + ["--out", str(shared)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _outputs(shared) == _outputs(fresh)
+
+
+def test_train_without_epochs_after_epochs_0_trains_the_config_epochs(tmp_path):
+    # --epochs of one call is not the default of the next
+    config = tmp_path / "config.json"
+    config.write_text('{"n_epochs": 3}')
+    argv = ["train", "--config", str(config), "--data", "synth:d=6,k=2,n=24,nval=8,seed=2"]
+    assert main(argv + ["--epochs", "0", "--out", str(tmp_path / "init")]) == 0
+    assert len(read_rows(tmp_path / "init" / "epochs.csv")) == 1
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    assert [row[0] for row in read_rows(tmp_path / "run" / "epochs.csv")[1:]] == ["1", "2", "3"]
 
 
 def test_run_config_defaults():

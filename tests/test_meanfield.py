@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mfquad.cli import _restrict
 from mfquad.meanfield import (
     GaussianMeanField,
     LaplaceMeanField,
@@ -236,6 +237,27 @@ def test_batched_basis_matches_per_coordinate_oracle(max_degree):
         got = orthonormal_basis(dist, max_degree).coeffs
         want = oracles.orthonormal_basis(dist, max_degree).coeffs
         assert got.tobytes() == want.tobytes(), (type(dist).__name__, max_degree)
+
+
+@pytest.mark.parametrize("max_degree", [3, 6])
+def test_basis_at_some_coordinates_is_the_full_basis_rows(max_degree):
+    # integrate-bench factors the basis on the mean field restricted to the
+    # basis's coordinates: each coordinate's moments, Cholesky factor and
+    # inverse are its own, so the rows and the truth are the full basis's
+    rng = np.random.Generator(np.random.Philox(10 + max_degree))
+    for dist in [preset(name, 9) for name in PRESETS] + _random_fields(rng, 40):
+        full = orthonormal_basis(dist, max_degree)
+        for index in (np.array([0]), np.array([2, 7]), np.arange(0, dist.dim, 3),
+                      np.sort(rng.choice(dist.dim, size=5, replace=False))):
+            field = _restrict(dist, index)
+            assert type(field) is type(dist) and field.dim == index.size
+            basis = orthonormal_basis(field, max_degree)
+            assert basis.coeffs.tobytes() == full.coeffs[index].tobytes()
+            terms = [(int(index[-1]), 1), (int(index[0]), max_degree), (int(index[-1]), 2)]
+            column = {int(c): j for j, c in enumerate(index)}
+            truth = basis_product_expectation(
+                field, basis, [(column[c], degree) for c, degree in terms])
+            assert truth == basis_product_expectation(dist, full, terms)
 
 
 def test_basis_product_expectation():
