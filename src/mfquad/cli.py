@@ -534,9 +534,8 @@ def _resolve_data(data_arg: str, max_cases=None) -> tuple[Dataset, Dataset, str]
 
 def _build_model(kind, train_data, val_data, config, hidden_units):
     """The model of ``kind`` on ``train_data``.  Its parameter count ``d`` is
-    taken from the layer sizes first, and a state array or a case's block
-    of sign vectors too large for one array is refused before the model is
-    built."""
+    taken from the layer sizes first, and a state array, or a case's sign or
+    node block, too large for one array is refused before the model is built."""
     n_in = train_data.n_features
     if kind == "logistic":
         if train_data.labels.max() > 1:
@@ -552,6 +551,7 @@ def _build_model(kind, train_data, val_data, config, hidden_units):
     _check_size(
         (f"a state array of {d} parameters", d),
         (f"a block of {n_pairs} sign vectors of {d} parameters", n_pairs * d),
+        (f"a case's {2 * n_pairs} nodes of {d} parameters", 2 * n_pairs * d),
     )
     h_prior = 1.0 / config.slab_std_max**2
     if layers is None:
@@ -568,8 +568,6 @@ def _histogram_rows(epoch: int, p_nonzero: np.ndarray) -> list[list]:
 def cmd_train(args) -> int:
     config, run = load_run_config(args.config)
     if args.epochs is not None:
-        if args.resume is not None:
-            raise ConfigError("--resume continues the checkpoint's schedule; drop --epochs")
         if args.epochs < 0:
             raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
         config = replace(config, n_epochs=max(args.epochs, 1))
@@ -658,10 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True, metavar="{synth:SPEC|mnist:DIR}")
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--epochs", type=int, default=None,
-                    help="override n_epochs; 0 writes only the initial checkpoint")
+                    help="set n_epochs, also with --resume; 0 writes only the initial checkpoint")
     tr.add_argument("--resume", default=None, metavar="CKPT",
                     help="continue the run saved in a checkpoint.json, with the "
-                         "same --config and --data")
+                         "same --config, --data and --epochs")
     tr.set_defaults(func=cmd_train)
     return parser
 

@@ -45,19 +45,6 @@ class QuadraticSummary:
     grad: np.ndarray
     hess: np.ndarray
 
-    def __post_init__(self):
-        grad = np.asarray(self.grad, dtype=np.float64).ravel()
-        hess = np.asarray(self.hess, dtype=np.float64).ravel()
-        if grad.shape != hess.shape:
-            raise ValueError("grad and hess must have equal length")
-        loss = float(self.loss)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not (math.isfinite(loss) and _all_finite(grad, hess)):
-                raise ValueError("summary entries must be finite")
-        object.__setattr__(self, "loss", loss)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", hess)
-
 
 def _all_finite(grad: np.ndarray, hess: np.ndarray) -> bool:
     """Whether every entry of two equal-length vectors is finite; the
@@ -184,10 +171,7 @@ def _quadratic_approx(model, case, mu, sigma, k_start, n_pairs, index=None):
             full_hess[index] = hess
         loss = float(loss_sum) / n_evals - 0.5 * float(full_hess @ square)
         if math.isfinite(loss) and _all_finite(grad, hess):
-            # built once, without repeating these checks in __post_init__
-            summary = object.__new__(QuadraticSummary)
-            summary.__dict__.update(loss=loss, grad=grad, hess=hess)
-            return summary
+            return QuadraticSummary(loss, grad, hess)
         _, nodes = reflected_nodes(mu, sigma, k_start, n_pairs)
         for node in nodes.swapaxes(0, 1).reshape(2 * n_pairs, -1):
             _evaluate(model, node, case)

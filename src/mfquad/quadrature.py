@@ -97,7 +97,6 @@ class AntitheticPair:
 
     plus: np.ndarray
     minus: np.ndarray
-    weight: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "plus", _freeze(np.asarray(self.plus).ravel()))
@@ -106,7 +105,7 @@ class AntitheticPair:
             raise ValueError("pair nodes must have equal length")
 
     def as_node_set(self) -> NodeSet:
-        return NodeSet(np.stack([self.plus, self.minus]), [self.weight, self.weight])
+        return NodeSet(np.stack([self.plus, self.minus]), [0.5, 0.5])
 
 
 def _coordinates(index, d: int) -> np.ndarray:
@@ -260,7 +259,6 @@ def blocked_simplex_standard(
     block_size: int,
     rng: np.random.Generator,
     n_groups: int = 1,
-    index=None,
 ) -> NodeSet:
     """Blocked simplex rule for a standardized ``d``-dimensional measure.
 
@@ -274,17 +272,13 @@ def blocked_simplex_standard(
     while matching the shared node count.  ``n_groups`` independent
     replicates are pooled with equal weights.  The groups are shuffled one
     after another from ``rng``, so one call for ``g1 + g2`` groups gives the
-    nodes of a call for ``g1`` followed by one for ``g2``.  With ``index``,
-    a list of coordinates below ``d``, only those columns are built, in
-    that order; every block is still shuffled, so the nodes and the
-    generator's state are those of the full build.
+    nodes of a call for ``g1`` followed by one for ``g2``.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be positive, got {n_groups}")
     if d < 1 or block_size < 1:
         raise ValueError(f"need d >= 1 and block_size >= 1, got {d}, {block_size}")
-    index = None if index is None else _coordinates(index, d)
-    nodes = _blocked_nodes(simplex_sigma_points(block_size).nodes, d, rng, n_groups, index)
+    nodes = _blocked_nodes(simplex_sigma_points(block_size).nodes, d, rng, n_groups)
     return NodeSet(nodes, np.full(nodes.shape[0], 1.0 / nodes.shape[0]))
 
 
@@ -298,8 +292,10 @@ def _simplex_codes(block_size: int, dtype) -> np.ndarray:
 
 def _blocked_nodes(points, d, rng, n_groups, index=None) -> np.ndarray:
     """``blocked_simplex_standard``'s nodes for checked arguments, unfrozen (a
-    column view of a fresh array), with ``index`` already coordinates, gathered
-    from ``points``: the point set, or its codes (the draws are the same)."""
+    column view of a fresh array), gathered from ``points``: the point set, or
+    its codes (the draws are the same).  With ``index``, integer coordinates
+    below ``d``, only those columns are built, in that order, with the full
+    build's values and generator draws."""
     m, block_size = points.shape
     if index is None:
         blocks, columns = slice(None), slice(0, d)

@@ -894,6 +894,29 @@ def test_oversized_train_exits_2_before_allocating(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+def test_train_refuses_a_node_block_over_the_cap(tmp_path, monkeypatch, capsys):
+    # An MLP whose hidden size is not a power of two has no pair sums: its
+    # summary evaluates a (2, n_pairs, d) node block, twice the sign block.
+    # Under a cap between the two, the run exits 2 naming the node block.
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the size guard")
+
+    for name in ("MlpModel", "init_state", "train"):
+        monkeypatch.setattr(mfquad.cli, name, never)
+    make_idx_dir(tmp_path / "idx", side=8, n_classes=4)
+    config = tmp_path / "config.json"
+    config.write_text('{"hidden_units": 3}')
+    d = 64 * 3 + 3 + 3 * 4 + 4  # 8x8 inputs, 3 hidden units, 4 classes
+    monkeypatch.setattr(mfquad.cli, "MAX_ARRAY_BYTES", 2 * d * 8)  # the sign block fits
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", f"mnist:{tmp_path / 'idx'}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert f"a case's 4 nodes of {d} parameters" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"slab_std_max": 1e-200},  # slab_std_max**2 underflows to 0
     {"slab_std_max": 1e200},  # slab_std_max**2 overflows
@@ -1186,8 +1209,8 @@ def test_train_resume_errors(tmp_path, capsys):
           "hidden_units": 4}, [], ckpt, "frac_zero_target"),
         # a model whose parameter count differs
         ({**json.loads(config.read_text()), "hidden_units": 5}, [], ckpt, "parameters"),
-        # --resume with --epochs
-        (json.loads(config.read_text()), ["--epochs", "2"], ckpt, "--epochs"),
+        # --epochs sets n_epochs with --resume too, and differs from the checkpoint's
+        (json.loads(config.read_text()), ["--epochs", "3"], ckpt, "n_epochs"),
     ]
     for doc, extra, path, match in cases:
         other.write_text(json.dumps(doc))
@@ -1197,6 +1220,32 @@ def test_train_resume_errors(tmp_path, capsys):
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert match in err, err
     assert main(base + ["--config", str(config), "--resume", str(tmp_path / "nope.json")]) == 3
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_train_resume_takes_the_runs_own_epochs(tmp_path, capsys, kind):
+    # A run started with --epochs and no n_epochs in its config resumes with
+    # the same --epochs, to the bytes of the run that was never stopped; any
+    # other --epochs differs from the checkpoint's n_epochs.
+    if kind == "logistic":
+        argv = ["train", "--data", "synth:d=8,k=2,n=64,nval=16"]
+    else:
+        make_idx_dir(tmp_path / "idx", n_train=32)
+        config = tmp_path / "config.json"
+        config.write_text('{"hidden_units": 4}')
+        argv = ["train", "--config", str(config), "--data", f"mnist:{tmp_path / 'idx'}"]
+    head, whole, resumed = tmp_path / "head", tmp_path / "whole", tmp_path / "resumed"
+    assert main(argv + ["--epochs", "0", "--out", str(head)]) == 0
+    assert main(argv + ["--epochs", "1", "--out", str(whole)]) == 0
+    resume = ["--resume", str(head / "checkpoint.json")]
+    assert main(argv + resume + ["--epochs", "1", "--out", str(resumed)]) == 0
+    for name in ("checkpoint.json", "epochs.csv", "sieve_histogram.csv"):
+        assert (resumed / name).read_bytes() == (whole / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(argv + resume + ["--epochs", "2", "--out", str(tmp_path / "other")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "n_epochs" in err, err
 
 
 def test_train_resume_rejects_other_data(tmp_path, capsys):

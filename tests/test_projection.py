@@ -15,7 +15,7 @@ import oracles
 from mfquad.models import Dataset, LogisticModel, MlpModel, QuadraticOracleModel
 from mfquad.projection import (
     EvaluationError,
-    QuadraticSummary,
+    _all_finite,
     _quadratic_approx,
     full_period,
     quadratic_approx,
@@ -379,10 +379,6 @@ def test_non_finite_mlp_pair_sums_name_the_first_bad_node(monkeypatch):
 
 def test_summary_validation():
     with pytest.raises(ValueError):
-        QuadraticSummary(np.nan, np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        QuadraticSummary(0.0, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
         quadratic_approx(DenseQuadratic(0, [0], [[1]]), None, np.zeros(1), np.ones(1), 0, 0)
     with pytest.raises(ValueError):
         quadratic_approx(
@@ -390,13 +386,30 @@ def test_summary_validation():
         )
 
 
+class FixedSummary(FixedSums):
+    """Pair sums whose summary over one pair at ``sigma = 1`` has gradient
+    ``grad`` and curvature ``hess``; every node evaluates finite."""
+
+    def __init__(self, grad, hess):
+        super().__init__(0.0, 2.0 * grad, 2.0 * hess)
+
+    def evaluate(self, theta, case):
+        return 0.0, np.zeros_like(theta)
+
+
+def _summarize(grad, hess):
+    d = grad.shape[0]
+    return quadratic_approx(FixedSummary(grad, hess), 0, np.zeros(d), np.ones(d), 0, 1)
+
+
 def test_summary_finiteness_check_is_exact():
     # finite entries whose dot overflows, or is inf - inf, are accepted,
     # also under the trainer's overflow-raising errstate
     big = np.array([1e300, 1e300, -1e300])
-    with np.errstate(over="raise", invalid="raise"):
-        QuadraticSummary(0.0, big, big)
-        QuadraticSummary(0.0, np.array([1e300, 1e300]), np.array([1e300, -1e300]))
+    for grad, hess in ((big, big), (np.array([1e300, 1e300]), np.array([1e300, -1e300]))):
+        with np.errstate(over="raise", invalid="raise"):
+            got = _summarize(grad, hess)
+        assert got.grad.tobytes() == grad.tobytes() and got.hess.tobytes() == hess.tobytes()
     # a single non-finite entry of either vector is refused, also beside a
     # 0 of the other one
     for bad in (np.inf, -np.inf, np.nan):
@@ -405,9 +418,13 @@ def test_summary_finiteness_check_is_exact():
                 vec = np.ones(5)
                 vec[at] = bad
                 for grad, hess in ((vec, other), (other, vec)):
-                    with pytest.raises(ValueError, match="finite"):
-                        QuadraticSummary(0.0, grad, hess)
-    assert QuadraticSummary(1.0, np.zeros(0), np.zeros(0)).grad.shape == (0,)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert not _all_finite(grad, hess)
+                    with np.errstate(over="raise", invalid="raise"):
+                        with pytest.raises(EvaluationError, match="non-finite quadratic summary"):
+                            _summarize(grad, hess)
+    with np.errstate(over="raise", invalid="raise"):
+        assert _summarize(np.zeros(0), np.zeros(0)).grad.shape == (0,)
 
 
 def test_full_period_values():

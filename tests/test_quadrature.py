@@ -393,33 +393,31 @@ def test_blocked_simplex_matches_per_block_oracle(d, block_size, n_groups):
     [(1, [0]), (1, [0, 0]), (3, [2, 0]), (7, [6, 3, 3, 0]), (64, [9, 59]), (513, [512, 1, 256])],
 )
 def test_index_builds_the_full_builds_columns(d, index):
-    # the sign sequence and the blocked rule build only the listed columns,
-    # in that order, with the full build's values, and the blocked rule draws
-    # what the full build draws
+    # the sign sequence and the blocked rule's kernel build only the listed
+    # columns, in that order, with the full build's values, and the kernel
+    # draws what the full build draws
     for k_start, n_vectors in ((0, 1), (5, 3), (2 * d + 1, 2 * d)):
         full = sign_sequence(d, k_start, n_vectors)
         signs = sign_sequence(d, k_start, n_vectors, index=index)
         assert signs.tobytes() == full[:, index].tobytes()
     for block_size, n_groups in ((1, 2), (2, 5), (3, 3)):
+        points = simplex_sigma_points(block_size).nodes
         full_rng, rng = trial_rng(d, block_size), trial_rng(d, block_size)
         full = blocked_simplex_standard(d, block_size, full_rng, n_groups)
-        ns = blocked_simplex_standard(d, block_size, rng, n_groups, index=index)
-        assert ns.nodes.tobytes() == full.nodes[:, index].tobytes()
-        assert ns.weights.tobytes() == full.weights.tobytes()
+        nodes = _blocked_nodes(points, d, rng, n_groups, np.asarray(index))
+        assert nodes.tobytes() == full.nodes[:, index].tobytes()
         assert rng.integers(2**62) == full_rng.integers(2**62)
         # groups come one after another: two calls draw what one call does
         split_rng = trial_rng(d, block_size)
-        parts = [blocked_simplex_standard(d, block_size, split_rng, g, index=index).nodes
+        parts = [_blocked_nodes(points, d, split_rng, g, np.asarray(index))
                  for g in (1, n_groups - 1)]
-        assert np.concatenate(parts).tobytes() == ns.nodes.tobytes()
+        assert np.concatenate(parts).tobytes() == nodes.tobytes()
 
 
 @pytest.mark.parametrize("index", [[4], [-1], [0.0], [[0]]])
 def test_index_outside_the_dimension_is_refused(index):
     with pytest.raises(ValueError, match="index"):
         sign_sequence(4, 0, 1, index=index)
-    with pytest.raises(ValueError, match="index"):
-        blocked_simplex_standard(4, 2, trial_rng(0), index=index)
 
 
 def test_blocked_expectation_over_shuffles():
